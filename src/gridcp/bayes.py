@@ -162,11 +162,7 @@ def quant(alpha: float, y_n: Sample, pd: PredictiveDensity, universe: Grid) -> R
         return universe.full_region()
     c = float(np.sort(dens)[q - 2])  # (q-1)-th smallest, 0-based
     grid_dens = pd.density(universe.as_array()[:, 0])
-    bits = 0
-    for i in range(universe.size):
-        if grid_dens[i] >= c:
-            bits |= 1 << i
-    return Region(universe, bits)
+    return Region.from_mask(universe, grid_dens >= c)
 
 
 def quant_cdf_diagnostic(
@@ -186,11 +182,7 @@ def quant_cdf_diagnostic(
     # F(c) sweeps the sorted density values; take the first c with F >= 1-alpha.
     pos = int(np.searchsorted(csum, 1.0 - alpha))
     c = math.inf if pos >= len(order) else float(grid_dens[order][pos])
-    bits = 0
-    for i in range(universe.size):
-        if grid_dens[i] >= c:
-            bits |= 1 << i
-    region = Region(universe, bits)
+    region = Region.from_mask(universe, grid_dens >= c)
     exact = quant(alpha, y_n, pd, universe)
     return region, len(region.difference(exact)) + len(exact.difference(region))
 

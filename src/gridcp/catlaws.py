@@ -43,7 +43,6 @@ __all__ = [
     "compose",
     "tensor",
     "unit_object",
-    "vietoris_object",
     "vietoris_map",
     "vietoris_unit",
     "vietoris_multiplication",
@@ -179,10 +178,6 @@ class VietorisObject:
         if not 1 <= mask <= self.size:
             raise ValueError(f"mask {mask} is not a nonempty subset of the base")
         return mask - 1
-
-
-def vietoris_object(x: FinSet) -> VietorisObject:
-    return VietorisObject(x)
 
 
 def _nonempty_submasks(mask: int) -> Iterable[int]:
@@ -476,15 +471,6 @@ def check_functor_laws(max_size: int = 3) -> dict:
         "trials": {"identity": id_checks, "composition": comp_checks},
         "counterexamples": counterexamples,
     }
-
-
-def _union_index(kx: VietorisObject, family_mask: int) -> int:
-    """Index of the union of a nonempty family of hyperspace elements."""
-    union = 0
-    for i in range(kx.size):
-        if (family_mask >> i) & 1:
-            union |= kx.mask_of(i)
-    return kx.index_of(union)
 
 
 def check_monad_laws(base_size: int) -> dict:

@@ -142,8 +142,7 @@ class Transducer:
 def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     """Run the leave-one-out ranking transform over every grid point.
 
-    Per-point work is pure, so the grid loop parallelizes trivially; the
-    vectorized kernels in `scores` already batch it.
+    The vectorized kernels in `scores` batch the grid loop.
     """
     if y_n.dim != universe.dim:
         raise ValueError(
@@ -160,12 +159,7 @@ def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
 
 def superlevel_region(t: Transducer, alpha: float) -> Region:
     """{c : pi(c) > alpha} on t's universe (strict, on stored doubles)."""
-    vals = t.values
-    bits = 0
-    for i in range(t.universe.size):
-        if vals[i] > alpha:
-            bits |= 1 << i
-    return Region(t.universe, bits)
+    return Region.from_mask(t.universe, t.values > alpha)
 
 
 def kappa(alpha: float, y_n: Sample, psi: ScoreFn, universe: Grid) -> Region:

@@ -39,6 +39,13 @@ class UniverseMismatchError(ValueError):
     """Raised when set operations mix regions over different grids."""
 
 
+def _check_interval(lo: float, hi: float) -> None:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"non-finite interval ({lo}, {hi})")
+    if lo > hi:
+        raise ValueError(f"degenerate interval ({lo}, {hi})")
+
+
 def _as_point(p) -> tuple[float, ...]:
     if isinstance(p, (int, float, np.integer, np.floating)):
         return (float(p),)
@@ -66,8 +73,7 @@ class Grid:
         if len(self.points) < 1:
             raise ValueError("grid must contain at least one point")
         for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"degenerate interval ({lo}, {hi})")
+            _check_interval(lo, hi)
         seen = set(self.points)
         if len(seen) != len(self.points):
             raise ValueError("grid points must be pairwise distinct")
@@ -90,13 +96,6 @@ class Grid:
     def as_array(self) -> np.ndarray:
         """Points as a (size, dim) float array."""
         return np.asarray(self.points, dtype=float)
-
-    def axis(self, k: int = 0) -> np.ndarray:
-        """The distinct coordinates along dimension k, ascending."""
-        lo, hi = self.bounds[k]
-        if self.counts[k] == 1:
-            return np.array([lo])
-        return np.linspace(lo, hi, self.counts[k])
 
     def index_of(self, point) -> int:
         return self.points.index(_as_point(point))
@@ -131,12 +130,13 @@ class Grid:
         return Region(self, 0)
 
     def region(self, indices: Iterable[int]) -> Region:
-        bits = 0
-        for i in indices:
+        idx = list(indices)
+        for i in idx:
             if not 0 <= i < self.size:
                 raise ValueError(f"index {i} out of range for grid of size {self.size}")
-            bits |= 1 << i
-        return Region(self, bits)
+        mask = np.zeros(self.size, dtype=bool)
+        mask[idx] = True
+        return Region.from_mask(self, mask)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -168,8 +168,7 @@ def make_uniform_grid(
     spacing = []
     for (lo, hi), m in zip(bounds, counts):
         lo, hi = float(lo), float(hi)
-        if lo > hi:
-            raise ValueError(f"degenerate interval ({lo}, {hi})")
+        _check_interval(lo, hi)
         if m < 1:
             raise ValueError(f"count must be >= 1, got {m}")
         if m == 1:
@@ -202,6 +201,17 @@ class Region:
         if self.bits < 0 or self.bits >> self.universe.size:
             raise ValueError("region bits outside universe")
 
+    @staticmethod
+    def from_mask(universe: Grid, mask) -> Region:
+        """The region whose i-th grid point is in it iff mask[i] is true."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (universe.size,):
+            raise ValueError(
+                f"mask of shape {mask.shape} does not match grid of size {universe.size}"
+            )
+        packed = np.packbits(mask, bitorder="little")
+        return Region(universe, int.from_bytes(packed.tobytes(), "little"))
+
     def _check(self, other: Region) -> None:
         if self.universe != other.universe:
             raise UniverseMismatchError("regions live over different universes")
@@ -233,7 +243,10 @@ class Region:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.universe.size) if (self.bits >> i) & 1)
+        size = self.universe.size
+        packed = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), np.uint8)
+        mask = np.unpackbits(packed, count=size, bitorder="little")
+        return tuple(np.flatnonzero(mask).tolist())
 
     def to_json(self) -> str:
         """Serialize as a sorted index array."""

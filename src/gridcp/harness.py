@@ -1,13 +1,9 @@
 """Experiment orchestration: coverage, diagram, triangle, and law campaigns.
 
-Every experiment is driven by an `ExperimentConfig`, uses a named splittable
-generator (philox4x64 keyed by SeedSequence(seed, trial_index)) so results
-are independent of worker count, and produces a plain dict report that
-`emit` writes deterministically: the same seed yields byte-identical files.
-
-Trial-level parallelism is available through the CK_THREADS environment
-variable; trials are pure and aggregation is order-insensitive, so the
-worker count never changes a report.
+Every experiment is driven by an `ExperimentConfig`, draws each trial from
+its own generator (philox4x64 keyed by SeedSequence(seed, trial_index)), and
+produces a plain dict report that `emit` writes deterministically: the same
+seed yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,8 +12,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,23 +56,6 @@ _ALPHA_GAP = 1e-9
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn: Callable[[int], object], trials: int) -> list:
-    """Apply fn to 0..trials-1, preserving index order regardless of workers."""
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
 
 
 def _sample_alpha(rng: np.random.Generator, avoid: Sequence[float]) -> float:
@@ -127,6 +104,7 @@ _EXPERIMENT_NAMES = (
 )
 
 _CONFORMAL_EXPERIMENTS = ("coverage",)
+_SCENARIOS = ("iid_gaussian", "iid_uniform", "exchangeable_mixture")
 
 
 @dataclass(frozen=True)
@@ -161,6 +139,18 @@ class ExperimentConfig:
                     f"alpha={self.alpha} must avoid the attainable plausibility "
                     f"set {{k/{self.n + 1}}} for conformal experiments"
                 )
+            if self.scenario not in _SCENARIOS:
+                raise ValueError(
+                    f"unknown scenario {self.scenario!r}; pick one of {_SCENARIOS}"
+                )
+            if len(self.grid_bounds) != 1:
+                raise ValueError(
+                    f"{self.experiment} draws scalar observations; the grid must "
+                    f"be 1-D, got {len(self.grid_bounds)} bounds"
+                )
+            # Build what the run builds, so a bad grid or score is a config error.
+            make_uniform_grid(self.grid_bounds, self.grid_counts)
+            _score_for(self)
 
     @staticmethod
     def from_json_obj(obj: dict) -> ExperimentConfig:
@@ -217,15 +207,7 @@ def _score_for(cfg: ExperimentConfig) -> ScoreFn:
     if cfg.score == "prototype_embedding":
         params = cfg.extras.get("score_params")
         if params:
-            net = EmbeddingNet(
-                tuple(
-                    (
-                        tuple(tuple(float(v) for v in row) for row in W),
-                        tuple(float(v) for v in b),
-                    )
-                    for W, b in zip(params["weights"], params["biases"])
-                )
-            )
+            net = EmbeddingNet.from_weights(params["weights"], params["biases"])
         else:
             net = EmbeddingNet.identity(len(cfg.grid_bounds))
         return PrototypeEmbedding(net)
@@ -251,7 +233,7 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
         region = kappa(cfg.alpha, y_n, psi, universe)
         return idxs[cfg.n] in region
 
-    hits = sum(_map_trials(one_trial, cfg.trials))
+    hits = sum(one_trial(t) for t in range(cfg.trials))
     report = CoverageReport(
         trials=cfg.trials,
         hits=hits,
@@ -338,8 +320,8 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
     results = []
     for fam_idx, family in enumerate(families):
 
-        def one_trial(t: int, family: str = family, off: int = fam_idx) -> dict:
-            rng = _trial_rng(cfg.seed, off * 1_000_003 + t)
+        def one_trial(t: int) -> dict:
+            rng = _trial_rng(cfg.seed, fam_idx * 1_000_003 + t)
             # The first brute_trials trials stay on grids small enough for the
             # subset-enumeration oracle, so exactly that many get both checks.
             size_hi = brute_limit if t < brute_trials else 16
@@ -366,7 +348,7 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
                 },
             }
 
-        outcomes = _map_trials(one_trial, cfg.trials)
+        outcomes = [one_trial(t) for t in range(cfg.trials)]
         brute = [o["brute_ok"] for o in outcomes if o["brute_ok"] is not None]
         results.append(
             {
@@ -435,7 +417,7 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
             }
         raise RuntimeError("could not draw a tie-free consonant instance")
 
-    outcomes = _map_trials(one_trial, cfg.trials)
+    outcomes = [one_trial(t) for t in range(cfg.trials)]
     equal = sum(1 for o in outcomes if o["ok"])
     return {
         **_header(cfg),
@@ -616,7 +598,7 @@ def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
             "antitone": antitone_ok,
         }
 
-    outcomes = _map_trials(one_trial, cfg.trials)
+    outcomes = [one_trial(t) for t in range(cfg.trials)]
     report = {
         **_header(cfg),
         "trials": cfg.trials,
@@ -664,7 +646,7 @@ def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
 def emit(report: dict, path: str, format: str = "json") -> None:
     """Write a report deterministically: sorted keys, fixed float repr.
 
-    Identical seeds yield byte-identical files regardless of worker count.
+    Identical seeds yield byte-identical files.
     """
     if format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -143,21 +143,14 @@ def lower_prob(c: PossibilityContour, a: Region) -> float:
     return 1.0 - upper_prob(c, a.complement())
 
 
-def _subset_max(values: np.ndarray) -> np.ndarray:
-    """Contour max per bitmask, built by doubling: the table over the first
-    b+1 points is the table over the first b points concatenated with itself
-    updated by point b."""
-    maxv = np.zeros(1)
+def _subset_table(values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """ufunc-reduction of the values per bitmask (0 for the empty set), built
+    by doubling: the table over the first b+1 points is the table over the
+    first b points concatenated with itself updated by point b."""
+    table = np.zeros(1)
     for b in range(values.shape[0]):
-        maxv = np.concatenate([maxv, np.maximum(maxv, values[b])])
-    return maxv
-
-
-def _subset_sum(values: np.ndarray) -> np.ndarray:
-    sums = np.zeros(1)
-    for b in range(values.shape[0]):
-        sums = np.concatenate([sums, sums + values[b]])
-    return sums
+        table = np.concatenate([table, ufunc(table, values[b])])
+    return table
 
 
 def is_member(p: ProbVector, cs: CredalSpec) -> bool:
@@ -170,8 +163,8 @@ def is_member(p: ProbVector, cs: CredalSpec) -> bool:
     m = cs.universe.size
     if m > _MEMBER_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
-    sums = _subset_sum(np.asarray(p.mass, dtype=float))
-    maxv = _subset_max(np.asarray(cs.contour.values, dtype=float))
+    sums = _subset_table(np.asarray(p.mass, dtype=float), np.add)
+    maxv = _subset_table(np.asarray(cs.contour.values, dtype=float), np.maximum)
     return bool(np.all(sums <= maxv + _MEMBER_TOL))
 
 
@@ -186,7 +179,7 @@ def ihdr_bruteforce(alpha: float, cs: CredalSpec) -> Region:
     m = cs.universe.size
     if m > _BRUTE_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
-    maxv = _subset_max(np.asarray(cs.contour.values, dtype=float))
+    maxv = _subset_table(np.asarray(cs.contour.values, dtype=float), np.maximum)
     full = (1 << m) - 1
     masks = np.arange(full + 1, dtype=np.int64)
     lower = 1.0 - maxv[full ^ masks]
@@ -197,11 +190,7 @@ def ihdr_bruteforce(alpha: float, cs: CredalSpec) -> Region:
 
 def ihdr_contour(alpha: float, cs: CredalSpec) -> Region:
     """Closed form: the strict super-level set {y : v(y) > alpha}."""
-    bits = 0
-    for i, v in enumerate(cs.contour.values):
-        if v > alpha:
-            bits |= 1 << i
-    return Region(cs.universe, bits)
+    return Region.from_mask(cs.universe, np.asarray(cs.contour.values) > alpha)
 
 
 def check_functor_monotone(

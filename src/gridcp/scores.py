@@ -334,13 +334,9 @@ def score_from_json(text: str) -> ScoreFn:
     if kind == "mean_abs_distance":
         return MeanAbsDistance()
     if kind == "prototype_embedding":
-        net = EmbeddingNet(
-            tuple(
-                (tuple(tuple(float(v) for v in row) for row in W), tuple(float(v) for v in b))
-                for W, b in zip(params["weights"], params["biases"])
-            )
+        return PrototypeEmbedding(
+            EmbeddingNet.from_weights(params["weights"], params["biases"])
         )
-        return PrototypeEmbedding(net)
     if kind == "neg_predictive_density":
         return NegPredictiveDensity(mean=float(params["mean"]), sd=float(params["sd"]))
     raise ValueError(f"unknown score kind {kind!r}")

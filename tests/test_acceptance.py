@@ -31,8 +31,7 @@ def announce(num: int, passed: bool, desc: str) -> None:
     assert passed, f"criterion {num} failed: {desc}"
 
 
-def test_criterion_1_coverage(monkeypatch):
-    monkeypatch.setenv("CK_THREADS", "1")
+def test_criterion_1_coverage():
     cfg = ExperimentConfig(
         experiment="coverage",
         seed=20260801,

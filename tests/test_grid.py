@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from gridcp.bayes import midpoint_grid
 
 from gridcp.grid import (
     Grid,
@@ -35,6 +37,18 @@ class TestMakeUniformGrid:
     def test_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
             make_uniform_grid([(1, 0)], [3])
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)]
+    )
+    def test_rejects_non_finite_bounds(self, lo, hi):
+        for m in (1, 3):
+            with pytest.raises(ValueError, match="non-finite"):
+                make_uniform_grid([(lo, hi)], [m])
+        with pytest.raises(ValueError, match="non-finite"):
+            midpoint_grid(lo, hi, 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            Grid(points=((0.0,),), bounds=((lo, hi),), counts=(1,), spacing=(0.0,))
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
@@ -126,6 +140,40 @@ class TestRegionOps:
         r = self.grid.region([0, 2])
         assert r.to_json() == "[0, 2]"
         assert Region.from_json(self.grid, r.to_json()) == r
+
+
+_MASK_GRIDS = {m: make_uniform_grid([(0, 1)], [m]) for m in (1, 7, 8, 9, 40_401)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_MASK_GRIDS)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.01, 0.5, 0.99, 1.0]),
+)
+def test_from_mask_matches_bit_loop(size, seed, density):
+    grid = _MASK_GRIDS[size]
+    mask = np.random.default_rng(seed).random(size) < density
+    on = np.flatnonzero(mask).tolist()
+    region = Region.from_mask(grid, mask)
+    assert region.bits == sum(1 << i for i in on)
+    assert region.indices == tuple(on)
+    assert all(type(i) is int for i in region.indices)
+    assert json.loads(region.to_json()) == on
+    assert grid.region(on) == region
+
+
+@given(st.sampled_from([1, 7, 8, 9]), st.integers(0, 2**9 - 1))
+def test_indices_matches_bit_loop(size, bits):
+    region = Region(_MASK_GRIDS[size], bits % (1 << size))
+    assert region.indices == tuple(i for i in range(size) if (region.bits >> i) & 1)
+
+
+def test_from_mask_refuses_wrong_shape():
+    grid = _MASK_GRIDS[8]
+    for bad in (np.ones(7, bool), np.ones(9, bool), np.ones((1, 8), bool)):
+        with pytest.raises(ValueError, match="shape"):
+            Region.from_mask(grid, bad)
 
 
 @given(st.integers(0, 255), st.integers(0, 255))

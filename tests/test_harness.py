@@ -194,15 +194,6 @@ class TestDeterminism:
         emit(run_coverage(cfg), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig(
-            experiment="coverage", seed=9, trials=50, alpha=0.13, n=8, grid_counts=(51,)
-        )
-        serial = run_coverage(cfg)
-        monkeypatch.setenv("CK_THREADS", "4")
-        threaded = run_coverage(cfg)
-        assert serial == threaded
-
     def test_csv_emission(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="coverage", seed=10, trials=20, alpha=0.13, n=5, grid_counts=(31,)
@@ -265,6 +256,24 @@ class TestCli:
         code = cli.main(["coverage", "--config", str(cfg_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"grid": {"bounds": [[-3, 3], [-3, 3]], "counts": [11, 11]}},
+            {"scenario": "nope"},
+            {"score": {"kind": "neg_predictive_density"}},
+            {"grid": {"bounds": [["nan", 1]], "counts": [11]}},
+            {"grid": {"counts": [0]}},
+        ],
+        ids=["2d_grid", "unknown_scenario", "unsupported_score", "nan_bound", "zero_count"],
+    )
+    def test_bad_coverage_config_exit_two(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(bad))
+        code = cli.main(["coverage", "--config", str(cfg_path), "--trials", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_missing_config_file_exit_two(self):
         assert cli.main(["coverage", "--config", "/nonexistent.json"]) == 2
