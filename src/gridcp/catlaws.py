@@ -1,9 +1,16 @@
 """Finite-scale checker for the algebra of set-valued maps.
 
-Objects are finite sets {0..size-1}; arrows are correspondences (one target
-subset per source element, stored as bitmasks), composed by unioning fibers:
+Objects are finite sets {0..size-1}; an arrow (a correspondence) is a
+read-only boolean matrix whose row x is the fiber of x, as in Rel. So
+composition is the boolean matrix product
 
-    (psi . phi)(x) = union over y in phi(x) of psi(y).
+    (psi . phi)[x, z] = any over y of phi[x, y] and psi[y, z],
+
+and the monoidal product is the Kronecker product. Leading matrix axes
+stack arrows with the same endpoints; `compose`, `tensor` and
+`vietoris_map` broadcast over them, so the exhaustive campaigns check every
+inner arrow at once, one outer arrow at a time, while each law's two sides
+still come from separate routes.
 
 On finite discrete instances, continuity and measurability are automatic, so
 the machine-checkable content is purely algebraic: identity and
@@ -24,14 +31,17 @@ The hyperspace functor comes in two variants:
   reconciling the two definitions.
 
 Subsets of a base set of size n are indexed 0..2^n-2, index i standing for
-the nonempty bitmask i+1.
+the subset whose members are the set bits of i+1. Reports name an arrow by
+its `fibers`, the same code for each row.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,51 +77,111 @@ class FinSet:
             raise ValueError("size must be >= 1")
 
 
-@dataclass(frozen=True)
+def _members(codes, width: int) -> np.ndarray:
+    """Membership rows of subset codes: [..., y] is bit y of each code."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rows = np.empty(codes.shape + (width,), dtype=bool)
+    for y in range(width):  # one column at a time keeps temporaries small
+        rows[..., y] = (codes >> y) & 1
+    return rows
+
+
+def _codes(rows: np.ndarray) -> np.ndarray:
+    """Subset code of each membership row (the inverse of `_members`)."""
+    codes = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for y in range(rows.shape[-1]):  # never casts all of `rows` to int64
+        np.add(codes, 1 << y, out=codes, where=rows[..., y])
+    return codes
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> np.ndarray:
+    """Membership table of the nonempty subsets of {0..n-1}, by index."""
+    table = _members(np.arange(1, 1 << n), n)
+    table.flags.writeable = False
+    return table
+
+
+def _one_hot(images: np.ndarray) -> np.ndarray:
+    """Singleton fibers: row r holds only the index of the subset images[r]."""
+    return _codes(images)[..., None] == np.arange(1, 1 << images.shape[-1])
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteCorrespondence:
-    """A set-valued map: fibers[x] is the bitmask of targets of x."""
+    """A set-valued map: matrix[x, y] is True when y is in the fiber of x.
+
+    Leading axes of `matrix`, if any, index a stack of arrows with these
+    endpoints. The matrix is stored read-only: a boolean array passed in is
+    frozen in place rather than copied, since stacks run to megabytes.
+    """
 
     source: FinSet
     target: FinSet
-    fibers: tuple[int, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if len(self.fibers) != self.source.size:
-            raise ValueError("one fiber per source element required")
-        full = (1 << self.target.size) - 1
-        for f in self.fibers:
-            if f < 0 or f & ~full:
-                raise ValueError("fiber contains elements outside the target")
+        m = np.asarray(self.matrix, dtype=bool)
+        if m.ndim < 2 or m.shape[-2:] != (self.source.size, self.target.size):
+            raise ValueError(
+                f"matrix shape {m.shape} does not end in "
+                f"({self.source.size}, {self.target.size})"
+            )
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
-    def image(self, subset_mask: int) -> int:
-        """Direct image of a source subset: the union of its fibers."""
-        out = 0
-        for x in range(self.source.size):
-            if (subset_mask >> x) & 1:
-                out |= self.fibers[x]
-        return out
+    @classmethod
+    def from_fibers(
+        cls, source: FinSet, target: FinSet, fibers: Sequence[int]
+    ) -> FiniteCorrespondence:
+        """Build one arrow from its fiber codes (bit y set when y is in the fiber)."""
+        if any(not 0 <= f < 1 << target.size for f in fibers):
+            raise ValueError("fiber contains elements outside the target")
+        return cls(source, target, _members(fibers, target.size))
 
-    def has_empty_fiber(self) -> bool:
-        return any(f == 0 for f in self.fibers)
+    @property
+    def fibers(self) -> tuple[int, ...]:
+        """Fiber codes of a single arrow, as reports name it."""
+        if self.matrix.ndim != 2:
+            raise ValueError("a stack of arrows has no single fiber table; index it")
+        return tuple(
+            int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in self.matrix
+        )
+
+    def __getitem__(self, key) -> FiniteCorrespondence:
+        """Index the stack axes: one arrow, or a sub-stack."""
+        return FiniteCorrespondence(self.source, self.target, self.matrix[key])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteCorrespondence):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and np.array_equal(self.matrix, other.matrix)
+        )
 
 
 def identity(x: FinSet) -> FiniteCorrespondence:
-    return FiniteCorrespondence(x, x, tuple(1 << i for i in range(x.size)))
+    return FiniteCorrespondence(x, x, np.eye(x.size, dtype=bool))
 
 
 def compose(phi: FiniteCorrespondence, psi: FiniteCorrespondence) -> FiniteCorrespondence:
-    """psi after phi: fiber(x) = union of psi's fibers over phi(x)."""
+    """psi after phi: the boolean matrix product, broadcast over stack axes."""
     if phi.target != psi.source:
         raise ValueError(
             f"endpoint mismatch: {phi.target} (target) vs {psi.source} (source)"
         )
-    return FiniteCorrespondence(
-        phi.source, psi.target, tuple(psi.image(f) for f in phi.fibers)
-    )
+    return FiniteCorrespondence(phi.source, psi.target, phi.matrix @ psi.matrix)
 
 
 def unit_object() -> FinSet:
     return FinSet("I", 1)
+
+
+def _product(a: FinSet, b: FinSet) -> FinSet:
+    return FinSet(f"({a.label}*{b.label})", a.size * b.size)
 
 
 def tensor(
@@ -119,32 +189,15 @@ def tensor(
 ) -> FiniteCorrespondence:
     """Product correspondence on product sets, with product fibers.
 
-    Pairs (x, y) are indexed x * |Y| + y, so re-bracketing a triple product
-    is the identity on indices and the associator is strict.
+    For single arrows this is np.kron of the matrices; stack axes broadcast
+    as in `compose`. Pairs (x, y) are indexed x * |Y| + y, so re-bracketing
+    a triple product is the identity on indices and the associator is strict.
     """
-    src = FinSet(
-        f"({phi.source.label}*{psi.source.label})",
-        phi.source.size * psi.source.size,
+    src, tgt = _product(phi.source, psi.source), _product(phi.target, psi.target)
+    blocks = phi.matrix[..., :, None, :, None] & psi.matrix[..., None, :, None, :]
+    return FiniteCorrespondence(
+        src, tgt, blocks.reshape(blocks.shape[:-4] + (src.size, tgt.size))
     )
-    tgt = FinSet(
-        f"({phi.target.label}*{psi.target.label})",
-        phi.target.size * psi.target.size,
-    )
-    n2 = psi.source.size
-    m2 = psi.target.size
-    fibers = []
-    for idx in range(src.size):
-        x, y = divmod(idx, n2)
-        fx = phi.fibers[x]
-        fy = psi.fibers[y]
-        mask = 0
-        for u in range(phi.target.size):
-            if (fx >> u) & 1:
-                for v in range(m2):
-                    if (fy >> v) & 1:
-                        mask |= 1 << (u * m2 + v)
-        fibers.append(mask)
-    return FiniteCorrespondence(src, tgt, tuple(fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +207,9 @@ def tensor(
 
 @dataclass(frozen=True)
 class VietorisObject:
-    """All nonempty subsets of a base set, canonically ordered by bitmask.
+    """All nonempty subsets of a base set, canonically ordered by code.
 
-    Element index i stands for the subset with bitmask i+1, so there are
+    Element index i stands for the subset with code i+1, so there are
     2^size - 1 elements.
     """
 
@@ -169,23 +222,6 @@ class VietorisObject:
     def as_finset(self) -> FinSet:
         return FinSet(f"K({self.base.label})", self.size)
 
-    def mask_of(self, index: int) -> int:
-        if not 0 <= index < self.size:
-            raise IndexError(f"subset index {index} out of range")
-        return index + 1
-
-    def index_of(self, mask: int) -> int:
-        if not 1 <= mask <= self.size:
-            raise ValueError(f"mask {mask} is not a nonempty subset of the base")
-        return mask - 1
-
-
-def _nonempty_submasks(mask: int) -> Iterable[int]:
-    s = mask
-    while s:
-        yield s
-        s = (s - 1) & mask
-
 
 def vietoris_map(
     phi: FiniteCorrespondence, variant: str = "singleton"
@@ -197,30 +233,28 @@ def vietoris_map(
 
     Requires every fiber of phi nonempty (images must stay nonempty).
     """
-    if phi.has_empty_fiber():
+    if not phi.matrix.any(axis=-1).all():
         raise ValueError("empty fiber encountered; hyperspace lift needs nonempty images")
     if variant not in ("singleton", "downset"):
         raise ValueError(f"unknown variant {variant!r}")
-    kx = VietorisObject(phi.source)
-    ky = VietorisObject(phi.target)
-    fibers = []
-    for idx in range(kx.size):
-        img = phi.image(kx.mask_of(idx))
-        if variant == "singleton":
-            fibers.append(1 << ky.index_of(img))
-        else:
-            mask = 0
-            for s in _nonempty_submasks(img):
-                mask |= 1 << ky.index_of(s)
-            fibers.append(mask)
-    return FiniteCorrespondence(kx.as_finset(), ky.as_finset(), tuple(fibers))
+    images = _subsets(phi.source.size) @ phi.matrix  # direct image of each subset
+    if variant == "singleton":
+        lift = _one_hot(images)
+    else:
+        # A subset lies inside the image when none of its members lies outside.
+        lift = ~(~images @ _subsets(phi.target.size).T)
+    return FiniteCorrespondence(
+        VietorisObject(phi.source).as_finset(),
+        VietorisObject(phi.target).as_finset(),
+        lift,
+    )
 
 
 def vietoris_unit(x: FinSet) -> FiniteCorrespondence:
     """x maps to the singleton fiber containing the subset {x}."""
-    kx = VietorisObject(x)
+    members = _subsets(x.size)
     return FiniteCorrespondence(
-        x, kx.as_finset(), tuple(1 << kx.index_of(1 << i) for i in range(x.size))
+        x, VietorisObject(x).as_finset(), members.T & (members.sum(axis=1) == 1)
     )
 
 
@@ -230,17 +264,9 @@ def vietoris_multiplication(x: FinSet) -> FiniteCorrespondence:
     The source is the hyperspace of the hyperspace, so this table has
     2^(2^n - 1) - 1 rows; callers cap the base size.
     """
-    kx = VietorisObject(x)
-    kkx = VietorisObject(kx.as_finset())
-    fibers = []
-    for idx in range(kkx.size):
-        fam = kkx.mask_of(idx)  # bitmask over hyperspace indices
-        union = 0
-        for i in range(kx.size):
-            if (fam >> i) & 1:
-                union |= kx.mask_of(i)
-        fibers.append(1 << kx.index_of(union))
-    return FiniteCorrespondence(kkx.as_finset(), kx.as_finset(), tuple(fibers))
+    kx = VietorisObject(x).as_finset()
+    unions = _subsets(kx.size) @ _subsets(x.size)
+    return FiniteCorrespondence(VietorisObject(kx).as_finset(), kx, _one_hot(unions))
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +280,43 @@ def random_correspondence(
     target: FinSet,
     nonempty: bool = False,
 ) -> FiniteCorrespondence:
-    full = (1 << target.size) - 1
     lo = 1 if nonempty else 0
-    fibers = tuple(int(rng.integers(lo, full + 1)) for _ in range(source.size))
-    return FiniteCorrespondence(source, target, fibers)
+    fibers = [int(rng.integers(lo, 1 << target.size)) for _ in range(source.size)]
+    return FiniteCorrespondence.from_fibers(source, target, fibers)
 
 
-def _all_correspondences(source: FinSet, target: FinSet, nonempty: bool = False):
-    full = (1 << target.size) - 1
-    lo = 1 if nonempty else 0
-    for fibers in itertools.product(range(lo, full + 1), repeat=source.size):
-        yield FiniteCorrespondence(source, target, fibers)
+def _all_correspondences(
+    source: FinSet,
+    target: FinSet,
+    nonempty: bool = False,
+    positions: range | None = None,
+) -> FiniteCorrespondence:
+    """Every arrow, or those at `positions`, as one stack.
+
+    Arrows are enumerated with the first fiber varying slowest.
+    """
+    rows = _subsets(target.size)
+    if not nonempty:
+        rows = np.vstack([np.zeros((1, target.size), dtype=bool), rows])
+    shape = (len(rows),) * source.size
+    if positions is None:
+        positions = range(len(rows) ** source.size)
+    digits = np.unravel_index(np.arange(positions.start, positions.stop), shape)
+    return FiniteCorrespondence(source, target, rows[np.stack(digits, axis=-1)])
+
+
+def _stack(source: FinSet, target: FinSet, arrows: list) -> FiniteCorrespondence:
+    matrices = np.reshape([a.matrix for a in arrows], (-1, source.size, target.size))
+    return FiniteCorrespondence(source, target, matrices)
+
+
+def _differs(lhs: FiniteCorrespondence, rhs: FiniteCorrespondence, axis=(-2, -1)):
+    """Per stacked arrow (or per row, with axis=-1): do the fiber tables differ?"""
+    return (lhs.matrix != rhs.matrix).any(axis=axis)
+
+
+def _witness(law: str, *arrows: FiniteCorrespondence) -> dict:
+    return {"law": law, "fibers": [list(a.fibers) for a in arrows]}
 
 
 def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
@@ -284,53 +336,57 @@ def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
     def arrow_count(a: FinSet, b: FinSet) -> int:
         return (1 << b.size) ** a.size
 
-    # Unit laws on X0 -> X1.
+    # Unit laws on X0 -> X1; an exhaustive sweep goes in chunks to keep arrays small.
     a, b = objs[0], objs[1]
-    unit_trials = 0
     if arrow_count(a, b) <= 100_000:
-        arrows = _all_correspondences(a, b)
+        every = range(arrow_count(a, b))
+        chunks = (
+            _all_correspondences(a, b, positions=every[lo : lo + 4096])
+            for lo in range(0, len(every), 4096)
+        )
     else:
-        arrows = (random_correspondence(rng, a, b) for _ in range(trials))
-    for phi in arrows:
-        unit_trials += 1
-        if compose(identity(a), phi) != phi or compose(phi, identity(b)) != phi:
-            counterexamples.append({"law": "unit", "fibers": list(phi.fibers)})
+        chunks = [_stack(a, b, [random_correspondence(rng, a, b) for _ in range(trials)])]
+    unit_trials = 0
+    for arrows in chunks:
+        unit_trials += len(arrows.matrix)
+        bad = _differs(compose(identity(a), arrows), arrows) | _differs(
+            compose(arrows, identity(b)), arrows
+        )
+        for k in np.flatnonzero(bad):
+            counterexamples.append({"law": "unit", "fibers": list(arrows[k].fibers)})
 
     # Associativity on the full chain.
-    n_triples = (
-        arrow_count(objs[0], objs[1])
-        * arrow_count(objs[1], objs[2])
-        * arrow_count(objs[2], objs[3])
-    )
-    assoc_trials = 0
-    if n_triples <= 1_000_000:
-        triple_iter = itertools.product(
-            _all_correspondences(objs[0], objs[1]),
-            _all_correspondences(objs[1], objs[2]),
-            _all_correspondences(objs[2], objs[3]),
+    n_triples = math.prod(arrow_count(objs[i], objs[i + 1]) for i in range(3))
+    exhaustive = n_triples <= 1_000_000
+    if exhaustive:
+        phis, psis, thetas = (
+            _all_correspondences(objs[i], objs[i + 1]) for i in range(3)
         )
-        exhaustive = True
+        # theta after psi for every (psi, theta) pair: the right bracketing's
+        # inner composite, shared by every phi.
+        inner = compose(psis[:, None], thetas[None])
+        assoc_trials = 0
+        for i in range(len(phis.matrix)):
+            lhs = compose(compose(phis[i], psis)[:, None], thetas[None])
+            bad = _differs(lhs, compose(phis[i], inner))
+            assoc_trials += bad.size
+            for j, k in zip(*np.nonzero(bad)):
+                counterexamples.append(
+                    _witness("associativity", phis[i], psis[j], thetas[k])
+                )
     else:
-        triple_iter = (
-            (
-                random_correspondence(rng, objs[0], objs[1]),
-                random_correspondence(rng, objs[1], objs[2]),
-                random_correspondence(rng, objs[2], objs[3]),
-            )
+        drawn = [
+            [random_correspondence(rng, objs[i], objs[i + 1]) for i in range(3)]
             for _ in range(trials)
+        ]
+        phis, psis, thetas = (
+            _stack(objs[i], objs[i + 1], [t[i] for t in drawn]) for i in range(3)
         )
-        exhaustive = False
-    for phi, psi, theta in triple_iter:
-        assoc_trials += 1
-        lhs = compose(compose(phi, psi), theta)
-        rhs = compose(phi, compose(psi, theta))
-        if lhs != rhs:
-            counterexamples.append(
-                {
-                    "law": "associativity",
-                    "fibers": [list(phi.fibers), list(psi.fibers), list(theta.fibers)],
-                }
-            )
+        lhs = compose(compose(phis, psis), thetas)
+        bad = _differs(lhs, compose(phis, compose(psis, thetas)))
+        assoc_trials = bad.size
+        for t in np.flatnonzero(bad):
+            counterexamples.append(_witness("associativity", *drawn[t]))
 
     return {
         "law": "category_axioms",
@@ -351,36 +407,25 @@ def check_tensor_laws(max_size: int, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     counterexamples: list[dict] = []
 
-    def bifunctorial(phi1, psi1, phi2, psi2) -> bool:
-        lhs = tensor(compose(phi1, psi1), compose(phi2, psi2))
-        rhs = compose(tensor(phi1, phi2), tensor(psi1, psi2))
-        return lhs.fibers == rhs.fibers
-
-    # Exhaustive core at 2-element objects.
+    # Exhaustive core at 2-element objects: (phi1, psi1, phi2, psi2) with
+    # phi1 outermost; every other arrow is a stack axis, in that order.
     two = [FinSet(f"T{i}", 2) for i in range(3)]
+    phis = _all_correspondences(two[0], two[1])
+    psis = _all_correspondences(two[1], two[2])
+    right_composites = compose(phis[:, None], psis[None])  # axes (phi2, psi2)
+    psi_products = tensor(psis[:, None, None], psis[None, None, :])  # (psi1, 1, psi2)
     exhaustive_count = 0
-    for phi1 in _all_correspondences(two[0], two[1]):
-        for psi1 in _all_correspondences(two[1], two[2]):
-            for phi2 in _all_correspondences(two[0], two[1]):
-                for psi2 in _all_correspondences(two[1], two[2]):
-                    exhaustive_count += 1
-                    if not bifunctorial(phi1, psi1, phi2, psi2):
-                        counterexamples.append(
-                            {
-                                "law": "bifunctoriality",
-                                "fibers": [
-                                    list(phi1.fibers),
-                                    list(psi1.fibers),
-                                    list(phi2.fibers),
-                                    list(psi2.fibers),
-                                ],
-                            }
-                        )
+    for i in range(len(phis.matrix)):
+        lhs = tensor(compose(phis[i], psis)[:, None, None], right_composites[None])
+        bad = _differs(lhs, compose(tensor(phis[i], phis)[None, :, None], psi_products))
+        exhaustive_count += bad.size
+        for j, k, m in zip(*np.nonzero(bad)):
+            counterexamples.append(
+                _witness("bifunctoriality", phis[i], psis[j], phis[k], psis[m])
+            )
 
     # Randomized campaign at sizes up to max_size.
-    random_count = 0
-    unit = unit_object()
-    id_unit = identity(unit)
+    id_unit = identity(unit_object())
     for _ in range(trials):
         szs = [int(rng.integers(1, max_size + 1)) for _ in range(6)]
         a1, b1, c1 = (FinSet(f"A{i}", szs[i]) for i in range(3))
@@ -389,42 +434,28 @@ def check_tensor_laws(max_size: int, trials: int, seed: int) -> dict:
         psi1 = random_correspondence(rng, b1, c1)
         phi2 = random_correspondence(rng, a2, b2)
         psi2 = random_correspondence(rng, b2, c2)
-        random_count += 1
-        if not bifunctorial(phi1, psi1, phi2, psi2):
-            counterexamples.append(
-                {
-                    "law": "bifunctoriality",
-                    "fibers": [
-                        list(phi1.fibers),
-                        list(psi1.fibers),
-                        list(phi2.fibers),
-                        list(psi2.fibers),
-                    ],
-                }
-            )
+        lhs = tensor(compose(phi1, psi1), compose(phi2, psi2))
+        rhs = compose(tensor(phi1, phi2), tensor(psi1, psi2))
+        if _differs(lhs, rhs):
+            counterexamples.append(_witness("bifunctoriality", phi1, psi1, phi2, psi2))
         # id (x) id = id on the product.
         prod_id = tensor(identity(a1), identity(a2))
-        if prod_id.fibers != identity(
-            FinSet(prod_id.source.label, a1.size * a2.size)
-        ).fibers:
+        if _differs(prod_id, identity(prod_id.source)):
             counterexamples.append({"law": "tensor_identity", "sizes": [a1.size, a2.size]})
         # Tensoring with the unit is the identity on fiber tables.
-        if (
-            tensor(phi1, id_unit).fibers != phi1.fibers
-            or tensor(id_unit, phi1).fibers != phi1.fibers
-        ):
+        if _differs(tensor(phi1, id_unit), phi1) or _differs(tensor(id_unit, phi1), phi1):
             counterexamples.append({"law": "unitor", "fibers": list(phi1.fibers)})
         # Strict associator: re-bracketing leaves the fiber table unchanged.
         rho = random_correspondence(rng, a2, a2)
         lhs = tensor(tensor(phi1, rho), phi2)
         rhs = tensor(phi1, tensor(rho, phi2))
-        if lhs.fibers != rhs.fibers:
+        if _differs(lhs, rhs):
             counterexamples.append({"law": "associator", "sizes": szs})
 
     return {
         "law": "tensor_laws",
         "instance_sizes": {"exhaustive": 2, "randomized_max": max_size},
-        "trials": {"exhaustive": exhaustive_count, "randomized": random_count},
+        "trials": {"exhaustive": exhaustive_count, "randomized": trials},
         "counterexamples": counterexamples,
     }
 
@@ -443,28 +474,18 @@ def check_functor_laws(max_size: int = 3) -> dict:
         id_checks += 1
         if vietoris_map(identity(x)) != identity(VietorisObject(x).as_finset()):
             counterexamples.append({"law": "T(id)=id", "size": n})
-    for a in range(1, max_size + 1):
-        for b in range(1, max_size + 1):
-            for c in range(1, max_size + 1):
-                x, y, z = FinSet("X", a), FinSet("Y", b), FinSet("Z", c)
-                lifted_psis = [
-                    (psi, vietoris_map(psi))
-                    for psi in _all_correspondences(y, z, nonempty=True)
-                ]
-                for phi in _all_correspondences(x, y, nonempty=True):
-                    t_phi = vietoris_map(phi)
-                    for psi, t_psi in lifted_psis:
-                        comp_checks += 1
-                        lhs = vietoris_map(compose(phi, psi))
-                        rhs = compose(t_phi, t_psi)
-                        if lhs.fibers != rhs.fibers:
-                            counterexamples.append(
-                                {
-                                    "law": "T(psi.phi)=T(psi).T(phi)",
-                                    "sizes": [a, b, c],
-                                    "fibers": [list(phi.fibers), list(psi.fibers)],
-                                }
-                            )
+    for a, b, c in itertools.product(range(1, max_size + 1), repeat=3):
+        x, y, z = FinSet("X", a), FinSet("Y", b), FinSet("Z", c)
+        psis = _all_correspondences(y, z, nonempty=True)
+        lifted_psis = vietoris_map(psis)
+        phis = _all_correspondences(x, y, nonempty=True)
+        for i in range(len(phis.matrix)):
+            lhs = vietoris_map(compose(phis[i], psis))
+            bad = _differs(lhs, compose(vietoris_map(phis[i]), lifted_psis))
+            comp_checks += bad.size
+            for j in np.flatnonzero(bad):
+                witness = _witness("T(psi.phi)=T(psi).T(phi)", phis[i], psis[j])
+                counterexamples.append({**witness, "sizes": [a, b, c]})
     return {
         "law": "functor_laws",
         "instance_sizes": list(range(1, max_size + 1)),
@@ -488,54 +509,43 @@ def check_monad_laws(base_size: int) -> dict:
     x = FinSet("X", base_size)
     kx = VietorisObject(x)
     kkx = VietorisObject(kx.as_finset())
-    eta = vietoris_unit(x)
     mu = vietoris_multiplication(x)
     id_k = identity(kx.as_finset())
     counterexamples: list[dict] = []
 
     # Left unit: mu . T(eta) = id on the hyperspace.
-    t_eta = vietoris_map(eta)
-    if compose(t_eta, mu) != id_k:
+    if compose(vietoris_map(vietoris_unit(x)), mu) != id_k:
         counterexamples.append({"law": "unit_left"})
     # Right unit: mu . eta_{T(X)} = id on the hyperspace.
-    eta_t = vietoris_unit(kx.as_finset())
-    if compose(eta_t, mu) != id_k:
+    if compose(vietoris_unit(kx.as_finset()), mu) != id_k:
         counterexamples.append({"law": "unit_right"})
 
-    # Associativity, evaluated lazily on families of double-hyperspace elements.
-    def mu_of(kk_index: int) -> int:
-        fiber = mu.fibers[kk_index]
-        return fiber.bit_length() - 1  # singleton fiber -> its element index
-
-    def lhs_rhs(family: tuple[int, ...]) -> tuple[int, int]:
-        # T(mu) sends the family to the singleton {set of per-element unions};
-        # mu of that is the union of those unions.
-        collapsed = 0
-        for kk_index in family:
-            collapsed |= 1 << mu_of(kk_index)
-        lhs = mu_of(kkx.index_of(collapsed))
-        # mu at the hyperspace object merges the family first; mu finishes.
-        merged = 0
-        for kk_index in family:
-            merged |= kkx.mask_of(kk_index)
-        rhs = mu_of(kkx.index_of(merged))
-        return lhs, rhs
-
-    families: list[tuple[int, ...]] = [(i,) for i in range(kkx.size)]
+    # Associativity on families of double-hyperspace elements: family f has
+    # the sizes[f] member indices of `flat` from starts[f] on.
+    k = kkx.size
     if base_size <= 2:
-        families = [
-            tuple(i for i in range(kkx.size) if (fam >> i) & 1)
-            for fam in range(1, (1 << kkx.size))
-        ]
-    elif base_size == 3:
-        families += list(itertools.combinations(range(kkx.size), 2))
-        families.append(tuple(range(kkx.size)))
+        family_of, flat = np.nonzero(_subsets(k))  # every family, by index
+        sizes = np.bincount(family_of)
+    else:
+        flat, sizes = np.arange(k), np.ones(k, dtype=np.intp)
+        if base_size == 3:  # every pair, then the whole double hyperspace
+            pairs = np.column_stack(np.triu_indices(k, 1)).ravel()
+            flat = np.concatenate([flat, pairs, np.arange(k)])
+            sizes = np.concatenate([sizes, np.full(len(pairs) // 2, 2), [k]])
+    starts = np.cumsum(sizes) - sizes
     assoc_checks = 0
-    for fam in families:
-        assoc_checks += 1
-        lhs, rhs = lhs_rhs(fam)
-        if lhs != rhs:
-            counterexamples.append({"law": "associativity", "family": list(fam)})
+    for lo in range(0, len(sizes), 4096):  # chunks keep temporaries small
+        chunk = slice(lo, lo + 4096)
+        members = flat[starts[lo] : starts[lo] + sizes[chunk].sum()]
+        at = starts[chunk] - starts[lo]
+        assoc_checks += len(at)
+        # T(mu) sends a family to the set of its members' unions; mu unions that.
+        lhs = mu.matrix[_codes(np.logical_or.reduceat(mu.matrix[members], at)) - 1]
+        # mu at the hyperspace object merges the family first; mu finishes.
+        rhs = mu.matrix[_codes(np.logical_or.reduceat(_subsets(kx.size)[members], at)) - 1]
+        for f in lo + np.flatnonzero((lhs != rhs).any(axis=1)):
+            family = flat[starts[f] : starts[f] + sizes[f]].tolist()
+            counterexamples.append({"law": "associativity", "family": family})
 
     return {
         "law": "monad_laws",
@@ -568,36 +578,25 @@ def downset_divergence_report(base_size: int) -> dict:
     eta = vietoris_unit(x)
 
     # Composition law, exhaustive over nonempty-fiber arrows size<=base_size.
-    comp_failures = 0
-    comp_checks = 0
-    for phi in _all_correspondences(x, x, nonempty=True):
-        t_phi = vietoris_map(phi, variant="downset")
-        for psi in _all_correspondences(x, x, nonempty=True):
-            comp_checks += 1
-            lhs = vietoris_map(compose(phi, psi), variant="downset")
-            rhs = compose(t_phi, vietoris_map(psi, variant="downset"))
-            if lhs.fibers != rhs.fibers:
-                comp_failures += 1
+    arrows = _all_correspondences(x, x, nonempty=True)
+    lifted = vietoris_map(arrows, variant="downset")
+    comp_checks = comp_failures = 0
+    for i in range(len(arrows.matrix)):
+        lhs = vietoris_map(compose(arrows[i], arrows), variant="downset")
+        bad = _differs(lhs, compose(lifted[i], lifted))
+        comp_checks += bad.size
+        comp_failures += int(bad.sum())
 
     t_id = vietoris_map(identity(x), variant="downset")
-    id_divergences = sum(
-        1 for i in range(kx.size) if t_id.fibers[i] != id_k.fibers[i]
-    )
-
     left_unit = compose(vietoris_map(eta, variant="downset"), mu)
-    left_divergences = sum(
-        1 for i in range(kx.size) if left_unit.fibers[i] != id_k.fibers[i]
-    )
-
     right_unit = compose(vietoris_unit(kx.as_finset()), mu)
-    right_holds = right_unit == id_k
 
     return {
         "law": "downset_variant",
         "instance_sizes": [base_size],
         "composition_checks": comp_checks,
         "composition_failures": comp_failures,
-        "identity_lift_divergences": id_divergences,
-        "left_unit_divergences": left_divergences,
-        "right_unit_holds": right_holds,
+        "identity_lift_divergences": int(_differs(t_id, id_k, axis=-1).sum()),
+        "left_unit_divergences": int(_differs(left_unit, id_k, axis=-1).sum()),
+        "right_unit_holds": right_unit == id_k,
     }

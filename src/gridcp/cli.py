@@ -17,6 +17,10 @@ import sys
 from .harness import EXPERIMENTS, ExperimentConfig, emit, run_experiment
 
 
+# Exceptions that mean a bad config: `main` reports them and exits 2.
+CONFIG_ERRORS = (OSError, ValueError, KeyError)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ck",
@@ -36,6 +40,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a config must be a JSON object, not {type(obj).__name__}")
     obj["experiment"] = args.experiment
     cfg = ExperimentConfig.from_json_obj(obj)
     overrides = {}
@@ -52,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = run_experiment(cfg)

@@ -154,24 +154,65 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_obj(obj: dict) -> ExperimentConfig:
-        grid = obj.get("grid", {})
+        """Parse a JSON config object; a malformed one raises ValueError."""
+        unknown = sorted(set(obj) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config key {unknown[0]!r}; allowed keys: {_CONFIG_KEYS}")
+        grid = _field(obj, "grid", _json_object, {})
         return ExperimentConfig(
             experiment=obj["experiment"],
-            seed=int(obj.get("seed", 0)),
-            trials=int(obj.get("trials", 100)),
-            alpha=float(obj.get("alpha", 0.13)),
-            n=int(obj.get("n", 20)),
-            grid_bounds=tuple(
-                tuple(float(v) for v in b) for b in grid.get("bounds", [(-6.0, 6.0)])
+            seed=_field(obj, "seed", int, 0),
+            trials=_field(obj, "trials", int, 100),
+            alpha=_field(obj, "alpha", float, 0.13),
+            n=_field(obj, "n", int, 20),
+            grid_bounds=_field(
+                grid,
+                "bounds",
+                lambda bs: tuple(tuple(float(v) for v in b) for b in bs),
+                ((-6.0, 6.0),),
+                "grid.",
             ),
-            grid_counts=tuple(int(c) for c in grid.get("counts", [201])),
-            score=obj.get("score", {}).get("kind", "mean_abs_distance")
-            if isinstance(obj.get("score"), dict)
-            else obj.get("score", "mean_abs_distance"),
+            grid_counts=_field(
+                grid, "counts", lambda cs: tuple(int(c) for c in cs), (201,), "grid."
+            ),
+            score=_field(obj, "score", _score_kind, "mean_abs_distance"),
             scenario=obj.get("scenario", "iid_gaussian"),
-            model=obj.get("model", {}),
-            extras=obj.get("extras", {}),
+            model=_field(obj, "model", _json_object, {}),
+            extras=_field(obj, "extras", _json_object, {}),
         )
+
+
+_CONFIG_KEYS = (
+    "experiment", "seed", "trials", "alpha", "n", "grid", "score", "scenario", "model", "extras"
+)
+
+
+def _field(obj: dict, key: str, convert: Callable, default, prefix: str = ""):
+    """obj[key] passed through `convert`, or `default` when absent.
+
+    Any failure to convert is a ValueError that names the field.
+    """
+    if key not in obj:
+        return default
+    try:
+        return convert(obj[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"config field {prefix}{key}: {exc}") from None
+
+
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {json.dumps(value)}")
+    return value
+
+
+def _score_kind(value) -> str:
+    """A score is given as its kind, or as an object {"kind": ...}."""
+    if isinstance(value, dict):
+        value = value.get("kind", "mean_abs_distance")
+    if not isinstance(value, str):
+        raise TypeError(f"expected a score kind string, got {json.dumps(value)}")
+    return value
 
 
 def _header(cfg: ExperimentConfig) -> dict:
@@ -206,10 +247,17 @@ def _score_for(cfg: ExperimentConfig) -> ScoreFn:
         return MeanAbsDistance()
     if cfg.score == "prototype_embedding":
         params = cfg.extras.get("score_params")
-        if params:
+        if not params:
+            return PrototypeEmbedding(EmbeddingNet.identity(len(cfg.grid_bounds)))
+        try:
             net = EmbeddingNet.from_weights(params["weights"], params["biases"])
-        else:
-            net = EmbeddingNet.identity(len(cfg.grid_bounds))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed extras.score_params: {exc!r}") from None
+        if net.in_dim != len(cfg.grid_bounds):
+            raise ValueError(
+                f"extras.score_params takes {net.in_dim}-D points; the grid is "
+                f"{len(cfg.grid_bounds)}-D"
+            )
         return PrototypeEmbedding(net)
     raise ValueError(f"unsupported score kind {cfg.score!r} for this experiment")
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridcp import catlaws
 from gridcp.catlaws import (
     FiniteCorrespondence,
     FinSet,
@@ -35,8 +36,8 @@ class TestCompose:
     def test_hand_union(self):
         # phi(0) = {0,1}; psi(0) = {1}, psi(1) = {0}: composite fiber {0,1}.
         x, y = FinSet("X", 1), FinSet("Y", 2)
-        phi = FiniteCorrespondence(x, y, (0b11,))
-        psi = FiniteCorrespondence(y, y, (0b10, 0b01))
+        phi = FiniteCorrespondence.from_fibers(x, y, (0b11,))
+        psi = FiniteCorrespondence.from_fibers(y, y, (0b10, 0b01))
         assert compose(phi, psi).fibers == (0b11,)
 
     def test_endpoint_mismatch(self):
@@ -47,7 +48,7 @@ class TestCompose:
 
     def test_empty_fibers_compose(self):
         x = FinSet("X", 2)
-        phi = FiniteCorrespondence(x, x, (0, 0b11))
+        phi = FiniteCorrespondence.from_fibers(x, x, (0, 0b11))
         assert compose(phi, phi).fibers == (0, 0b11)
 
 
@@ -66,7 +67,7 @@ class TestCategoryAxioms:
     def test_randomized_four_element(self):
         rep = check_category_axioms([4, 4, 4, 4], trials=500, seed=11)
         assert not rep["exhaustive"]
-        assert rep["trials"]["associativity"] == 500
+        assert rep["trials"] == {"unit": 16**4, "associativity": 500}
         assert rep["counterexamples"] == []
 
     def test_report_shape(self):
@@ -116,7 +117,7 @@ class TestVietorisMap:
         # phi swaps the two base points: the lift swaps the singletons and
         # fixes the doubleton.
         x = FinSet("X", 2)
-        phi = FiniteCorrespondence(x, x, (0b10, 0b01))
+        phi = FiniteCorrespondence.from_fibers(x, x, (0b10, 0b01))
         t = vietoris_map(phi)
         assert t.fibers == (0b010, 0b001, 0b100)
 
@@ -133,7 +134,7 @@ class TestVietorisMap:
 
     def test_empty_fiber_rejected(self):
         x = FinSet("X", 2)
-        phi = FiniteCorrespondence(x, x, (0, 0b11))
+        phi = FiniteCorrespondence.from_fibers(x, x, (0, 0b11))
         with pytest.raises(ValueError, match="empty fiber"):
             vietoris_map(phi)
 
@@ -150,22 +151,18 @@ class TestVietorisMap:
 
 
 class TestMonadPieces:
+    # Hyperspace element i is the subset with code i + 1.
+
     def test_unit_fiber_is_singleton_of_singleton(self):
-        x = FinSet("X", 3)
-        eta = vietoris_unit(x)
-        kx = VietorisObject(x)
+        eta = vietoris_unit(FinSet("X", 3))
         for i in range(3):
-            assert eta.fibers[i] == 1 << kx.index_of(1 << i)
+            assert eta.fibers[i] == 1 << ((1 << i) - 1)
 
     def test_multiplication_unions_the_family(self):
         # nu({{0},{0,1}}) = {0,1}
-        x = FinSet("X", 2)
-        kx = VietorisObject(x)
-        kkx = VietorisObject(kx.as_finset())
-        mu = vietoris_multiplication(x)
-        fam = (1 << kx.index_of(0b01)) | (1 << kx.index_of(0b11))
-        fiber = mu.fibers[kkx.index_of(fam)]
-        assert fiber == 1 << kx.index_of(0b11)
+        mu = vietoris_multiplication(FinSet("X", 2))
+        fam = (1 << (0b01 - 1)) | (1 << (0b11 - 1))
+        assert mu.fibers[fam - 1] == 1 << (0b11 - 1)
 
 
 class TestMonadLaws:
@@ -177,6 +174,28 @@ class TestMonadLaws:
     def test_size_one_trivial(self):
         rep = check_monad_laws(1)
         assert rep["trials"]["associativity"] == 1
+
+    @pytest.mark.parametrize("n, families", [(2, 127), (3, 8129), (4, 32767)])
+    def test_associativity_family_counts(self, n, families):
+        # Every family at size 2; singletons, pairs and the whole double
+        # hyperspace at size 3; singletons at size 4.
+        assert check_monad_laws(n)["trials"]["associativity"] == families
+
+    def test_wrong_multiplication_is_caught(self, monkeypatch):
+        """Swapping some rows of mu breaks associativity; the counts are those
+        the bitmask implementation reported under the same fault."""
+        correct = catlaws.vietoris_multiplication
+
+        def wrong(x):
+            mu = correct(x)
+            m = mu.matrix.copy()
+            for k in range(0, len(m) - 1, 7):
+                m[[k, k + 1]] = m[[k + 1, k]]
+            return FiniteCorrespondence(mu.source, mu.target, m)
+
+        monkeypatch.setattr(catlaws, "vietoris_multiplication", wrong)
+        counts = [len(check_monad_laws(n)["counterexamples"]) for n in (2, 3, 4)]
+        assert counts == [4, 90, 234]
 
     def test_size_bounds(self):
         with pytest.raises(ValueError):
@@ -222,3 +241,65 @@ class TestDownsetDivergence:
         rep = downset_divergence_report(3)
         assert rep["composition_failures"] == 0
         assert rep["identity_lift_divergences"] == 4
+
+
+class TestRepresentation:
+    def test_matrix_is_read_only(self):
+        phi = identity(FinSet("X", 3))
+        with pytest.raises(ValueError):
+            phi.matrix[0, 1] = True
+
+    def test_caller_array_is_frozen(self):
+        m = np.eye(2, dtype=bool)
+        FiniteCorrespondence(FinSet("X", 2), FinSet("X", 2), m)
+        with pytest.raises(ValueError):
+            m[0, 1] = True
+
+    def test_fiber_outside_target_rejected(self):
+        with pytest.raises(ValueError, match="outside the target"):
+            FiniteCorrespondence.from_fibers(FinSet("X", 1), FinSet("Y", 2), (0b100,))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            FiniteCorrespondence(FinSet("X", 2), FinSet("Y", 3), np.zeros((3, 2), bool))
+
+
+def _drop_last_target(correct):
+    """compose, then drop the last target element from every fiber holding another."""
+
+    def wrong(phi, psi):
+        out = correct(phi, psi)
+        m = out.matrix.copy()
+        m[..., -1] &= ~m[..., :-1].any(axis=-1)
+        return FiniteCorrespondence(out.source, out.target, m)
+
+    return wrong
+
+
+class TestCampaignsHaveForce:
+    """A wrong composition must show up in every batched campaign.
+
+    The counts are those the bitmask implementation reported under the same
+    fault, so they also pin that the batches enumerate every case once.
+    """
+
+    @pytest.fixture(autouse=True)
+    def wrong_compose(self, monkeypatch):
+        monkeypatch.setattr(catlaws, "compose", _drop_last_target(catlaws.compose))
+
+    def test_category_axioms(self):
+        rep = check_category_axioms([2, 2, 2, 2], trials=0, seed=0)
+        assert len(rep["counterexamples"]) == 512
+        assert rep["counterexamples"][0] == {"law": "unit", "fibers": [0, 3]}
+
+    def test_functor_laws(self):
+        rep = check_functor_laws(2)
+        assert len(rep["counterexamples"]) == 66
+        assert rep["counterexamples"][0]["fibers"] == [[1], [3]]
+
+    def test_tensor_laws(self):
+        rep = check_tensor_laws(2, trials=10, seed=0)
+        assert len(rep["counterexamples"]) == 21312
+
+    def test_downset_composition(self):
+        assert downset_divergence_report(2)["composition_failures"] == 55

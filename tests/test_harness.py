@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcp import cli
 from gridcp.harness import (
@@ -275,6 +277,43 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            (
+                {
+                    "score": {"kind": "prototype_embedding"},
+                    "extras": {"score_params": {"weights": 5, "biases": [1]}},
+                },
+                "score_params",
+            ),
+            (
+                {
+                    "score": {"kind": "prototype_embedding"},
+                    "extras": {"score_params": {"weights": [[[1, 2]]], "biases": [[0]]}},
+                },
+                "2-D points",
+            ),
+            ({"grid": 5}, "grid"),
+            ({"trails": 5}, "'trails'"),
+        ],
+        ids=["malformed_score_params", "score_params_dimension", "non_object_grid", "unknown_key"],
+    )
+    def test_malformed_config_exit_two(self, tmp_path, capsys, bad, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(bad))
+        code = cli.main(["coverage", "--config", str(cfg_path), "--trials", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert named in err
+
+    def test_non_object_config_exit_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert cli.main(["coverage", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_missing_config_file_exit_two(self):
         assert cli.main(["coverage", "--config", "/nonexistent.json"]) == 2
 
@@ -292,3 +331,56 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "experiment" in proc.stdout
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    # Magnitudes stay small: a coverage config builds its grid and tie set,
+    # whose size is the value itself.
+    | st.integers(-1000, 1000)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_CONFIG_VALUES = {
+    "experiment": st.sampled_from(sorted(cli.EXPERIMENTS)) | _JSON,
+    "grid": st.fixed_dictionaries(
+        {}, optional={"bounds": _JSON | st.just([[-2, 2]]), "counts": _JSON | st.just([9])}
+    )
+    | _JSON,
+    "score": st.sampled_from(["mean_abs_distance", "prototype_embedding"]).map(
+        lambda kind: {"kind": kind}
+    )
+    | _JSON,
+    "extras": st.fixed_dictionaries(
+        {"score_params": st.fixed_dictionaries({"weights": _JSON, "biases": _JSON}) | _JSON}
+    )
+    | _JSON,
+}
+
+
+@st.composite
+def _config_objects(draw):
+    keys = draw(
+        st.sets(
+            st.sampled_from(
+                ["experiment", "seed", "trials", "alpha", "n", "grid", "score"]
+                + ["scenario", "model", "extras", "trails"]
+            )
+        )
+    )
+    return {k: draw(_CONFIG_VALUES.get(k, _JSON)) for k in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_objects())
+def test_any_json_object_parses_or_is_a_config_error(obj):
+    """Whatever the object, `ck` either gets a config or exits 2."""
+    try:
+        cfg = ExperimentConfig.from_json_obj(obj)
+    except cli.CONFIG_ERRORS:
+        return
+    assert isinstance(cfg, ExperimentConfig)
