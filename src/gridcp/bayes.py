@@ -115,12 +115,12 @@ def posterior_predictive(
     ssum = math.fsum(p[0] for p in y_n.observations)
     post_mean = post_var * (m.prior_mean / t2 + ssum / s2)
     pred_sd = math.sqrt(post_var + s2)
-    vals = gaussian_pdf(universe.as_array()[:, 0], post_mean, pred_sd)
+    vals = gaussian_pdf(universe.points[:, 0], post_mean, pred_sd)
     return PredictiveDensity(
         mean=post_mean,
         sd=pred_sd,
         universe=universe,
-        evaluated=tuple(float(v) for v in vals),
+        evaluated=tuple(vals.tolist()),
         sample=y_n.observations,
     )
 
@@ -161,7 +161,7 @@ def quant(alpha: float, y_n: Sample, pd: PredictiveDensity, universe: Grid) -> R
     if q <= 1:
         return universe.full_region()
     c = float(np.sort(dens)[q - 2])  # (q-1)-th smallest, 0-based
-    grid_dens = pd.density(universe.as_array()[:, 0])
+    grid_dens = pd.density(universe.points[:, 0])
     return Region.from_mask(universe, grid_dens >= c)
 
 
@@ -176,7 +176,7 @@ def quant_cdf_diagnostic(
     region. Diagnostic only; excluded from every acceptance check.
     """
     dy = universe.spacing[0]
-    grid_dens = pd.density(universe.as_array()[:, 0])
+    grid_dens = pd.density(universe.points[:, 0])
     order = np.argsort(grid_dens)
     csum = np.cumsum(grid_dens[order] * dy)
     # F(c) sweeps the sorted density values; take the first c with F >= 1-alpha.
@@ -226,11 +226,10 @@ def midpoint_grid(lo: float, hi: float, count: int) -> Grid:
         raise ValueError("count must be >= 1")
     if lo >= hi:
         raise ValueError("need lo < hi")
+    lo, hi = float(lo), float(hi)
     width = (hi - lo) / count
-    pts = tuple((float(lo + (i + 0.5) * width),) for i in range(count))
-    return Grid(
-        points=pts, bounds=((float(lo), float(hi)),), counts=(count,), spacing=(width,)
-    )
+    axis = tuple(lo + (i + 0.5) * width for i in range(count))
+    return Grid(axes=(axis,), bounds=((lo, hi),), spacing=(width,))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,7 @@ differ, which would void every exact set-equality check downstream.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,19 +66,22 @@ class TieGrid:
     def levels(self) -> tuple[float, ...]:
         return tuple(k / (self.n + 1) for k in range(self.n + 2))
 
+    def _near(self, alpha: float) -> list[float]:
+        """Levels k/(n+1), k next to alpha*(n+1): any equal to alpha and the next above."""
+        m = self.n + 1
+        k = math.floor(alpha * m) if math.isfinite(alpha * m) else 0
+        return [j / m for j in range(max(k - 1, 0), min(k + 2, m) + 1)]
+
     def __contains__(self, alpha: float) -> bool:
         # Exact comparison on stored doubles, deliberately.
-        return any(alpha == lv for lv in self.levels)
+        return alpha in self._near(alpha)
 
 
 def next_level(alpha: float, tg: TieGrid) -> float:
     """The smallest attainable level strictly above alpha."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    for lv in tg.levels:
-        if lv > alpha:
-            return lv
-    raise ValueError(f"no level above {alpha}")  # unreachable for alpha < 1
+    return next(lv for lv in tg._near(alpha) if lv > alpha)
 
 
 def assert_no_tie(alpha: float, tg: TieGrid) -> bool:
@@ -89,54 +91,50 @@ def assert_no_tie(alpha: float, tg: TieGrid) -> bool:
     return alpha not in tg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transducer:
     """Plausibility values over a grid, stored as exact rationals nums/denom.
 
-    A freshly computed transducer has denom == n+1 and every numerator in
-    1..n+1. `normalize_consonant` rescales so the maximum value is exactly 1,
-    which changes denom to the maximum numerator.
+    `nums` is a read-only int array, one numerator per grid point. A freshly
+    computed transducer has denom == n+1 and every numerator in 1..n+1.
+    `normalize_consonant` rescales so the maximum value is exactly 1, which
+    changes denom to the maximum numerator.
     """
 
     universe: Grid
-    nums: tuple[int, ...]
+    nums: np.ndarray
     denom: int
     n: int
 
     def __post_init__(self):
-        if len(self.nums) != self.universe.size:
+        nums = np.asarray(self.nums)
+        if nums.shape != (self.universe.size,):
             raise ValueError("one value per grid point required")
         if self.denom < 1:
             raise ValueError("denominator must be positive")
-        if any(k < 1 or k > self.denom for k in self.nums):
+        if nums.dtype.kind not in "iu" or nums.min() < 1 or nums.max() > self.denom:
             raise ValueError("numerators must lie in 1..denom")
+        nums.flags.writeable = False
+        object.__setattr__(self, "nums", nums)
 
     @property
     def values(self) -> np.ndarray:
         """Derived double-precision plausibilities."""
-        return np.asarray(self.nums, dtype=float) / self.denom
+        return self.nums / self.denom
 
     @property
     def max_num(self) -> int:
-        return max(self.nums)
+        return int(self.nums.max())
 
     def is_consonant(self) -> bool:
         return self.max_num == self.denom
 
     def argmax_indices(self) -> tuple[int, ...]:
-        m = self.max_num
-        return tuple(i for i, k in enumerate(self.nums) if k == m)
+        return tuple(np.flatnonzero(self.nums == self.nums.max()).tolist())
 
     def to_csv(self) -> str:
         """Columns: grid_index, one coordinate column per dimension, k, pi_value."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        d = self.universe.dim
-        w.writerow(["grid_index", *[f"x{k}" for k in range(d)], "k", "pi_value"])
-        vals = self.values
-        for i, p in enumerate(self.universe.points):
-            w.writerow([i, *[repr(c) for c in p], self.nums[i], repr(float(vals[i]))])
-        return buf.getvalue()
+        return self.universe.csv_table(k=self.nums.tolist(), pi_value=self.values.tolist())
 
 
 def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
@@ -148,12 +146,11 @@ def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
         raise ValueError(
             f"dimension mismatch: sample d={y_n.dim}, grid d={universe.dim}"
         )
-    T = psi.loo_matrix(y_n, universe.as_array())
+    T = psi.loo_matrix(y_n, universe.points)
     n = y_n.n
     if T.shape != (universe.size, n + 1):
         raise ValueError("score kernel returned a malformed table")
-    counts = np.sum(T >= T[:, -1][:, None], axis=1)
-    nums = tuple(int(c) for c in counts)
+    nums = np.sum(T >= T[:, -1][:, None], axis=1)
     return Transducer(universe=universe, nums=nums, denom=n + 1, n=n)
 
 

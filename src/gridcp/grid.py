@@ -1,10 +1,11 @@
 """Finite discretized state spaces and subsets of them.
 
 The state space is an axis-aligned box in R^d discretized to a finite,
-lexicographically ordered grid of points. Every set-level computation in the
-package (prediction regions, level sets, credal dominance checks) happens on
-subsets of such a grid, represented as bitsets keyed to the grid order so
-that equality and hashing are canonical.
+lexicographically ordered product grid, defined by its per-dimension
+coordinates. Every set-level computation in the package (prediction regions,
+level sets, credal dominance checks) happens on subsets of such a grid,
+represented as bitsets keyed to the grid order so that equality and hashing
+are canonical.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -12,10 +13,12 @@ threads.
 
 from __future__ import annotations
 
-import itertools
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,74 +57,87 @@ def _as_point(p) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Grid:
-    """A finite, lexicographically ordered discretization of a box in R^d.
+    """A finite, lexicographically ordered product grid in a box of R^d.
 
-    points  -- tuple of d-dimensional points (tuples of floats), sorted
-               lexicographically and pairwise distinct
-    bounds  -- per-dimension closed interval (lo, hi)
-    counts  -- number of points per dimension
+    axes    -- per-dimension coordinates: strictly increasing float tuples
+    bounds  -- per-dimension closed interval (lo, hi) holding that axis
     spacing -- per-dimension distance between adjacent points (0.0 for a
-               single-point dimension)
+               single-point dimension); the quadrature in `bayes` reads it
+
+    `counts` and the read-only (size, dim) array `points` are derived from the
+    axes. Points are in lexicographic order: dimension 0 is the slowest axis.
     """
 
-    points: tuple[tuple[float, ...], ...]
+    axes: tuple[tuple[float, ...], ...]
     bounds: tuple[tuple[float, float], ...]
-    counts: tuple[int, ...]
     spacing: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.points) < 1:
-            raise ValueError("grid must contain at least one point")
-        for lo, hi in self.bounds:
+        if not 0 < len(self.axes) == len(self.bounds) == len(self.spacing):
+            raise ValueError("axes, bounds and spacing need one entry per dimension, at least one")
+        for k, (axis, (lo, hi), h) in enumerate(zip(self.axes, self.bounds, self.spacing)):
             _check_interval(lo, hi)
-        seen = set(self.points)
-        if len(seen) != len(self.points):
-            raise ValueError("grid points must be pairwise distinct")
-        if list(self.points) != sorted(self.points):
-            raise ValueError("grid points must be sorted lexicographically")
-        for p in self.points:
-            for c, (lo, hi) in zip(p, self.bounds):
-                span = max(abs(lo), abs(hi), 1.0)
-                if c < lo - _BOUNDS_TOL * span or c > hi + _BOUNDS_TOL * span:
-                    raise ValueError(f"point {p} outside bounds {self.bounds}")
+            if not axis:
+                raise ValueError("grid must contain at least one point")
+            if any(not a < b for a, b in zip(axis, axis[1:])):
+                raise ValueError(f"axis {k} is not strictly increasing")
+            tol = _BOUNDS_TOL * max(abs(lo), abs(hi), 1.0)
+            if not (lo - tol <= axis[0] and axis[-1] <= hi + tol):
+                raise ValueError(f"axis {k} has points outside bounds ({lo}, {hi})")
+            if not (math.isfinite(h) and h >= 0.0 and (h > 0.0 or len(axis) == 1)):
+                raise ValueError(f"spacing {h} must be finite, and positive between points")
 
-    @property
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(axis) for axis in self.axes)
+
+    @cached_property
     def size(self) -> int:
-        return len(self.points)
+        return math.prod(self.counts)
 
     @property
     def dim(self) -> int:
-        return len(self.bounds)
+        return len(self.axes)
 
-    def as_array(self) -> np.ndarray:
-        """Points as a (size, dim) float array."""
-        return np.asarray(self.points, dtype=float)
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Points as a read-only (size, dim) float array, in grid order."""
+        d = self.dim
+        points = np.empty((*self.counts, d))
+        for k, axis in enumerate(self.axes):
+            points[..., k] = np.reshape(axis, (-1,) + (1,) * (d - 1 - k))
+        points = points.reshape(-1, d)
+        points.flags.writeable = False
+        return points
 
     def index_of(self, point) -> int:
-        return self.points.index(_as_point(point))
+        """Index of a grid point given exactly; ValueError when off the grid."""
+        idx = 0
+        for c, axis in zip(_as_point(point), self.axes):
+            idx = idx * len(axis) + axis.index(c)
+        return idx
 
     def nearest_index(self, point) -> int:
-        """Index of the grid point nearest to `point`.
+        """Index of the grid point nearest to `point`, one dimension at a time.
 
-        Lexicographic order of the product grid makes dimension 0 the slowest
-        axis, so strides multiply the counts of the later dimensions.
+        The first guess, round((c - axis[0]) / spacing), is the nearest
+        coordinate on an evenly spaced axis; on any other axis it moves to a
+        neighbour while that neighbour is strictly nearer.
         """
-        p = _as_point(point)
         idx = 0
-        stride = self.size
-        for k in range(self.dim):
-            stride //= self.counts[k]
-            if self.counts[k] == 1:
-                continue
-            lo, _hi = self.bounds[k]
-            i = int(round((p[k] - lo) / self.spacing[k]))
-            i = min(max(i, 0), self.counts[k] - 1)
-            idx += i * stride
+        for c, axis, h in zip(_as_point(point), self.axes, self.spacing):
+            last = len(axis) - 1
+            i = min(max(round((c - axis[0]) / h), 0), last) if last else 0
+            while i > 0 and c - axis[i - 1] < axis[i] - c:
+                i -= 1
+            while i < last and axis[i + 1] - c < c - axis[i]:
+                i += 1
+            idx = idx * (last + 1) + i
         return idx
 
     def snap(self, point) -> tuple[float, ...]:
         """The grid point nearest to `point`."""
-        return self.points[self.nearest_index(point)]
+        return tuple(self.points[self.nearest_index(point)].tolist())
 
     def full_region(self) -> Region:
         return Region(self, (1 << self.size) - 1)
@@ -137,6 +153,16 @@ class Grid:
         mask = np.zeros(self.size, dtype=bool)
         mask[idx] = True
         return Region.from_mask(self, mask)
+
+    def csv_table(self, **columns: Sequence) -> str:
+        """CSV with one row per grid point: grid_index, one coordinate column
+        per dimension (x0, x1, ...), then the given columns in order."""
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(["grid_index", *[f"x{k}" for k in range(self.dim)], *columns])
+        for i, (point, *values) in enumerate(zip(self.points.tolist(), *columns.values())):
+            w.writerow([i, *point, *values])
+        return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -162,28 +188,16 @@ def make_uniform_grid(
     """
     if len(bounds) != len(counts):
         raise ValueError("bounds and counts must have the same length")
-    if not bounds:
-        raise ValueError("at least one dimension required")
+    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     axes = []
     spacing = []
     for (lo, hi), m in zip(bounds, counts):
-        lo, hi = float(lo), float(hi)
         _check_interval(lo, hi)
         if m < 1:
             raise ValueError(f"count must be >= 1, got {m}")
-        if m == 1:
-            axes.append([lo])
-            spacing.append(0.0)
-        else:
-            axes.append(list(np.linspace(lo, hi, m)))
-            spacing.append((hi - lo) / (m - 1))
-    points = tuple(tuple(float(c) for c in p) for p in itertools.product(*axes))
-    return Grid(
-        points=points,
-        bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
-        counts=tuple(int(m) for m in counts),
-        spacing=tuple(spacing),
-    )
+        axes.append(tuple(np.linspace(lo, hi, m).tolist()) if m > 1 else (lo,))
+        spacing.append((hi - lo) / (m - 1) if m > 1 else 0.0)
+    return Grid(axes=tuple(axes), bounds=bounds, spacing=tuple(spacing))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .imprecise import (
     ihdr_bruteforce,
     ihdr_contour,
 )
-from .scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding, ScoreFn
+from .scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding, ScoreFn, score_from_obj
 
 __all__ = [
     "ExperimentConfig",
@@ -105,6 +105,8 @@ _EXPERIMENT_NAMES = (
 
 _CONFORMAL_EXPERIMENTS = ("coverage",)
 _SCENARIOS = ("iid_gaussian", "iid_uniform", "exchangeable_mixture")
+# Score kinds that coverage and diagram can build without a fitted model.
+_SAMPLE_SCORES = ("mean_abs_distance", "prototype_embedding")
 
 
 @dataclass(frozen=True)
@@ -151,14 +153,28 @@ class ExperimentConfig:
             # Build what the run builds, so a bad grid or score is a config error.
             make_uniform_grid(self.grid_bounds, self.grid_counts)
             _score_for(self)
+        if self.experiment == "diagram":
+            families = self.extras.get("score_families", _SAMPLE_SCORES)
+            if not (
+                isinstance(families, (list, tuple))
+                and families
+                and all(f in _SAMPLE_SCORES for f in families)
+            ):
+                raise ValueError(
+                    f"extras.score_families must be a nonempty list of {_SAMPLE_SCORES}, "
+                    f"got {families!r}"
+                )
+            _check_count(self.extras, "brute_trials", 0)
+            _check_count(self.extras, "brute_grid_limit", 0)
+        if self.experiment == "eposterior":
+            _check_count(self.extras, "theta_count", 1)
+            _check_count(self.extras, "y_count", 1)
 
     @staticmethod
     def from_json_obj(obj: dict) -> ExperimentConfig:
         """Parse a JSON config object; a malformed one raises ValueError."""
-        unknown = sorted(set(obj) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config key {unknown[0]!r}; allowed keys: {_CONFIG_KEYS}")
-        grid = _field(obj, "grid", _json_object, {})
+        _json_object(obj, _CONFIG_KEYS)
+        grid = _field(obj, "grid", lambda g: _json_object(g, ("bounds", "counts")), {})
         return ExperimentConfig(
             experiment=obj["experiment"],
             seed=_field(obj, "seed", int, 0),
@@ -200,16 +216,27 @@ def _field(obj: dict, key: str, convert: Callable, default, prefix: str = ""):
         raise ValueError(f"config field {prefix}{key}: {exc}") from None
 
 
-def _json_object(value) -> dict:
+def _json_object(value, keys: Sequence[str] | None = None) -> dict:
+    """`value` if it is a JSON object with no key outside `keys` (when given)."""
     if not isinstance(value, dict):
         raise TypeError(f"expected a JSON object, got {json.dumps(value)}")
+    unknown = sorted(set(value) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}; allowed keys: {tuple(keys)}")
     return value
+
+
+def _check_count(extras: dict, key: str, minimum: int) -> None:
+    """Refuse extras[key], when present, unless it is an integer >= minimum."""
+    value = extras.get(key, minimum)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"extras.{key} must be an integer >= {minimum}, got {value!r}")
 
 
 def _score_kind(value) -> str:
     """A score is given as its kind, or as an object {"kind": ...}."""
     if isinstance(value, dict):
-        value = value.get("kind", "mean_abs_distance")
+        value = _json_object(value, ("kind",)).get("kind", "mean_abs_distance")
     if not isinstance(value, str):
         raise TypeError(f"expected a score kind string, got {json.dumps(value)}")
     return value
@@ -243,23 +270,18 @@ def _draw_scenario(
 
 
 def _score_for(cfg: ExperimentConfig) -> ScoreFn:
-    if cfg.score == "mean_abs_distance":
-        return MeanAbsDistance()
-    if cfg.score == "prototype_embedding":
-        params = cfg.extras.get("score_params")
-        if not params:
-            return PrototypeEmbedding(EmbeddingNet.identity(len(cfg.grid_bounds)))
-        try:
-            net = EmbeddingNet.from_weights(params["weights"], params["biases"])
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed extras.score_params: {exc!r}") from None
-        if net.in_dim != len(cfg.grid_bounds):
-            raise ValueError(
-                f"extras.score_params takes {net.in_dim}-D points; the grid is "
-                f"{len(cfg.grid_bounds)}-D"
-            )
-        return PrototypeEmbedding(net)
-    raise ValueError(f"unsupported score kind {cfg.score!r} for this experiment")
+    if cfg.score not in _SAMPLE_SCORES:
+        raise ValueError(f"unsupported score kind {cfg.score!r} for this experiment")
+    dim = len(cfg.grid_bounds)
+    try:
+        psi = score_from_obj({"kind": cfg.score, "params": cfg.extras.get("score_params")}, dim)
+    except ValueError as exc:
+        raise ValueError(f"extras.score_params: {exc}") from None
+    if isinstance(psi, PrototypeEmbedding) and psi.net.in_dim != dim:
+        raise ValueError(
+            f"extras.score_params takes {psi.net.in_dim}-D points; the grid is {dim}-D"
+        )
+    return psi
 
 
 def run_coverage(cfg: ExperimentConfig) -> dict:
@@ -276,8 +298,7 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
         rng = _trial_rng(cfg.seed, t)
         raw = _draw_scenario(rng, cfg.scenario, cfg.n + 1)
         idxs = [universe.nearest_index(v) for v in raw]
-        pts = [universe.points[i] for i in idxs]
-        y_n = Sample(tuple(pts[: cfg.n]))
+        y_n = Sample.of(universe.points[idxs[: cfg.n]].tolist())
         region = kappa(cfg.alpha, y_n, psi, universe)
         return idxs[cfg.n] in region
 
@@ -339,8 +360,7 @@ def _consonant_instance(
         half_width = float(rng.uniform(1.0, 4.0))
         universe = make_uniform_grid([(-half_width, half_width)], [size])
         n = int(rng.integers(3, 9))
-        pts = [universe.points[int(i)] for i in rng.integers(0, size, n)]
-        y_n = Sample(tuple(pts))
+        y_n = Sample.of(universe.points[rng.integers(0, size, n)].tolist())
         if score_kind == "mean_abs_distance":
             psi: ScoreFn = MeanAbsDistance()
         elif score_kind == "prototype_embedding":
@@ -360,11 +380,9 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
     (ihdr_contour after cred), as exact bitsets; on grids small enough to
     enumerate, the brute-force intersection route is compared as well.
     """
-    families = cfg.extras.get(
-        "score_families", ["mean_abs_distance", "prototype_embedding"]
-    )
-    brute_trials = int(cfg.extras.get("brute_trials", 100))
-    brute_limit = int(cfg.extras.get("brute_grid_limit", 12))
+    families = cfg.extras.get("score_families", _SAMPLE_SCORES)
+    brute_trials = cfg.extras.get("brute_trials", 100)
+    brute_limit = cfg.extras.get("brute_grid_limit", 12)
     results = []
     for fam_idx, family in enumerate(families):
 
@@ -528,14 +546,14 @@ def _eposterior_families(theta_count: int = 101, y_count: int = 101):
     condition with slack, one violating it at a single parameter value."""
     theta_grid = bayes.midpoint_grid(0.0, 1.0, theta_count)
     y_grid = bayes.midpoint_grid(0.0, 1.0, y_count)
-    thetas = theta_grid.as_array()[:, 0]
-    ys = y_grid.as_array()[:, 0]
+    thetas = theta_grid.points[:, 0]
+    ys = y_grid.points[:, 0]
     dy = y_grid.spacing[0]
     rows = []
     for th in thetas:
         w = np.exp(-0.5 * ((ys - th) / 0.15) ** 2)
         w = w / (w.sum() * dy)  # exactly proper under the grid quadrature
-        rows.append(tuple(float(v) for v in w))
+        rows.append(tuple(w.tolist()))
     lik = tuple(rows)
 
     nt = theta_count
@@ -563,8 +581,8 @@ def _eposterior_families(theta_count: int = 101, y_count: int = 101):
 
 def run_eposterior(cfg: ExperimentConfig) -> dict:
     """Both directions of the betting-score equivalence, with witnesses."""
-    theta_count = int(cfg.extras.get("theta_count", 101))
-    y_count = int(cfg.extras.get("y_count", 101))
+    theta_count = cfg.extras.get("theta_count", 101)
+    y_count = cfg.extras.get("y_count", 101)
     conforming, violating, dip = _eposterior_families(theta_count, y_count)
     records = []
     for name, cp in (("conforming", conforming), ("violating", violating)):

@@ -26,8 +26,6 @@ rounded sums.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -55,39 +53,37 @@ _BRUTE_LIMIT = 16
 _MEMBER_LIMIT = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PossibilityContour:
-    """Per-point plausibilities in [0, 1] with maximum exactly 1."""
+    """Per-point plausibilities in [0, 1] with maximum exactly 1, stored as a
+    read-only float array."""
 
     universe: Grid
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.universe.size:
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.universe.size,):
             raise ValueError("one contour value per grid point required")
-        for v in self.values:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"contour value {v} outside [0, 1]")
-        if max(self.values) != 1.0:
+        outside = ~((values >= 0.0) & (values <= 1.0))
+        if outside.any():
+            raise ValueError(f"contour value {float(values[outside][0])} outside [0, 1]")
+        if values.max() != 1.0:
             raise ValueError("contour is not consonant: max value must be exactly 1")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def from_transducer(t: Transducer) -> PossibilityContour:
         if not t.is_consonant():
             raise ValueError("transducer must be normalized before wrapping")
-        return PossibilityContour(t.universe, tuple(float(v) for v in t.values))
+        return PossibilityContour(t.universe, t.values)
 
     def to_csv(self) -> str:
-        """Transducer CSV schema plus a `normalized` flag column."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        d = self.universe.dim
-        w.writerow(
-            ["grid_index", *[f"x{k}" for k in range(d)], "pi_value", "normalized"]
+        """Transducer CSV schema, less `k`, plus a `normalized` flag column."""
+        return self.universe.csv_table(
+            pi_value=self.values.tolist(), normalized=[1] * self.universe.size
         )
-        for i, p in enumerate(self.universe.points):
-            w.writerow([i, *[repr(c) for c in p], repr(self.values[i]), 1])
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -124,22 +120,15 @@ def cred(y_n: Sample, psi: ScoreFn, universe: Grid) -> CredalSpec:
     return CredalSpec(PossibilityContour.from_transducer(t))
 
 
-def _check_universe(c: PossibilityContour, a: Region) -> None:
-    if a.universe != c.universe:
-        raise UniverseMismatchError("region and contour live over different universes")
-
-
 def upper_prob(c: PossibilityContour, a: Region) -> float:
     """max of the contour over the region; 0 for the empty region."""
-    _check_universe(c, a)
-    if a.bits == 0:
-        return 0.0
-    return max(c.values[i] for i in a.indices)
+    if a.universe != c.universe:
+        raise UniverseMismatchError("region and contour live over different universes")
+    return float(c.values[list(a.indices)].max(initial=0.0))
 
 
 def lower_prob(c: PossibilityContour, a: Region) -> float:
     """Conjugate lower probability: 1 - upper_prob(complement)."""
-    _check_universe(c, a)
     return 1.0 - upper_prob(c, a.complement())
 
 
@@ -164,7 +153,7 @@ def is_member(p: ProbVector, cs: CredalSpec) -> bool:
     if m > _MEMBER_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
     sums = _subset_table(np.asarray(p.mass, dtype=float), np.add)
-    maxv = _subset_table(np.asarray(cs.contour.values, dtype=float), np.maximum)
+    maxv = _subset_table(cs.contour.values, np.maximum)
     return bool(np.all(sums <= maxv + _MEMBER_TOL))
 
 
@@ -179,7 +168,7 @@ def ihdr_bruteforce(alpha: float, cs: CredalSpec) -> Region:
     m = cs.universe.size
     if m > _BRUTE_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
-    maxv = _subset_table(np.asarray(cs.contour.values, dtype=float), np.maximum)
+    maxv = _subset_table(cs.contour.values, np.maximum)
     full = (1 << m) - 1
     masks = np.arange(full + 1, dtype=np.int64)
     lower = 1.0 - maxv[full ^ masks]
@@ -190,7 +179,7 @@ def ihdr_bruteforce(alpha: float, cs: CredalSpec) -> Region:
 
 def ihdr_contour(alpha: float, cs: CredalSpec) -> Region:
     """Closed form: the strict super-level set {y : v(y) > alpha}."""
-    return Region.from_mask(cs.universe, np.asarray(cs.contour.values) > alpha)
+    return Region.from_mask(cs.universe, cs.contour.values > alpha)
 
 
 def check_functor_monotone(
@@ -205,13 +194,10 @@ def check_functor_monotone(
     """
     if cs_small.universe != cs_big.universe:
         raise UniverseMismatchError("contours live over different universes")
-    vs = cs_small.contour.values
-    vb = cs_big.contour.values
-    for a, b in zip(vs, vb):
-        if a > b:
-            raise ValueError(
-                f"precondition violated: small contour exceeds big ({a} > {b})"
-            )
+    vs, vb = cs_small.contour.values, cs_big.contour.values
+    if (vs > vb).any():
+        i = np.argmax(vs > vb)
+        raise ValueError(f"precondition violated: small contour exceeds big ({vs[i]} > {vb[i]})")
     if cs_small.universe.size <= 12:
         r_small = ihdr_bruteforce(alpha, cs_small)
         r_big = ihdr_bruteforce(alpha, cs_big)

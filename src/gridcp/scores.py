@@ -39,6 +39,7 @@ __all__ = [
     "score_prototype",
     "check_permutation_invariance",
     "score_from_json",
+    "score_from_obj",
     "gaussian_pdf",
 ]
 
@@ -326,17 +327,38 @@ def check_permutation_invariance(
     return True
 
 
+_SCORE_KINDS = ("mean_abs_distance", "prototype_embedding", "neg_predictive_density")
+
+
+def score_from_obj(obj: dict, dim: int = 1) -> ScoreFn:
+    """Build a score from {"kind": ..., "params": {...}}, the `to_json` form.
+
+    A prototype_embedding without params embeds by the identity map of R^dim.
+    Anything malformed raises ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a score must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - {"kind", "params"})
+    if unknown:
+        raise ValueError(f"unknown score key {unknown[0]!r}; allowed keys: ('kind', 'params')")
+    kind = obj.get("kind")
+    if kind not in _SCORE_KINDS:
+        raise ValueError(f"unknown score kind {kind!r}; pick one of {_SCORE_KINDS}")
+    params = obj.get("params") or {}
+    try:
+        if kind == "mean_abs_distance":
+            return MeanAbsDistance()
+        if kind == "prototype_embedding":
+            if not params:
+                return PrototypeEmbedding(EmbeddingNet.identity(dim))
+            return PrototypeEmbedding(
+                EmbeddingNet.from_weights(params["weights"], params["biases"])
+            )
+        return NegPredictiveDensity(mean=float(params["mean"]), sd=float(params["sd"]))
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {kind} params: {exc!r}") from None
+
+
 def score_from_json(text: str) -> ScoreFn:
     """Load a score config: {"kind": ..., "params": {...}}."""
-    obj = json.loads(text)
-    kind = obj.get("kind")
-    params = obj.get("params", {})
-    if kind == "mean_abs_distance":
-        return MeanAbsDistance()
-    if kind == "prototype_embedding":
-        return PrototypeEmbedding(
-            EmbeddingNet.from_weights(params["weights"], params["biases"])
-        )
-    if kind == "neg_predictive_density":
-        return NegPredictiveDensity(mean=float(params["mean"]), sd=float(params["sd"]))
-    raise ValueError(f"unknown score kind {kind!r}")
+    return score_from_obj(json.loads(text))

@@ -48,7 +48,7 @@ class TestPosteriorPredictive:
         m = ConjugateModel(likelihood_sd=0.7, prior_mean=-1.0, prior_sd=2.0)
         pd = posterior_predictive(m, Sample.of([0.4, -0.2, 1.1]), small_grid())
         grid = make_uniform_grid([(pd.mean - 8 * pd.sd, pd.mean + 8 * pd.sd)], [4001])
-        xs = grid.as_array()[:, 0]
+        xs = grid.points[:, 0]
         integral = float(np.trapezoid(pd.density(xs), xs))
         assert abs(integral - 1.0) < 1e-6
 
@@ -63,7 +63,7 @@ class TestPosteriorPredictive:
         grid = small_grid()
         pd = posterior_predictive(m, Sample.of([0.3]), grid)
         np.testing.assert_array_equal(
-            np.asarray(pd.evaluated), pd.density(grid.as_array()[:, 0])
+            np.asarray(pd.evaluated), pd.density(grid.points[:, 0])
         )
 
 
@@ -76,12 +76,12 @@ class TestBcp:
 
     def test_score_is_minus_cached_density(self):
         psi = bcp(self.s, self.pd)
-        t = psi.loo_matrix(self.s, self.grid.as_array())
+        t = psi.loo_matrix(self.s, self.grid.points)
         np.testing.assert_array_equal(t[:, -1], -np.asarray(self.pd.evaluated))
 
     def test_minimum_score_at_density_peak(self):
         psi = bcp(self.s, self.pd)
-        scores = [psi.evaluate(self.s, y[0]) for y in self.grid.points]
+        scores = [psi.evaluate(self.s, y[0]) for y in self.grid.points.tolist()]
         best = self.grid.points[int(np.argmin(scores))][0]
         assert abs(best - self.pd.mean) <= self.grid.spacing[0] / 2 + 1e-12
 
@@ -116,7 +116,7 @@ class TestQuant:
         s = Sample.of([0.4, -0.6, 1.3, 0.9, -1.7])
         pd = posterior_predictive(self.m, s, self.grid)
         r = quant(0.43, s, pd, self.grid)
-        dens = pd.density(self.grid.as_array()[:, 0])
+        dens = pd.density(self.grid.points[:, 0])
         cutoff = min(dens[i] for i in r.indices)
         for i in range(self.grid.size):
             if dens[i] >= cutoff:
@@ -166,7 +166,7 @@ class TestConsonanceAtMode:
         s = Sample.of([-1.0, 1.0])
         grid = make_uniform_grid([(-5, 5)], [101])
         pd = posterior_predictive(m, s, grid)
-        assert pd.mean == 0.0 and (0.0,) in grid.points
+        assert pd.mean == 0.0 and 0.0 in grid.axes[0]
         t = transducer(s, bcp(s, pd), grid)
         assert t.nums[grid.index_of(0.0)] == s.n + 1
         assert t.is_consonant()
@@ -238,8 +238,8 @@ def uniform_prior(nt: int, value: float) -> tuple[float, ...]:
 
 
 def proper_rows(theta_grid, y_grid, width=0.15) -> tuple[tuple[float, ...], ...]:
-    thetas = theta_grid.as_array()[:, 0]
-    ys = y_grid.as_array()[:, 0]
+    thetas = theta_grid.points[:, 0]
+    ys = y_grid.points[:, 0]
     dy = y_grid.spacing[0]
     rows = []
     for th in thetas:

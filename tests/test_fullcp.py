@@ -27,12 +27,7 @@ from gridcp.scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding
 
 def example_grid() -> Grid:
     """The worked four-point grid {0, 0.5, 1, 2}."""
-    return Grid(
-        points=((0.0,), (0.5,), (1.0,), (2.0,)),
-        bounds=((0.0, 2.0),),
-        counts=(4,),
-        spacing=(0.5,),
-    )
+    return Grid(axes=((0.0, 0.5, 1.0, 2.0),), bounds=((0.0, 2.0),), spacing=(0.5,))
 
 
 class TestTransducer:
@@ -40,7 +35,7 @@ class TestTransducer:
         # Hand enumeration: candidate 0.5 gives T=(0.75, 0.75, 0), all three
         # indicators fire; candidate 2 gives T=(1.5, 0, 1.5), two fire.
         t = transducer(Sample.of([0, 1]), MeanAbsDistance(), example_grid())
-        assert t.nums == (3, 3, 3, 2)
+        assert t.nums.tolist() == [3, 3, 3, 2]
         assert t.denom == 3
         np.testing.assert_array_equal(t.values, [1.0, 1.0, 1.0, 2.0 / 3.0])
 
@@ -59,7 +54,7 @@ class TestTransducer:
         s = Sample.of([2])
         for psi in (MeanAbsDistance(), PrototypeEmbedding(EmbeddingNet.identity(1))):
             t = transducer(s, psi, grid)
-            assert t.nums == (2,) * 7
+            assert t.nums.tolist() == [2] * 7
         assert kappa(0.93, s, MeanAbsDistance(), grid) == grid.full_region()
 
     def test_values_in_attainable_set(self):
@@ -77,7 +72,7 @@ class TestTransducer:
         values = [0.3, -1.1, 0.25, 1.9, -0.3]
         ref = transducer(Sample.of(values), MeanAbsDistance(), grid).nums
         for perm in itertools.permutations(values):
-            assert transducer(Sample.of(perm), MeanAbsDistance(), grid).nums == ref
+            np.testing.assert_array_equal(transducer(Sample.of(perm), MeanAbsDistance(), grid).nums, ref)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -112,6 +107,19 @@ class TestTieGrid:
         assert not assert_no_tie(0.5, TieGrid(3))
         assert not assert_no_tie(1.0, TieGrid(7))
         assert not assert_no_tie(0.0, TieGrid(2))
+
+    def test_membership_agrees_with_the_level_tuple(self):
+        # Membership and next_level look only at the levels next to
+        # alpha*(n+1); they must agree with a scan over all n+2 levels.
+        rng = np.random.default_rng(11)
+        odd = [math.nan, math.inf, -math.inf, -0.0, -1e-300, 1.0 + 1e-16, 2.0, 5e-324, 1e308, -1e308]
+        for n in range(1, 61):
+            tg = TieGrid(n)
+            levels = tg.levels
+            for alpha in [*levels, *rng.uniform(0.0, 1.0, 50).tolist(), *odd]:
+                assert (alpha in tg) == (alpha in levels)
+                if 0.0 <= alpha < 1.0:
+                    assert next_level(alpha, tg) == min(lv for lv in levels if lv > alpha)
 
 
 class TestKappa:

@@ -1,10 +1,11 @@
 """Grid, region, and sample plumbing."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridcp.bayes import midpoint_grid
@@ -22,17 +23,17 @@ from gridcp.grid import (
 class TestMakeUniformGrid:
     def test_two_point_endpoints(self):
         grid = make_uniform_grid([(0, 1)], [2])
-        assert grid.points == ((0.0,), (1.0,))
+        assert grid.points.tolist() == [[0.0], [1.0]]
 
     def test_unit_square_corners(self):
         grid = make_uniform_grid([(0, 1), (0, 1)], [2, 2])
         assert grid.size == 4
-        assert set(grid.points) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert grid.points.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_five_point_axis(self):
         # linspace recomputed by hand: step (1-(-1))/4 = 0.5
         grid = make_uniform_grid([(-1, 1)], [5])
-        assert grid.points == ((-1.0,), (-0.5,), (0.0,), (0.5,), (1.0,))
+        assert grid.points.tolist() == [[-1.0], [-0.5], [0.0], [0.5], [1.0]]
 
     def test_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
@@ -48,7 +49,7 @@ class TestMakeUniformGrid:
         with pytest.raises(ValueError, match="non-finite"):
             midpoint_grid(lo, hi, 3)
         with pytest.raises(ValueError, match="non-finite"):
-            Grid(points=((0.0,),), bounds=((lo, hi),), counts=(1,), spacing=(0.0,))
+            Grid(axes=((0.0,),), bounds=((lo, hi),), spacing=(0.0,))
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
@@ -56,13 +57,14 @@ class TestMakeUniformGrid:
 
     def test_points_within_bounds(self):
         grid = make_uniform_grid([(-3.7, 2.9), (0.1, 0.2)], [7, 3])
-        for p in grid.points:
+        for p in grid.points.tolist():
             for c, (lo, hi) in zip(p, grid.bounds):
                 assert lo - 1e-12 <= c <= hi + 1e-12
 
     def test_lexicographic_order(self):
         grid = make_uniform_grid([(0, 1), (0, 2)], [3, 4])
-        assert list(grid.points) == sorted(grid.points)
+        points = grid.points.tolist()
+        assert points == sorted(points)
 
     def test_json_roundtrip(self):
         grid = make_uniform_grid([(-2, 2), (0, 1)], [5, 2])
@@ -77,8 +79,113 @@ class TestMakeUniformGrid:
 
     def test_nearest_index_2d(self):
         grid = make_uniform_grid([(0, 1), (0, 1)], [3, 3])
-        assert grid.points[grid.nearest_index((0.9, 0.1))] == (1.0, 0.0)
+        assert grid.points[grid.nearest_index((0.9, 0.1))].tolist() == [1.0, 0.0]
 
+
+
+WORKED_GRID = Grid(axes=((0.0, 0.5, 1.0, 2.0),), bounds=((0.0, 2.0),), spacing=(0.5,))
+
+
+def _brute_nearest(grid, point) -> int:
+    """Index of the nearest grid point by squared Euclidean distance."""
+    return int(np.argmin(((grid.points - np.asarray(point, dtype=float)) ** 2).sum(axis=1)))
+
+
+class TestAxisDefinedGrid:
+    def test_points_are_the_read_only_product_of_axes(self):
+        grid = make_uniform_grid([(-3.7, 2.9), (0.1, 0.2), (0, 1)], [7, 3, 2])
+        assert grid.points.tolist() == [list(p) for p in itertools.product(*grid.axes)]
+        assert grid.points.dtype == np.float64
+        assert grid.counts == (7, 3, 2) and grid.size == 42 and grid.dim == 3
+        with pytest.raises(ValueError):
+            grid.points[0, 0] = 1.0
+
+    def test_points_and_counts_are_not_fields(self):
+        # Points and counts that disagree can no longer be stated.
+        with pytest.raises(TypeError):
+            Grid(
+                points=((0.0,), (1.0,)),
+                bounds=((0.0, 1.0),),
+                counts=(5,),
+                spacing=(0.25,),
+            )
+
+    @pytest.mark.parametrize(
+        "axes,bounds,spacing,match",
+        [
+            (((0.0, 0.0, 1.0),), ((0.0, 1.0),), (0.5,), "strictly increasing"),
+            (((1.0, 0.0),), ((0.0, 1.0),), (1.0,), "strictly increasing"),
+            (((0.0, float("nan"), 1.0),), ((0.0, 1.0),), (0.5,), "strictly increasing"),
+            (((float("nan"),),), ((0.0, 1.0),), (0.0,), "outside bounds"),
+            (((0.0, 2.0),), ((0.0, 1.0),), (2.0,), "outside bounds"),
+            (((0.0, 1.0),), ((0.0, 1.0),), (0.0,), "spacing"),
+            (((0.0, 1.0),), ((0.0, 1.0),), (float("inf"),), "spacing"),
+            (((0.0,),), ((0.0, 1.0), (0.0, 1.0)), (0.0,), "one entry per dimension"),
+            ((), (), (), "one entry per dimension"),
+            (((),), ((0.0, 1.0),), (0.0,), "at least one point"),
+        ],
+    )
+    def test_rejects_malformed_axes(self, axes, bounds, spacing, match):
+        with pytest.raises(ValueError, match=match):
+            Grid(axes=axes, bounds=bounds, spacing=spacing)
+
+    def test_equality_is_by_axes(self):
+        grid = make_uniform_grid([(0, 1)], [3])
+        assert grid == Grid(axes=((0.0, 0.5, 1.0),), bounds=((0.0, 1.0),), spacing=(0.5,))
+        assert grid != Grid(axes=((0.0, 0.25, 1.0),), bounds=((0.0, 1.0),), spacing=(0.5,))
+
+    def test_index_of_off_grid_point(self):
+        with pytest.raises(ValueError):
+            WORKED_GRID.index_of(0.25)
+
+    def test_midpoint_grid_snaps_to_its_own_points(self):
+        assert midpoint_grid(0, 1, 10).snap(0.15) == (0.15000000000000002,)
+
+    def test_worked_grid_snaps_to_the_nearest_point(self):
+        assert WORKED_GRID.snap(1.4) == (1.0,)
+        assert WORKED_GRID.snap(1.6) == (2.0,)
+        assert WORKED_GRID.snap(-3.0) == (0.0,)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            midpoint_grid(0.0, 1.0, 10),
+            midpoint_grid(-3.0, 7.0, 7),
+            WORKED_GRID,
+            Grid(
+                axes=((-1.0, 0.0, 0.1, 3.0), (-2.0, 5.0, 5.5)),
+                bounds=((-1.0, 3.0), (-2.0, 6.0)),
+                spacing=(1.0, 2.5),
+            ),
+        ],
+    )
+    def test_snap_on_non_uniform_and_midpoint_grids(self, grid):
+        for i, p in enumerate(grid.points.tolist()):
+            assert grid.nearest_index(p) == i
+            assert grid.snap(p) == tuple(p)
+        rng = np.random.default_rng(0)
+        lo = np.array([b[0] for b in grid.bounds]) - 1.0
+        hi = np.array([b[1] for b in grid.bounds]) + 1.0
+        for point in rng.uniform(lo, hi, (300, grid.dim)).tolist():
+            assert grid.nearest_index(point) == _brute_nearest(grid, point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-50, 50), st.floats(0.01, 50), st.integers(1, 40)),
+        min_size=1,
+        max_size=2,
+    ),
+    st.data(),
+)
+def test_nearest_index_is_the_brute_force_argmin(dims, data):
+    grid = make_uniform_grid([(lo, lo + w) for lo, w, _ in dims], [m for *_, m in dims])
+    point = [data.draw(st.floats(lo - w, lo + 2 * w)) for lo, w, _ in dims]
+    for c, axis in zip(point, grid.axes):
+        gaps = np.sort(np.abs(np.asarray(axis) - c))
+        assume(len(gaps) == 1 or gaps[1] - gaps[0] > 1e-9)  # away from exact midpoints
+    assert grid.nearest_index(point) == _brute_nearest(grid, point)
 
 class TestDropIndex:
     def test_middle_removal(self):

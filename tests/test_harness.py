@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,8 @@ class TestConfig:
     def test_tie_alpha_rejected_for_coverage(self):
         with pytest.raises(ValueError, match="attainable"):
             ExperimentConfig(experiment="coverage", alpha=0.5, n=19)
+        with pytest.raises(ValueError, match="attainable"):
+            ExperimentConfig(experiment="coverage", alpha=1e308, n=19)
 
     def test_off_tie_alpha_accepted(self):
         cfg = ExperimentConfig(experiment="coverage", alpha=0.5, n=20)
@@ -51,6 +54,19 @@ class TestConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             ExperimentConfig(experiment="nope")
+
+    def test_huge_n_is_checked_without_building_levels(self):
+        # The tie check tests a few levels next to alpha*(n+1); building all
+        # n+2 of them would take gigabytes here.
+        tracemalloc.start()
+        try:
+            ExperimentConfig(experiment="coverage", n=10**9)
+            with pytest.raises(ValueError, match="attainable"):
+                ExperimentConfig(experiment="coverage", n=10**9, alpha=0.5 + 0.5 / (10**9 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_from_json_obj(self):
         cfg = ExperimentConfig.from_json_obj(
@@ -278,9 +294,10 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize(
-        "bad, named",
+        "experiment, bad, named",
         [
             (
+                "coverage",
                 {
                     "score": {"kind": "prototype_embedding"},
                     "extras": {"score_params": {"weights": 5, "biases": [1]}},
@@ -288,21 +305,49 @@ class TestCli:
                 "score_params",
             ),
             (
+                "coverage",
                 {
                     "score": {"kind": "prototype_embedding"},
                     "extras": {"score_params": {"weights": [[[1, 2]]], "biases": [[0]]}},
                 },
                 "2-D points",
             ),
-            ({"grid": 5}, "grid"),
-            ({"trails": 5}, "'trails'"),
+            ("coverage", {"grid": 5}, "grid"),
+            ("coverage", {"trails": 5}, "'trails'"),
+            ("coverage", {"grid": {"count": [11]}}, "'count'"),
+            ("coverage", {"score": {"kind": "mean_abs_distance", "params": {}}}, "'params'"),
+            ("diagram", {"extras": {"brute_trials": "x"}}, "brute_trials"),
+            ("diagram", {"extras": {"brute_trials": 1.5}}, "brute_trials"),
+            ("diagram", {"extras": {"brute_grid_limit": -1}}, "brute_grid_limit"),
+            ("diagram", {"extras": {"score_families": ["nope"]}}, "score_families"),
+            ("diagram", {"extras": {"score_families": "mean_abs_distance"}}, "score_families"),
+            ("diagram", {"extras": {"score_families": []}}, "score_families"),
+            ("eposterior", {"extras": {"theta_count": 0}}, "theta_count"),
+            ("eposterior", {"extras": {"y_count": "101"}}, "y_count"),
+            ("eposterior", {"extras": {"y_count": True}}, "y_count"),
         ],
-        ids=["malformed_score_params", "score_params_dimension", "non_object_grid", "unknown_key"],
+        ids=[
+            "malformed_score_params",
+            "score_params_dimension",
+            "non_object_grid",
+            "unknown_key",
+            "unknown_grid_key",
+            "unknown_score_key",
+            "string_brute_trials",
+            "float_brute_trials",
+            "negative_brute_grid_limit",
+            "unknown_score_family",
+            "score_families_not_a_list",
+            "no_score_families",
+            "zero_theta_count",
+            "string_y_count",
+            "bool_y_count",
+        ],
     )
-    def test_malformed_config_exit_two(self, tmp_path, capsys, bad, named):
+    def test_malformed_config_exit_two(self, tmp_path, capsys, experiment, bad, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(bad))
-        code = cli.main(["coverage", "--config", str(cfg_path), "--trials", "3"])
+        code = cli.main([experiment, "--config", str(cfg_path), "--trials", "3"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
@@ -336,8 +381,8 @@ class TestCli:
 _JSON = st.recursive(
     st.none()
     | st.booleans()
-    # Magnitudes stay small: a coverage config builds its grid and tie set,
-    # whose size is the value itself.
+    # Magnitudes stay small: a coverage config builds its grid, whose size
+    # is the value itself.
     | st.integers(-1000, 1000)
     | st.floats()
     | st.text(max_size=6),

@@ -68,16 +68,11 @@ class TestContourConstruction:
 
 class TestCred:
     def grid(self) -> Grid:
-        return Grid(
-            points=((0.0,), (0.5,), (1.0,), (2.0,)),
-            bounds=((0.0, 2.0),),
-            counts=(4,),
-            spacing=(0.5,),
-        )
+        return Grid(axes=((0.0, 0.5, 1.0, 2.0),), bounds=((0.0, 2.0),), spacing=(0.5,))
 
     def test_worked_example_already_consonant(self):
         cs = cred(Sample.of([0, 1]), MeanAbsDistance(), self.grid())
-        assert cs.contour.values == (1.0, 1.0, 1.0, 2.0 / 3.0)
+        assert cs.contour.values.tolist() == [1.0, 1.0, 1.0, 2.0 / 3.0]
 
     def test_constant_sample_vacuous_contour(self):
         grid = make_uniform_grid([(0, 4)], [5])
@@ -280,7 +275,7 @@ class TestFunctorMonotone:
     @settings(max_examples=80, deadline=None)
     def test_randomized_dominated_pairs(self, cs_big, alpha):
         rng = np.random.default_rng(7)
-        vals_big = cs_big.contour.values
+        vals_big = cs_big.contour.values.tolist()
         peak = vals_big.index(1.0)
         shrink = rng.uniform(0, 1, len(vals_big))
         vals_small = [v * s for v, s in zip(vals_big, shrink)]

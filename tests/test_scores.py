@@ -17,6 +17,7 @@ from gridcp.scores import (
     ScoreFn,
     check_permutation_invariance,
     score_from_json,
+    score_from_obj,
     score_mean_abs,
     score_prototype,
 )
@@ -193,6 +194,26 @@ class TestJsonConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             score_from_json('{"kind": "nope", "params": {}}')
+
+    def test_prototype_without_params_is_the_identity_embedding(self):
+        for d in (1, 3):
+            psi = score_from_obj({"kind": "prototype_embedding"}, dim=d)
+            assert psi == PrototypeEmbedding(EmbeddingNet.identity(d))
+
+    @pytest.mark.parametrize(
+        "obj, named",
+        [
+            ({"kind": "mean_abs_distance", "parms": {}}, "'parms'"),
+            ({"kind": ["mean_abs_distance"]}, "unknown score kind"),
+            ({"kind": "prototype_embedding", "params": {"weights": 5, "biases": [1]}}, "malformed"),
+            ({"kind": "neg_predictive_density", "params": {"mean": 0.0}}, "malformed"),
+            ({"kind": "neg_predictive_density", "params": {"mean": 0.0, "sd": -1}}, "malformed"),
+            ([1, 2], "object"),
+        ],
+    )
+    def test_malformed_score_is_a_value_error(self, obj, named):
+        with pytest.raises(ValueError, match=named):
+            score_from_obj(obj)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=7), finite_floats)
