@@ -88,15 +88,20 @@ class ConjugateModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictiveDensity:
-    """A Gaussian posterior predictive, with values cached on a grid."""
+    """A Gaussian posterior predictive fit to `sample`, with its values on the
+    grid cached as the read-only array `evaluated`."""
 
     mean: float
     sd: float
     universe: Grid
-    evaluated: tuple[float, ...]
-    sample: tuple[tuple[float, ...], ...]
+    evaluated: np.ndarray
+    sample: Sample
+
+    def __post_init__(self):
+        object.__setattr__(self, "evaluated", np.asarray(self.evaluated, dtype=float))
+        self.evaluated.flags.writeable = False
 
     def density(self, y):
         return gaussian_pdf(y, self.mean, self.sd)
@@ -112,16 +117,12 @@ def posterior_predictive(
     s2 = m.likelihood_sd**2
     t2 = m.prior_sd**2
     post_var = 1.0 / (1.0 / t2 + n / s2)
-    ssum = math.fsum(p[0] for p in y_n.observations)
+    ssum = math.fsum(y_n.points[:, 0].tolist())
     post_mean = post_var * (m.prior_mean / t2 + ssum / s2)
     pred_sd = math.sqrt(post_var + s2)
     vals = gaussian_pdf(universe.points[:, 0], post_mean, pred_sd)
     return PredictiveDensity(
-        mean=post_mean,
-        sd=pred_sd,
-        universe=universe,
-        evaluated=tuple(vals.tolist()),
-        sample=y_n.observations,
+        mean=post_mean, sd=pred_sd, universe=universe, evaluated=vals, sample=y_n
     )
 
 
@@ -131,13 +132,9 @@ def bcp(y_n: Sample, pd: PredictiveDensity) -> NegPredictiveDensity:
     The sample argument of the resulting score is ignored, so permutation
     invariance holds vacuously (and is still property-tested).
     """
-    if pd.sample != y_n.observations:
+    if not np.array_equal(pd.sample.points, y_n.points):
         raise ValueError("predictive was not built from this sample")
     return NegPredictiveDensity(mean=pd.mean, sd=pd.sd)
-
-
-def _training_densities(y_n: Sample, pd: PredictiveDensity) -> np.ndarray:
-    return pd.density(np.asarray([p[0] for p in y_n.observations]))
 
 
 def quant(alpha: float, y_n: Sample, pd: PredictiveDensity, universe: Grid) -> Region:
@@ -151,7 +148,7 @@ def quant(alpha: float, y_n: Sample, pd: PredictiveDensity, universe: Grid) -> R
         raise TieLevelError(
             f"alpha={alpha} lies on the attainable plausibility set for n={n}"
         )
-    dens = _training_densities(y_n, pd)
+    dens = pd.density(y_n.points[:, 0])
     if len(set(dens.tolist())) != n:
         raise DensityTieError(
             "training points have exactly tied predictive densities; "

@@ -274,55 +274,55 @@ class Region:
         return f"Region({len(self)}/{self.universe.size}: {list(self.indices)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """An ordered tuple of observations from the state space.
+    """An ordered sample: a read-only float64 (n, d) array `points`, one
+    observation per row. An array passed in is frozen in place.
 
     Order is stored, but every score shipped with the package is invariant to
     permuting it; that invariance is property-tested, not assumed.
     """
 
-    observations: tuple[tuple[float, ...], ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        if len(self.observations) < 1:
-            raise ValueError("sample must contain at least one observation")
-        for p in self.observations:
-            for c in p:
-                if not math.isfinite(c):
-                    raise ValueError(f"non-finite observation {p}")
+        points = np.asarray(self.points, dtype=float)
+        if points.ndim != 2 or 0 in points.shape:
+            raise ValueError(f"a sample is a nonempty (n, d) array, got shape {points.shape}")
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite observation {tuple(points[~finite][0].tolist())}")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
     @staticmethod
     def of(values) -> Sample:
-        """Build a sample from scalars (d=1) or point-like iterables."""
-        return Sample(tuple(_as_point(v) for v in values))
+        """Build a sample from scalars (d=1), point-likes or an (n, d) array.
+
+        The values are copied, so the sample never shares a caller's array.
+        """
+        points = np.array(values, dtype=float)
+        return Sample(points.reshape(-1, 1) if points.ndim == 1 else points)
 
     @property
     def n(self) -> int:
-        return len(self.observations)
+        return self.points.shape[0]
 
     @property
     def dim(self) -> int:
-        return len(self.observations[0])
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.observations, dtype=float)
+        return self.points.shape[1]
 
     def append(self, point) -> Sample:
-        return Sample(self.observations + (_as_point(point),))
+        return Sample(np.vstack([self.points, np.reshape(point, (1, -1))]))
 
 
-def drop_index(
-    s: Sample, i: int
-) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+def drop_index(s: Sample, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Remove the i-th observation (1-based), preserving the others' order.
 
-    Returns (remaining observations, held-out point). The remainder is a
-    plain tuple of points rather than a Sample so that dropping from a
-    singleton yields the empty tuple; wrap it in Sample when nonempty.
+    Returns (remaining observations, held-out point): an (n-1, d) array,
+    empty when s is a singleton (wrap it in Sample when nonempty), and a (d,)
+    read-only view of s.points.
     """
     if not 1 <= i <= s.n:
         raise IndexError(f"index {i} out of range 1..{s.n}")
-    held = s.observations[i - 1]
-    rest = s.observations[: i - 1] + s.observations[i:]
-    return rest, held
+    return np.concatenate([s.points[: i - 1], s.points[i:]]), s.points[i - 1]

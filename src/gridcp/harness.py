@@ -107,6 +107,15 @@ _CONFORMAL_EXPERIMENTS = ("coverage",)
 _SCENARIOS = ("iid_gaussian", "iid_uniform", "exchangeable_mixture")
 # Score kinds that coverage and diagram can build without a fitted model.
 _SAMPLE_SCORES = ("mean_abs_distance", "prototype_embedding")
+# The extras keys each experiment reads, with their defaults; no other key is
+# accepted. A missing score_params gives the score kind's default parameters.
+_EXTRAS = {
+    "coverage": {"score_params": None},
+    "diagram": {"score_families": _SAMPLE_SCORES, "brute_trials": 100, "brute_grid_limit": 12},
+    "eposterior": {"theta_count": 101, "y_count": 101},
+}
+# Largest grid a coverage config may ask for: every trial scores every point.
+_MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,6 @@ class ExperimentConfig:
     grid_counts: tuple[int, ...] = (201,)
     score: str = "mean_abs_distance"
     scenario: str = "iid_gaussian"
-    model: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -134,6 +142,7 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
+        _json_object(self.extras, _EXTRAS.get(self.experiment, {}))
         if self.experiment in _CONFORMAL_EXPERIMENTS:
             tg = TieGrid(self.n)
             if self.alpha in tg or not 0.0 <= self.alpha <= 1.0:
@@ -150,11 +159,15 @@ class ExperimentConfig:
                     f"{self.experiment} draws scalar observations; the grid must "
                     f"be 1-D, got {len(self.grid_bounds)} bounds"
                 )
+            if math.prod(self.grid_counts) > _MAX_GRID_POINTS:
+                raise ValueError(
+                    f"grid counts {self.grid_counts} exceed the limit of {_MAX_GRID_POINTS} points"
+                )
             # Build what the run builds, so a bad grid or score is a config error.
             make_uniform_grid(self.grid_bounds, self.grid_counts)
             _score_for(self)
         if self.experiment == "diagram":
-            families = self.extras.get("score_families", _SAMPLE_SCORES)
+            families = _extra(self, "score_families")
             if not (
                 isinstance(families, (list, tuple))
                 and families
@@ -193,14 +206,11 @@ class ExperimentConfig:
             ),
             score=_field(obj, "score", _score_kind, "mean_abs_distance"),
             scenario=obj.get("scenario", "iid_gaussian"),
-            model=_field(obj, "model", _json_object, {}),
             extras=_field(obj, "extras", _json_object, {}),
         )
 
 
-_CONFIG_KEYS = (
-    "experiment", "seed", "trials", "alpha", "n", "grid", "score", "scenario", "model", "extras"
-)
+_CONFIG_KEYS = ("experiment", "seed", "trials", "alpha", "n", "grid", "score", "scenario", "extras")
 
 
 def _field(obj: dict, key: str, convert: Callable, default, prefix: str = ""):
@@ -224,6 +234,11 @@ def _json_object(value, keys: Sequence[str] | None = None) -> dict:
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}; allowed keys: {tuple(keys)}")
     return value
+
+
+def _extra(cfg: ExperimentConfig, key: str):
+    """cfg.extras[key], or its default from _EXTRAS."""
+    return cfg.extras.get(key, _EXTRAS[cfg.experiment][key])
 
 
 def _check_count(extras: dict, key: str, minimum: int) -> None:
@@ -274,7 +289,7 @@ def _score_for(cfg: ExperimentConfig) -> ScoreFn:
         raise ValueError(f"unsupported score kind {cfg.score!r} for this experiment")
     dim = len(cfg.grid_bounds)
     try:
-        psi = score_from_obj({"kind": cfg.score, "params": cfg.extras.get("score_params")}, dim)
+        psi = score_from_obj({"kind": cfg.score, "params": _extra(cfg, "score_params")}, dim)
     except ValueError as exc:
         raise ValueError(f"extras.score_params: {exc}") from None
     if isinstance(psi, PrototypeEmbedding) and psi.net.in_dim != dim:
@@ -298,7 +313,7 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
         rng = _trial_rng(cfg.seed, t)
         raw = _draw_scenario(rng, cfg.scenario, cfg.n + 1)
         idxs = [universe.nearest_index(v) for v in raw]
-        y_n = Sample.of(universe.points[idxs[: cfg.n]].tolist())
+        y_n = Sample(universe.points[idxs[: cfg.n]])
         region = kappa(cfg.alpha, y_n, psi, universe)
         return idxs[cfg.n] in region
 
@@ -360,7 +375,7 @@ def _consonant_instance(
         half_width = float(rng.uniform(1.0, 4.0))
         universe = make_uniform_grid([(-half_width, half_width)], [size])
         n = int(rng.integers(3, 9))
-        y_n = Sample.of(universe.points[rng.integers(0, size, n)].tolist())
+        y_n = Sample(universe.points[rng.integers(0, size, n)])
         if score_kind == "mean_abs_distance":
             psi: ScoreFn = MeanAbsDistance()
         elif score_kind == "prototype_embedding":
@@ -380,9 +395,9 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
     (ihdr_contour after cred), as exact bitsets; on grids small enough to
     enumerate, the brute-force intersection route is compared as well.
     """
-    families = cfg.extras.get("score_families", _SAMPLE_SCORES)
-    brute_trials = cfg.extras.get("brute_trials", 100)
-    brute_limit = cfg.extras.get("brute_grid_limit", 12)
+    families = _extra(cfg, "score_families")
+    brute_trials = _extra(cfg, "brute_trials")
+    brute_limit = _extra(cfg, "brute_grid_limit")
     results = []
     for fam_idx, family in enumerate(families):
 
@@ -454,7 +469,7 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
                 prior_sd=float(np.exp(rng.uniform(-0.5, 1.0))),
             )
             data = model.prior_mean + rng.standard_normal(n) * 1.5
-            y_n = Sample.of(data.tolist())
+            y_n = Sample.of(data)
             count = int(rng.integers(101, 202))
             probe = bayes.posterior_predictive(
                 model, y_n, make_uniform_grid([(-1.0, 1.0)], [3])
@@ -467,8 +482,7 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
             if len(set(dens.tolist())) != n:
                 tie_rejections += 1
                 continue
-            grid_max = max(pd.evaluated)
-            if grid_max < float(np.max(dens)):
+            if pd.evaluated.max() < dens.max():
                 consonance_rejections += 1
                 continue
             alpha = _sample_alpha(rng, TieGrid(n).levels)
@@ -541,7 +555,7 @@ def run_category_axioms(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _eposterior_families(theta_count: int = 101, y_count: int = 101):
+def _eposterior_families(theta_count: int, y_count: int):
     """Two constructed prior families: one satisfying the betting-score
     condition with slack, one violating it at a single parameter value."""
     theta_grid = bayes.midpoint_grid(0.0, 1.0, theta_count)
@@ -581,9 +595,9 @@ def _eposterior_families(theta_count: int = 101, y_count: int = 101):
 
 def run_eposterior(cfg: ExperimentConfig) -> dict:
     """Both directions of the betting-score equivalence, with witnesses."""
-    theta_count = cfg.extras.get("theta_count", 101)
-    y_count = cfg.extras.get("y_count", 101)
-    conforming, violating, dip = _eposterior_families(theta_count, y_count)
+    conforming, violating, dip = _eposterior_families(
+        _extra(cfg, "theta_count"), _extra(cfg, "y_count")
+    )
     records = []
     for name, cp in (("conforming", conforming), ("violating", violating)):
         condition, max_exp = bayes.check_eposterior(cp)

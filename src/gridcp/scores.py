@@ -23,11 +23,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Sample
+from .grid import Sample, drop_index
 
 __all__ = [
     "ScoreFn",
@@ -60,14 +60,34 @@ def _fsum_mean(points: np.ndarray) -> np.ndarray:
 
 
 def _partial_sums(points: np.ndarray) -> np.ndarray:
-    """Row i = exactly rounded componentwise sum of all rows except i."""
+    """Row i = exactly rounded componentwise sum of all rows except i.
+
+    fsum over a column with -x_i appended is the correctly rounded value of
+    the same exact sum as fsum over the column without x_i.
+    """
+    columns = points.T.tolist()
+    return np.array([[math.fsum(col + [-col[i]]) for col in columns] for i in range(len(points))])
+
+
+def _loo_table(points: np.ndarray, candidates, dist: Callable, embed: Callable = np.asarray):
+    """Leave-one-out table of a score dist(prototype - embedding).
+
+    The prototype is the mean embedding of the other n points: for column
+    i < n, the training points without i plus the candidate; for column n,
+    the n training points. `dist` maps an array of differences (..., m) to
+    scores (...). Means use per-index partial sums via exactly rounded
+    summation, rather than total-minus-point: the latter's rounding can break
+    score ties that hold in exact arithmetic (e.g. n = 1, where the held-out
+    point's score must tie the candidate's at every candidate).
+    """
     n, d = points.shape
-    out = np.empty((n, d))
-    for i in range(n):
-        rest = np.delete(points, i, axis=0)
-        for k in range(d):
-            out[i, k] = math.fsum(rest[:, k]) if n > 1 else 0.0
-    return out
+    train = embed(points)  # (n, m)
+    cand = embed(np.asarray(candidates, dtype=float).reshape(-1, d))  # (G, m)
+    # columns 0..n-1: held-out training point i against the other n points
+    t_train = dist((_partial_sums(train)[None, :, :] + cand[:, None, :]) / n - train[None, :, :])
+    # column n: the candidate against the training sample
+    t_cand = dist(_fsum_mean(train) - cand)
+    return np.concatenate([t_train, t_cand[:, None]], axis=1)
 
 
 class ScoreFn:
@@ -90,16 +110,13 @@ class ScoreFn:
         the remaining n elements. Default implementation loops over
         `evaluate`; subclasses provide vectorized versions.
         """
-        pts = list(y_n.observations)
-        G = candidates.shape[0]
-        n = y_n.n
-        out = np.empty((G, n + 1))
-        for g in range(G):
-            cand = tuple(float(v) for v in np.atleast_1d(candidates[g]))
-            full = pts + [cand]
-            for i in range(n + 1):
-                rest = Sample(tuple(full[:i] + full[i + 1 :]))
-                out[g, i] = self.evaluate(rest, full[i])
+        cand = np.asarray(candidates, dtype=float).reshape(-1, y_n.dim)
+        out = np.empty((len(cand), y_n.n + 1))
+        for g, c in enumerate(cand):
+            full = y_n.append(c)
+            for i in range(y_n.n + 1):
+                rest, held = drop_index(full, i + 1)
+                out[g, i] = self.evaluate(Sample(rest), held)
         return out
 
     def to_json(self) -> str:
@@ -116,23 +133,7 @@ class MeanAbsDistance(ScoreFn):
         return score_mean_abs(sample, y)
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
-        pts = y_n.as_array()  # (n, d)
-        cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-        if cand.shape[1] != pts.shape[1]:
-            cand = cand.reshape(-1, pts.shape[1])
-        n, d = pts.shape
-        # Per-index partial sums via exactly rounded summation, rather than
-        # total-minus-point: the latter's rounding can break score ties that
-        # hold in exact arithmetic (e.g. n = 1, where the held-out point's
-        # score must tie the candidate's at every candidate).
-        partial = _partial_sums(pts)  # (n, d), row i = sum over pts without i
-        base_sum = np.array([math.fsum(pts[:, k]) for k in range(d)])  # (d,)
-        # columns 0..n-1: held-out training point i against the other n points
-        mean_wo_i = (partial[None, :, :] + cand[:, None, :]) / n  # (G, n, d)
-        t_train = np.linalg.norm(mean_wo_i - pts[None, :, :], axis=2)  # (G, n)
-        # column n: the candidate against the training sample
-        t_cand = np.linalg.norm(base_sum[None, :] / n - cand, axis=1)  # (G,)
-        return np.concatenate([t_train, t_cand[:, None]], axis=1)
+        return _loo_table(y_n.points, candidates, lambda v: np.linalg.norm(v, axis=-1))
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, "params": {}}, sort_keys=True)
@@ -207,24 +208,9 @@ class PrototypeEmbedding(ScoreFn):
         return score_prototype(sample, y, self.net)
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
-        pts = y_n.as_array()
-        cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-        if cand.shape[1] != pts.shape[1]:
-            cand = cand.reshape(-1, pts.shape[1])
-        n = pts.shape[0]
-        emb_train = self.net.apply(pts)  # (n, m)
-        emb_cand = self.net.apply(cand)  # (G, m)
-        m = emb_train.shape[1]
-        # Same tie-preservation concern as the mean-distance kernel: build
-        # per-index partial sums instead of subtracting from the total.
-        partial = _partial_sums(emb_train)  # (n, m)
-        base_sum = np.array([math.fsum(emb_train[:, k]) for k in range(m)])
-        proto_wo_i = (partial[None, :, :] + emb_cand[:, None, :]) / n  # (G, n, m)
-        diff = emb_train[None, :, :] - proto_wo_i
-        t_train = -np.sum(diff * diff, axis=2)
-        dcand = emb_cand - base_sum[None, :] / n
-        t_cand = -np.sum(dcand * dcand, axis=1)
-        return np.concatenate([t_train, t_cand[:, None]], axis=1)
+        return _loo_table(
+            y_n.points, candidates, lambda v: -np.sum(v * v, axis=-1), self.net.apply
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -264,7 +250,7 @@ class NegPredictiveDensity(ScoreFn):
         return -float(self.density(val))
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
-        pts = y_n.as_array()[:, 0]
+        pts = y_n.points[:, 0]
         cand = np.asarray(candidates, dtype=float).reshape(-1)
         t_train = -self.density(pts)  # constant across candidates
         t_cand = -self.density(cand)
@@ -283,7 +269,7 @@ class NegPredictiveDensity(ScoreFn):
 
 def score_mean_abs(y_n: Sample, y) -> float:
     """|mean(y_n) - y|; Euclidean norm componentwise for d > 1."""
-    pts = y_n.as_array()
+    pts = y_n.points
     mean = _fsum_mean(pts)
     yy = np.atleast_1d(np.asarray(y, dtype=float))
     if yy.shape[0] != pts.shape[1]:
@@ -298,7 +284,7 @@ def score_prototype(y_n: Sample, y, net: EmbeddingNet) -> float:
     Note the sign: the value is <= 0 and *larger* (closer to 0) means more
     conforming, the reverse of the other families.
     """
-    pts = y_n.as_array()
+    pts = y_n.points
     if pts.shape[1] != net.in_dim:
         raise ValueError(
             f"dimension mismatch: sample d={pts.shape[1]}, net expects {net.in_dim}"
@@ -318,11 +304,8 @@ def check_permutation_invariance(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     ref = psi.evaluate(y_n, y)
-    obs = list(y_n.observations)
     for _ in range(trials):
-        perm = rng.permutation(len(obs))
-        shuffled = Sample(tuple(obs[int(i)] for i in perm))
-        if psi.evaluate(shuffled, y) != ref:
+        if psi.evaluate(Sample(y_n.points[rng.permutation(y_n.n)]), y) != ref:
             return False
     return True
 

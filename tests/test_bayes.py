@@ -94,6 +94,18 @@ class TestBcp:
         with pytest.raises(ValueError, match="not built from"):
             bcp(Sample.of([9.9]), self.pd)
 
+    def test_guard_compares_the_arrays(self):
+        assert self.pd.sample is self.s
+        bcp(Sample.of([0.5, -0.3, 1.2]), self.pd)  # equal points, another object
+        for other in ([0.5, -0.3], [0.5, -0.3, 1.2, 0.0], [1.2, -0.3, 0.5]):
+            with pytest.raises(ValueError, match="not built from"):
+                bcp(Sample.of(other), self.pd)
+
+    def test_cached_values_are_read_only(self):
+        assert self.pd.evaluated.shape == (self.grid.size,)
+        with pytest.raises(ValueError):
+            self.pd.evaluated[0] = 0.0
+
     def test_permutation_invariance_vacuous_but_tested(self):
         psi = bcp(self.s, self.pd)
         assert check_permutation_invariance(psi, self.s, 0.7, trials=10)

@@ -5,17 +5,23 @@ seed 7 with the trial counts in TRIALS. They were recorded before `Grid` was
 redefined by its axes and before `Transducer.nums` and
 `PossibilityContour.values` became arrays. A change that moves one of them
 changes what `ck` writes; re-record only for a change that means to.
+
+TRANSDUCER_2D_DIGESTS pin the leave-one-out kernels off the 1-D path: the
+sha256 of `transducer(...).nums.tobytes()` on a 41x41 grid at n = 20, for the
+mean distance and for a seeded 2-layer embedding into R^3. They were recorded
+before `Sample` became an array and the two kernels were merged.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from gridcp.fullcp import transducer
 from gridcp.grid import Grid, Sample, make_uniform_grid
 from gridcp.harness import ExperimentConfig, emit, run_experiment
 from gridcp.imprecise import cred
-from gridcp.scores import MeanAbsDistance
+from gridcp.scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding
 
 TRIALS = {
     "coverage": 100,
@@ -106,3 +112,24 @@ def test_two_dimensional_csv_text():
     grid = make_uniform_grid([(-1, 2), (0, 1)], [4, 3])
     sample = Sample.of([(0.0, 0.5), (1.0, 1.0), (2.0, 0.0)])
     assert transducer(sample, MeanAbsDistance(), grid).to_csv() == TRANSDUCER_2D_CSV
+
+
+TRANSDUCER_2D_DIGESTS = {
+    "mean_abs_distance": "a1a3c9bee595a9160699da6456a5fb14293b5b844b5b747b18fe864be4052d66",
+    "prototype_embedding": "1fc8b920b0c363a6f8c5d95933e9ed80df442df11b2dfab3a544d3c73b65d043",
+}
+
+
+def test_two_dimensional_transducer_digests():
+    rng = np.random.default_rng(7)
+    grid = make_uniform_grid([(-3.0, 3.0), (-2.0, 2.0)], [41, 41])
+    sample = Sample.of(rng.uniform(-2.0, 2.0, (20, 2)).tolist())
+    net = EmbeddingNet.from_weights(
+        [rng.standard_normal((4, 2)), rng.standard_normal((3, 4))],
+        [rng.standard_normal(4) * 0.5, rng.standard_normal(3) * 0.5],
+    )
+    for psi in (MeanAbsDistance(), PrototypeEmbedding(net)):
+        nums = transducer(sample, psi, grid).nums
+        assert nums.dtype == np.int64
+        digest = hashlib.sha256(nums.tobytes()).hexdigest()
+        assert digest == TRANSDUCER_2D_DIGESTS[psi.kind], f"{psi.kind} transducer changed"

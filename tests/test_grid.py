@@ -190,18 +190,18 @@ def test_nearest_index_is_the_brute_force_argmin(dims, data):
 class TestDropIndex:
     def test_middle_removal(self):
         rest, held = drop_index(Sample.of([0, 1, 2]), 2)
-        assert rest == ((0.0,), (2.0,))
-        assert held == (1.0,)
+        assert rest.tolist() == [[0.0], [2.0]]
+        assert held.tolist() == [1.0]
 
     def test_single_element(self):
         rest, held = drop_index(Sample.of([5]), 1)
-        assert rest == ()
-        assert held == (5.0,)
+        assert rest.shape == (0, 1)
+        assert held.tolist() == [5.0]
 
     def test_last_removal(self):
         rest, held = drop_index(Sample.of([0, 1, 0.5]), 3)
-        assert rest == ((0.0,), (1.0,))
-        assert held == (0.5,)
+        assert rest.tolist() == [[0.0], [1.0]]
+        assert held.tolist() == [0.5]
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
@@ -218,8 +218,8 @@ class TestDropIndex:
             i = len(values)
         s = Sample.of(values)
         rest, held = drop_index(s, i)
-        rebuilt = rest[: i - 1] + (held,) + rest[i - 1 :]
-        assert rebuilt == s.observations
+        rebuilt = np.concatenate([rest[: i - 1], [held], rest[i - 1 :]])
+        assert rebuilt.tobytes() == s.points.tobytes()
 
 
 class TestRegionOps:
@@ -305,12 +305,44 @@ class TestSample:
             Sample(())
 
     def test_of_scalars_and_points(self):
-        assert Sample.of([1, 2]).observations == ((1.0,), (2.0,))
+        assert Sample.of([1, 2]).points.tolist() == [[1.0], [2.0]]
         assert Sample.of([(1, 2)]).dim == 2
 
     def test_append(self):
         s = Sample.of([1]).append(2)
         assert s.n == 2
+        assert Sample.of([(1, 2)]).append((3, 4)).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError):
+            Sample.of([(1, 2)]).append(3)
+
+    def test_points_are_a_read_only_array(self):
+        s = Sample.of([(0, 1), (2, 3), (4, 5)])
+        assert s.points.dtype == np.float64
+        assert (s.n, s.dim) == (3, 2)
+        with pytest.raises(ValueError):
+            s.points[0, 0] = 9.0
+
+    def test_array_is_frozen_in_place_and_of_copies(self):
+        arr = np.array([[0.0], [1.0]])
+        assert Sample(arr).points is arr
+        assert not arr.flags.writeable
+        mine = np.array([0.0, 1.0])
+        Sample.of(mine)
+        assert mine.flags.writeable
+
+    def test_non_finite_message_names_the_observation(self):
+        with pytest.raises(ValueError, match=r"non-finite observation \(1.0, nan\)"):
+            Sample.of([(0, 0), (1, float("nan"))])
+
+    def test_rejects_malformed_shapes(self):
+        for bad in (np.zeros(3), np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError):
+                Sample(bad)
+
+    def test_compares_by_identity(self):
+        s = Sample.of([1, 2])
+        assert s == s
+        assert s != Sample.of([1, 2])
 
 
 def test_grid_immutability_hashable():

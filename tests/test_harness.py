@@ -68,6 +68,16 @@ class TestConfig:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_huge_grid_is_refused_without_building_it(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit"):
+                ExperimentConfig(experiment="coverage", grid_counts=(10**9,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_from_json_obj(self):
         cfg = ExperimentConfig.from_json_obj(
             {
@@ -325,6 +335,10 @@ class TestCli:
             ("eposterior", {"extras": {"theta_count": 0}}, "theta_count"),
             ("eposterior", {"extras": {"y_count": "101"}}, "y_count"),
             ("eposterior", {"extras": {"y_count": True}}, "y_count"),
+            ("diagram", {"extras": {"brute_trial": 5}}, "'brute_trial'"),
+            ("bayes_triangle", {"extras": {"score_params": {}}}, "'score_params'"),
+            ("coverage", {"model": {}}, "'model'"),
+            ("coverage", {"grid": {"counts": [10**9]}}, "limit"),
         ],
         ids=[
             "malformed_score_params",
@@ -342,6 +356,10 @@ class TestCli:
             "zero_theta_count",
             "string_y_count",
             "bool_y_count",
+            "unknown_extras_key",
+            "extras_key_of_another_experiment",
+            "removed_model_key",
+            "oversized_grid",
         ],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, experiment, bad, named):

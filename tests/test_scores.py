@@ -20,6 +20,7 @@ from gridcp.scores import (
     score_from_obj,
     score_mean_abs,
     score_prototype,
+    _partial_sums,
 )
 
 finite_floats = st.floats(-50, 50)
@@ -31,7 +32,7 @@ class FirstElementScore(ScoreFn):
     kind = "first_element"
 
     def evaluate(self, sample: Sample, y) -> float:
-        return abs(sample.observations[0][0] - float(np.atleast_1d(y)[0]))
+        return abs(sample.points[0, 0] - float(np.atleast_1d(y)[0]))
 
 
 class TestMeanAbs:
@@ -155,6 +156,54 @@ class TestVectorizedKernelAgreesWithEvaluate:
         fast = psi.loo_matrix(y_n, candidates)
         slow = ScoreFn.loo_matrix(psi, y_n, candidates)
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agreement_in_two_dimensions(self, seed):
+        # d = 2 and an embedding into R^3 (m != d) through a hidden layer.
+        rng = np.random.default_rng(seed)
+        y_n = Sample(rng.uniform(-2, 2, (6, 2)))
+        candidates = rng.uniform(-2, 2, (9, 2))
+        net = EmbeddingNet.from_weights(
+            [rng.standard_normal((4, 2)), rng.standard_normal((3, 4))],
+            [rng.standard_normal(4), rng.standard_normal(3)],
+        )
+        for psi in (MeanAbsDistance(), PrototypeEmbedding(net)):
+            fast = psi.loo_matrix(y_n, candidates)
+            slow = ScoreFn.loo_matrix(psi, y_n, candidates)
+            assert fast.shape == (9, 7)
+            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+
+
+def _partial_sums_by_deletion(points: np.ndarray) -> np.ndarray:
+    """The definition: row i is fsum over each column with row i deleted."""
+    n, d = points.shape
+    out = np.empty((n, d))
+    for i in range(n):
+        rest = np.delete(points, i, axis=0)
+        for k in range(d):
+            out[i, k] = math.fsum(rest[:, k]) if n > 1 else 0.0
+    return out
+
+
+_mixed_floats = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-10, 10).map(lambda v: round(v, 1)),
+    st.sampled_from([0.1, -0.1, 0.2, -0.3, 1e16, -1e16, 1.0, -1.0, 0.0, -0.0]),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(_mixed_floats, min_size=d, max_size=d), min_size=1, max_size=40
+        )
+    )
+)
+def test_partial_sums_match_deletion_byte_for_byte(rows):
+    points = np.array(rows, dtype=float)
+    assert _partial_sums(points).tobytes() == _partial_sums_by_deletion(points).tobytes()
 
 
 class TestEmbeddingNet:
