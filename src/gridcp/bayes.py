@@ -6,7 +6,7 @@ predictive density as a nonconformity score ties the Bayesian construction
 to the ranking machinery in `fullcp`: the alpha-level set of the predictive
 density, cut at an order-statistic threshold derived from the training
 points' own densities, must coincide exactly with the ranking region and
-with the contour route through `imprecise`. `check_bayes_triangle` verifies
+with the contour route through `imprecise`. `bayes_triangle_detail` verifies
 that three-way identity as exact bitset equality.
 
 The threshold: with q = ceil((n+1) * alpha) (alpha off the attainable set),
@@ -50,11 +50,12 @@ __all__ = [
     "PredictiveDensity",
     "CredalPrior",
     "DensityTieError",
+    "posterior_params",
     "posterior_predictive",
     "bcp",
     "quant",
     "quant_cdf_diagnostic",
-    "check_bayes_triangle",
+    "bayes_triangle_detail",
     "upper_posterior",
     "check_eposterior",
     "midpoint_grid",
@@ -79,14 +80,6 @@ class ConjugateModel:
         if self.prior_sd <= 0:
             raise ValueError("prior_sd must be positive")
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> ConjugateModel:
-        return ConjugateModel(
-            likelihood_sd=float(obj["likelihood_sd"]),
-            prior_mean=float(obj["prior_mean"]),
-            prior_sd=float(obj["prior_sd"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PredictiveDensity:
@@ -107,23 +100,28 @@ class PredictiveDensity:
         return gaussian_pdf(y, self.mean, self.sd)
 
 
+def posterior_params(m: ConjugateModel, y_n: Sample) -> tuple[float, float]:
+    """Mean and sd of the posterior predictive: the exact conjugate update,
+    whose predictive variance adds the noise variance."""
+    if y_n.dim != 1:
+        raise ValueError("conjugate model is univariate")
+    s2 = m.likelihood_sd**2
+    t2 = m.prior_sd**2
+    post_var = 1.0 / (1.0 / t2 + y_n.n / s2)
+    ssum = math.fsum(y_n.points[:, 0].tolist())
+    post_mean = post_var * (m.prior_mean / t2 + ssum / s2)
+    return post_mean, math.sqrt(post_var + s2)
+
+
 def posterior_predictive(
     m: ConjugateModel, y_n: Sample, universe: Grid
 ) -> PredictiveDensity:
-    """Exact conjugate update; predictive variance adds the noise variance."""
-    if y_n.dim != 1 or universe.dim != 1:
+    """The posterior predictive of `posterior_params`, evaluated on the grid."""
+    if universe.dim != 1:
         raise ValueError("conjugate model is univariate")
-    n = y_n.n
-    s2 = m.likelihood_sd**2
-    t2 = m.prior_sd**2
-    post_var = 1.0 / (1.0 / t2 + n / s2)
-    ssum = math.fsum(y_n.points[:, 0].tolist())
-    post_mean = post_var * (m.prior_mean / t2 + ssum / s2)
-    pred_sd = math.sqrt(post_var + s2)
-    vals = gaussian_pdf(universe.points[:, 0], post_mean, pred_sd)
-    return PredictiveDensity(
-        mean=post_mean, sd=pred_sd, universe=universe, evaluated=vals, sample=y_n
-    )
+    mean, sd = posterior_params(m, y_n)
+    vals = gaussian_pdf(universe.points[:, 0], mean, sd)
+    return PredictiveDensity(mean=mean, sd=sd, universe=universe, evaluated=vals, sample=y_n)
 
 
 def bcp(y_n: Sample, pd: PredictiveDensity) -> NegPredictiveDensity:
@@ -184,18 +182,12 @@ def quant_cdf_diagnostic(
     return region, len(region.difference(exact)) + len(exact.difference(region))
 
 
-def check_bayes_triangle(
-    alpha: float, m: ConjugateModel, y_n: Sample, universe: Grid
-) -> bool:
-    """Exact three-way set identity: level set == ranking region == contour region."""
-    ok, _detail = bayes_triangle_detail(alpha, m, y_n, universe)
-    return ok
-
-
 def bayes_triangle_detail(
     alpha: float, m: ConjugateModel, y_n: Sample, universe: Grid
 ) -> tuple[bool, dict]:
-    """Triangle check with the three regions and consonance surfaced."""
+    """Exact three-way set identity: level set == ranking region == contour
+    region. Returns the verdict and the three regions' indices, with the
+    transducer's consonance."""
     from .fullcp import kappa, transducer
     from .imprecise import cred, ihdr_contour
 
@@ -229,40 +221,49 @@ def midpoint_grid(lo: float, hi: float, count: int) -> Grid:
     return Grid(axes=(axis,), bounds=((lo, hi),), spacing=(width,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CredalPrior:
     """Lower/upper prior density envelopes on a parameter grid, plus the
     likelihood table lik[i, j] = density of data configuration y_j given
-    parameter theta_i. The y-grid supplies the data-side quadrature."""
+    parameter theta_i. The y-grid supplies the data-side quadrature.
+
+    The envelopes and the table are stored as read-only float arrays; an
+    array passed in is frozen in place.
+    """
 
     theta_grid: Grid
     y_grid: Grid
-    lower_density: tuple[float, ...]
-    upper_density: tuple[float, ...]
-    likelihood_table: tuple[tuple[float, ...], ...]
+    lower_density: np.ndarray
+    upper_density: np.ndarray
+    likelihood_table: np.ndarray
 
     def __post_init__(self):
         nt = self.theta_grid.size
-        ny = self.y_grid.size
-        if len(self.lower_density) != nt or len(self.upper_density) != nt:
+        low = np.asarray(self.lower_density, dtype=float)
+        up = np.asarray(self.upper_density, dtype=float)
+        if low.shape != (nt,) or up.shape != (nt,):
             raise ValueError("densities must match the parameter grid")
-        if len(self.likelihood_table) != nt or any(
-            len(row) != ny for row in self.likelihood_table
-        ):
+        try:
+            lik = np.asarray(self.likelihood_table, dtype=float)
+        except ValueError:  # ragged rows
+            lik = None
+        if lik is None or lik.shape != (nt, self.y_grid.size):
             raise ValueError("likelihood table must be (n_theta, n_y)")
-        for lo, hi in zip(self.lower_density, self.upper_density):
-            if lo < 0 or hi < 0:
-                raise ValueError("densities must be nonnegative")
-            if lo > hi:
-                raise ValueError("lower envelope exceeds upper envelope")
-        dtheta = self.theta_grid.spacing[0]
-        low_int = math.fsum(self.lower_density) * dtheta
-        up_int = math.fsum(self.upper_density) * dtheta
+        if (low < 0).any() or (up < 0).any():
+            raise ValueError("densities must be nonnegative")
+        if (low > up).any():
+            raise ValueError("lower envelope exceeds upper envelope")
+        low_int = math.fsum(low.tolist()) * self.dtheta
+        up_int = math.fsum(up.tolist()) * self.dtheta
         if low_int > 1.0 + 1e-9 or up_int < 1.0 - 1e-9:
             raise ValueError(
                 f"envelope inconsistency: integral(lower)={low_int} must be <= 1 "
                 f"<= integral(upper)={up_int}"
             )
+        fields = {"lower_density": low, "upper_density": up, "likelihood_table": lik}
+        for name, arr in fields.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dtheta(self) -> float:
@@ -272,28 +273,10 @@ class CredalPrior:
     def dy(self) -> float:
         return self.y_grid.spacing[0]
 
-    def lik(self) -> np.ndarray:
-        return np.asarray(self.likelihood_table, dtype=float)
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> CredalPrior:
-        tg = obj["theta_grid"]
-        yg = obj["y_grid"]
-        return CredalPrior(
-            theta_grid=midpoint_grid(tg["lo"], tg["hi"], int(tg["count"])),
-            y_grid=midpoint_grid(yg["lo"], yg["hi"], int(yg["count"])),
-            lower_density=tuple(float(v) for v in obj["lower_density"]),
-            upper_density=tuple(float(v) for v in obj["upper_density"]),
-            likelihood_table=tuple(
-                tuple(float(v) for v in row) for row in obj["likelihood_table"]
-            ),
-        )
-
 
 def lower_marginal(cp: CredalPrior) -> np.ndarray:
     """Marginal likelihood of each data configuration under the lower envelope."""
-    low = np.asarray(cp.lower_density, dtype=float)
-    return cp.lik().T @ low * cp.dtheta  # (n_y,)
+    return cp.likelihood_table.T @ cp.lower_density * cp.dtheta  # (n_y,)
 
 
 def upper_posterior(cp: CredalPrior, y_index: int) -> np.ndarray:
@@ -309,8 +292,7 @@ def upper_posterior(cp: CredalPrior, y_index: int) -> np.ndarray:
         raise ValueError(
             "lower-envelope marginal likelihood is zero for this data row"
         )
-    up = np.asarray(cp.upper_density, dtype=float)
-    return cp.lik()[:, y_index] * up / marg
+    return cp.likelihood_table[:, y_index] * cp.upper_density / marg
 
 
 def _expectations_of_inverse_posterior(cp: CredalPrior) -> np.ndarray:
@@ -318,31 +300,27 @@ def _expectations_of_inverse_posterior(cp: CredalPrior) -> np.ndarray:
 
     Computed directly as a quadrature over the data grid -- no symbolic
     cancellation -- so it is an independent witness for the betting-score
-    condition. Zero-likelihood terms contribute zero; a vanishing posterior
-    against positive likelihood yields +inf.
+    condition. Zero-likelihood terms are skipped. A row stops at its first
+    other term whose lower marginal vanishes (an error) or whose posterior
+    vanishes (+inf); otherwise its terms are summed left to right.
     """
-    lik = cp.lik()
-    up = np.asarray(cp.upper_density, dtype=float)
+    lik = cp.likelihood_table
     marg = lower_marginal(cp)
-    nt = cp.theta_grid.size
-    out = np.empty(nt)
-    for i in range(nt):
-        total = 0.0
-        for j in range(cp.y_grid.size):
-            lj = lik[i, j]
-            if lj == 0.0:
-                continue
-            if marg[j] <= 0.0:
-                raise ValueError(
-                    "lower-envelope marginal likelihood vanishes on reachable "
-                    "data; the inverse-posterior expectation is undefined"
-                )
-            post = lj * up[i] / marg[j]
-            if post <= 0.0:
-                total = math.inf
-                break
-            total += lj * cp.dy / post
-        out[i] = total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        post = lik * cp.upper_density[:, None] / marg
+        terms = lik * cp.dy / post
+    reachable = lik != 0.0
+    undefined = reachable & (marg <= 0.0)
+    infinite = reachable & ~undefined & (post <= 0.0)
+    stops = undefined | infinite
+    first = np.argmax(stops, axis=1)
+    if undefined[np.arange(len(lik)), first].any():
+        raise ValueError(
+            "lower-envelope marginal likelihood vanishes on reachable "
+            "data; the inverse-posterior expectation is undefined"
+        )
+    out = np.cumsum(np.where(reachable & ~stops, terms, 0.0), axis=1)[:, -1]
+    out[stops.any(axis=1)] = math.inf
     return out
 
 
@@ -357,15 +335,14 @@ def check_eposterior(cp: CredalPrior) -> tuple[bool, float]:
     Precondition: every likelihood row is a proper density over the data
     grid (row sum times dy within 1e-6 of 1).
     """
-    lik = cp.lik()
-    row_sums = lik.sum(axis=1) * cp.dy
+    row_sums = cp.likelihood_table.sum(axis=1) * cp.dy
     bad = np.abs(row_sums - 1.0) > 1e-6
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(
             f"likelihood row {i} is not a proper density (sum*dy={row_sums[i]})"
         )
-    low_int = math.fsum(cp.lower_density) * cp.dtheta
-    condition = all(low_int <= u for u in cp.upper_density)
+    low_int = math.fsum(cp.lower_density.tolist()) * cp.dtheta
+    condition = bool((low_int <= cp.upper_density).all())
     expectations = _expectations_of_inverse_posterior(cp)
     return condition, float(np.max(expectations))

@@ -10,7 +10,6 @@ counterexample or failed check was recorded, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -43,15 +42,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ValueError(f"a config must be a JSON object, not {type(obj).__name__}")
     obj["experiment"] = args.experiment
-    cfg = ExperimentConfig.from_json_obj(obj)
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        obj["seed"] = args.seed
     if args.trials is not None:
-        overrides["trials"] = args.trials
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+        obj["trials"] = args.trials
+    return ExperimentConfig.from_json_obj(obj)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,19 +163,6 @@ class Grid:
             w.writerow([i, *point, *values])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"bounds": [list(b) for b in self.bounds], "counts": list(self.counts)},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> Grid:
-        obj = json.loads(text)
-        return make_uniform_grid(
-            [tuple(b) for b in obj["bounds"]], [int(c) for c in obj["counts"]]
-        )
-
 
 def make_uniform_grid(
     bounds: Sequence[tuple[float, float]], counts: Sequence[int]
@@ -256,19 +242,16 @@ class Region:
         return int(self.bits).bit_count()
 
     @property
-    def indices(self) -> tuple[int, ...]:
+    def mask(self) -> np.ndarray:
+        """Boolean array over grid indices, true on the region: the inverse of
+        `from_mask`."""
         size = self.universe.size
         packed = np.frombuffer(self.bits.to_bytes((size + 7) // 8, "little"), np.uint8)
-        mask = np.unpackbits(packed, count=size, bitorder="little")
-        return tuple(np.flatnonzero(mask).tolist())
+        return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
-    def to_json(self) -> str:
-        """Serialize as a sorted index array."""
-        return json.dumps(list(self.indices))
-
-    @staticmethod
-    def from_json(universe: Grid, text: str) -> Region:
-        return universe.region(json.loads(text))
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.mask).tolist())
 
     def __repr__(self) -> str:
         return f"Region({len(self)}/{self.universe.size}: {list(self.indices)})"

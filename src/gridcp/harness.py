@@ -13,11 +13,12 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import bayes, catlaws
+from . import bayes, catlaws, scores
 from .fullcp import TieGrid, kappa, transducer
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
@@ -105,13 +106,11 @@ _EXPERIMENT_NAMES = (
 
 _CONFORMAL_EXPERIMENTS = ("coverage",)
 _SCENARIOS = ("iid_gaussian", "iid_uniform", "exchangeable_mixture")
-# Score kinds that coverage and diagram can build without a fitted model.
-_SAMPLE_SCORES = ("mean_abs_distance", "prototype_embedding")
 # The extras keys each experiment reads, with their defaults; no other key is
 # accepted. A missing score_params gives the score kind's default parameters.
 _EXTRAS = {
     "coverage": {"score_params": None},
-    "diagram": {"score_families": _SAMPLE_SCORES, "brute_trials": 100, "brute_grid_limit": 12},
+    "diagram": {"score_families": scores._SCORE_KINDS, "brute_trials": 100, "brute_grid_limit": 12},
     "eposterior": {"theta_count": 101, "y_count": 101},
 }
 # Largest grid a coverage config may ask for: every trial scores every point.
@@ -163,18 +162,18 @@ class ExperimentConfig:
                 raise ValueError(
                     f"grid counts {self.grid_counts} exceed the limit of {_MAX_GRID_POINTS} points"
                 )
-            # Build what the run builds, so a bad grid or score is a config error.
-            make_uniform_grid(self.grid_bounds, self.grid_counts)
-            _score_for(self)
+            # Build the grid and score here, so that a bad one is a config
+            # error; run_coverage reuses both.
+            _ = self.universe, self.psi
         if self.experiment == "diagram":
             families = _extra(self, "score_families")
             if not (
                 isinstance(families, (list, tuple))
                 and families
-                and all(f in _SAMPLE_SCORES for f in families)
+                and all(f in scores._SCORE_KINDS for f in families)
             ):
                 raise ValueError(
-                    f"extras.score_families must be a nonempty list of {_SAMPLE_SCORES}, "
+                    f"extras.score_families must be a nonempty list of {scores._SCORE_KINDS}, "
                     f"got {families!r}"
                 )
             _check_count(self.extras, "brute_trials", 0)
@@ -182,6 +181,16 @@ class ExperimentConfig:
         if self.experiment == "eposterior":
             _check_count(self.extras, "theta_count", 1)
             _check_count(self.extras, "y_count", 1)
+
+    @cached_property
+    def universe(self) -> Grid:
+        """The grid a coverage run scores, built once per config."""
+        return make_uniform_grid(self.grid_bounds, self.grid_counts)
+
+    @cached_property
+    def psi(self) -> ScoreFn:
+        """The score a coverage run ranks by, built once per config."""
+        return _score_for(self)
 
     @staticmethod
     def from_json_obj(obj: dict) -> ExperimentConfig:
@@ -285,7 +294,7 @@ def _draw_scenario(
 
 
 def _score_for(cfg: ExperimentConfig) -> ScoreFn:
-    if cfg.score not in _SAMPLE_SCORES:
+    if cfg.score not in scores._SCORE_KINDS:
         raise ValueError(f"unsupported score kind {cfg.score!r} for this experiment")
     dim = len(cfg.grid_bounds)
     try:
@@ -306,8 +315,7 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     held-out point in the region is exact set membership; snapping is a
     fixed componentwise map, so exchangeability survives.
     """
-    universe = make_uniform_grid(cfg.grid_bounds, cfg.grid_counts)
-    psi = _score_for(cfg)
+    universe, psi = cfg.universe, cfg.psi
 
     def one_trial(t: int) -> bool:
         rng = _trial_rng(cfg.seed, t)
@@ -471,12 +479,8 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
             data = model.prior_mean + rng.standard_normal(n) * 1.5
             y_n = Sample.of(data)
             count = int(rng.integers(101, 202))
-            probe = bayes.posterior_predictive(
-                model, y_n, make_uniform_grid([(-1.0, 1.0)], [3])
-            )
-            lo = probe.mean - 6.0 * probe.sd
-            hi = probe.mean + 6.0 * probe.sd
-            universe = make_uniform_grid([(lo, hi)], [count])
+            mean, sd = bayes.posterior_params(model, y_n)
+            universe = make_uniform_grid([(mean - 6.0 * sd, mean + 6.0 * sd)], [count])
             pd = bayes.posterior_predictive(model, y_n, universe)
             dens = pd.density(np.asarray(data))
             if len(set(dens.tolist())) != n:
@@ -560,34 +564,29 @@ def _eposterior_families(theta_count: int, y_count: int):
     condition with slack, one violating it at a single parameter value."""
     theta_grid = bayes.midpoint_grid(0.0, 1.0, theta_count)
     y_grid = bayes.midpoint_grid(0.0, 1.0, y_count)
-    thetas = theta_grid.points[:, 0]
+    thetas = theta_grid.points[:, :1]
     ys = y_grid.points[:, 0]
-    dy = y_grid.spacing[0]
-    rows = []
-    for th in thetas:
-        w = np.exp(-0.5 * ((ys - th) / 0.15) ** 2)
-        w = w / (w.sum() * dy)  # exactly proper under the grid quadrature
-        rows.append(tuple(w.tolist()))
-    lik = tuple(rows)
+    w = np.exp(-0.5 * ((ys - thetas) / 0.15) ** 2)
+    # Each row exactly proper under the grid quadrature.
+    lik = w / (w.sum(axis=1, keepdims=True) * y_grid.spacing[0])
 
-    nt = theta_count
     conforming = bayes.CredalPrior(
         theta_grid=theta_grid,
         y_grid=y_grid,
-        lower_density=tuple([0.8] * nt),
-        upper_density=tuple([1.2] * nt),
+        lower_density=np.full(theta_count, 0.8),
+        upper_density=np.full(theta_count, 1.2),
         likelihood_table=lik,
     )
-    dip = nt // 2
-    low = [0.8] * nt
-    up = [1.2] * nt
+    dip = theta_count // 2
+    low = np.full(theta_count, 0.8)
+    up = np.full(theta_count, 1.2)
     low[dip] = 0.3
     up[dip] = 0.5
     violating = bayes.CredalPrior(
         theta_grid=theta_grid,
         y_grid=y_grid,
-        lower_density=tuple(low),
-        upper_density=tuple(up),
+        lower_density=low,
+        upper_density=up,
         likelihood_table=lik,
     )
     return conforming, violating, dip
@@ -602,7 +601,7 @@ def run_eposterior(cfg: ExperimentConfig) -> dict:
     for name, cp in (("conforming", conforming), ("violating", violating)):
         condition, max_exp = bayes.check_eposterior(cp)
         e_ok = max_exp <= 1.0 + 1e-9
-        low_int = math.fsum(cp.lower_density) * cp.dtheta
+        low_int = math.fsum(cp.lower_density.tolist()) * cp.dtheta
         records.append(
             {
                 "check": "eposterior",
@@ -618,7 +617,7 @@ def run_eposterior(cfg: ExperimentConfig) -> dict:
                 "pass": condition == e_ok,
                 "witnesses": {
                     "lower_envelope_integral": low_int,
-                    "min_upper_density": min(cp.upper_density),
+                    "min_upper_density": float(cp.upper_density.min()),
                     "dip_index": dip if name == "violating" else None,
                 },
             }

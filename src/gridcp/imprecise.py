@@ -86,21 +86,25 @@ class PossibilityContour:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbVector:
-    """A probability mass function on the grid (sums to 1 within 1e-12)."""
+    """A probability mass function on the grid (sums to 1 within 1e-12),
+    stored as a read-only float array; an array passed in is frozen in place."""
 
     universe: Grid
-    mass: tuple[float, ...]
+    mass: np.ndarray
 
     def __post_init__(self):
-        if len(self.mass) != self.universe.size:
+        mass = np.asarray(self.mass, dtype=float)
+        if mass.shape != (self.universe.size,):
             raise ValueError("one mass per grid point required")
-        if any(m < 0 for m in self.mass):
+        if (mass < 0).any():
             raise ValueError("mass must be nonnegative")
-        tot = math.fsum(self.mass)
+        tot = math.fsum(mass.tolist())
         if abs(tot - 1.0) > 1e-12:
             raise ValueError(f"mass sums to {tot}, not 1")
+        mass.flags.writeable = False
+        object.__setattr__(self, "mass", mass)
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,7 @@ def upper_prob(c: PossibilityContour, a: Region) -> float:
     """max of the contour over the region; 0 for the empty region."""
     if a.universe != c.universe:
         raise UniverseMismatchError("region and contour live over different universes")
-    return float(c.values[list(a.indices)].max(initial=0.0))
+    return float(c.values[a.mask].max(initial=0.0))
 
 
 def lower_prob(c: PossibilityContour, a: Region) -> float:
@@ -152,7 +156,7 @@ def is_member(p: ProbVector, cs: CredalSpec) -> bool:
     m = cs.universe.size
     if m > _MEMBER_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
-    sums = _subset_table(np.asarray(p.mass, dtype=float), np.add)
+    sums = _subset_table(p.mass, np.add)
     maxv = _subset_table(cs.contour.values, np.maximum)
     return bool(np.all(sums <= maxv + _MEMBER_TOL))
 

@@ -20,7 +20,6 @@ that score values are bit-for-bit invariant under permuting the sample.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -38,7 +37,6 @@ __all__ = [
     "score_mean_abs",
     "score_prototype",
     "check_permutation_invariance",
-    "score_from_json",
     "score_from_obj",
     "gaussian_pdf",
 ]
@@ -119,9 +117,6 @@ class ScoreFn:
                 out[g, i] = self.evaluate(Sample(rest), held)
         return out
 
-    def to_json(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class MeanAbsDistance(ScoreFn):
@@ -134,9 +129,6 @@ class MeanAbsDistance(ScoreFn):
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
         return _loo_table(y_n.points, candidates, lambda v: np.linalg.norm(v, axis=-1))
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "params": {}}, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -212,18 +204,6 @@ class PrototypeEmbedding(ScoreFn):
             y_n.points, candidates, lambda v: -np.sum(v * v, axis=-1), self.net.apply
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "params": {
-                    "weights": [[list(r) for r in W] for W, _ in self.net.layers],
-                    "biases": [list(b) for _, b in self.net.layers],
-                },
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass(frozen=True)
 class NegPredictiveDensity(ScoreFn):
@@ -259,12 +239,6 @@ class NegPredictiveDensity(ScoreFn):
         out[:, : pts.shape[0]] = t_train[None, :]
         out[:, -1] = t_cand
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "params": {"mean": self.mean, "sd": self.sd}},
-            sort_keys=True,
-        )
 
 
 def score_mean_abs(y_n: Sample, y) -> float:
@@ -310,11 +284,12 @@ def check_permutation_invariance(
     return True
 
 
-_SCORE_KINDS = ("mean_abs_distance", "prototype_embedding", "neg_predictive_density")
+# The kinds `score_from_obj` builds: the scores that need no fitted model.
+_SCORE_KINDS = ("mean_abs_distance", "prototype_embedding")
 
 
 def score_from_obj(obj: dict, dim: int = 1) -> ScoreFn:
-    """Build a score from {"kind": ..., "params": {...}}, the `to_json` form.
+    """Build a score from {"kind": ..., "params": {...}}.
 
     A prototype_embedding without params embeds by the identity map of R^dim.
     Anything malformed raises ValueError.
@@ -331,17 +306,8 @@ def score_from_obj(obj: dict, dim: int = 1) -> ScoreFn:
     try:
         if kind == "mean_abs_distance":
             return MeanAbsDistance()
-        if kind == "prototype_embedding":
-            if not params:
-                return PrototypeEmbedding(EmbeddingNet.identity(dim))
-            return PrototypeEmbedding(
-                EmbeddingNet.from_weights(params["weights"], params["biases"])
-            )
-        return NegPredictiveDensity(mean=float(params["mean"]), sd=float(params["sd"]))
+        if not params:
+            return PrototypeEmbedding(EmbeddingNet.identity(dim))
+        return PrototypeEmbedding(EmbeddingNet.from_weights(params["weights"], params["biases"]))
     except (LookupError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind} params: {exc!r}") from None
-
-
-def score_from_json(text: str) -> ScoreFn:
-    """Load a score config: {"kind": ..., "params": {...}}."""
-    return score_from_obj(json.loads(text))

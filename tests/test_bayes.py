@@ -11,10 +11,10 @@ from gridcp.bayes import (
     DensityTieError,
     bayes_triangle_detail,
     bcp,
-    check_bayes_triangle,
     check_eposterior,
     lower_marginal,
     midpoint_grid,
+    posterior_params,
     posterior_predictive,
     quant,
     quant_cdf_diagnostic,
@@ -221,10 +221,8 @@ class TestTriangle:
             )
             data = m.prior_mean + rng.standard_normal(n)
             s = Sample.of(data.tolist())
-            probe = posterior_predictive(m, s, small_grid(-1, 1, 3))
-            grid = make_uniform_grid(
-                [(probe.mean - 6 * probe.sd, probe.mean + 6 * probe.sd)], [121]
-            )
+            mean, sd = posterior_params(m, s)
+            grid = make_uniform_grid([(mean - 6 * sd, mean + 6 * sd)], [121])
             pd = posterior_predictive(m, s, grid)
             if len(set(pd.density(data).tolist())) != n:
                 continue
@@ -242,7 +240,7 @@ class TestTriangle:
         s = Sample.of([0.7, 0.7, 0.7])
         grid = small_grid()
         with pytest.raises(DensityTieError):
-            check_bayes_triangle(0.13, m, s, grid)
+            bayes_triangle_detail(0.13, m, s, grid)
 
 
 def uniform_prior(nt: int, value: float) -> tuple[float, ...]:
@@ -350,6 +348,55 @@ class TestUpperPosterior:
         with pytest.raises(ValueError, match="envelope inconsistency"):
             self.prior(uniform_prior(nt, 0.5), uniform_prior(nt, 0.9))
 
+    def test_shape_and_sign_messages(self):
+        nt = self.tg.size
+        with pytest.raises(ValueError, match="densities must match the parameter grid"):
+            self.prior(uniform_prior(nt - 1, 1.0), uniform_prior(nt, 1.0))
+        with pytest.raises(ValueError, match="densities must match the parameter grid"):
+            self.prior(np.ones((nt, 1)), np.ones((nt, 1)))
+        negative = (-0.1,) + uniform_prior(nt - 1, 1.0)
+        with pytest.raises(ValueError, match="densities must be nonnegative"):
+            self.prior(negative, uniform_prior(nt, 1.0))
+        ragged = self.lik[:-1] + (self.lik[-1][:-1],)
+        for table in (self.lik[:-1], np.ones((nt, self.yg.size + 1)), ragged):
+            with pytest.raises(ValueError, match=r"likelihood table must be \(n_theta, n_y\)"):
+                CredalPrior(
+                    theta_grid=self.tg,
+                    y_grid=self.yg,
+                    lower_density=uniform_prior(nt, 1.0),
+                    upper_density=uniform_prior(nt, 1.0),
+                    likelihood_table=table,
+                )
+
+    def test_fields_are_read_only_arrays(self):
+        cp = self.prior(uniform_prior(self.tg.size, 1.0), uniform_prior(self.tg.size, 1.0))
+        assert cp.likelihood_table.shape == (self.tg.size, self.yg.size)
+        for arr in (cp.lower_density, cp.upper_density, cp.likelihood_table):
+            assert arr.dtype == np.float64
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_array_is_frozen_in_place_and_tuple_copied(self):
+        nt = self.tg.size
+        low = np.full(nt, 1.0)
+        lik = np.asarray(self.lik)
+        cp = CredalPrior(
+            theta_grid=self.tg,
+            y_grid=self.yg,
+            lower_density=low,
+            upper_density=uniform_prior(nt, 1.0),
+            likelihood_table=lik,
+        )
+        assert cp.lower_density is low and not low.flags.writeable
+        assert cp.likelihood_table is lik and not lik.flags.writeable
+        assert cp.upper_density.tolist() == [1.0] * nt
+
+    def test_compares_by_identity(self):
+        p = uniform_prior(self.tg.size, 1.0)
+        cp = self.prior(p, p)
+        assert cp == cp
+        assert cp != self.prior(p, p)
+
 
 class TestEposterior:
     def test_equality_case_uniform_precise_prior(self):
@@ -446,24 +493,3 @@ class TestEposterior:
             agreements += 1
         assert agreements == 20
 
-
-class TestJsonConfig:
-    def test_model_from_json(self):
-        m = ConjugateModel.from_json_obj(
-            {"likelihood_sd": 1.5, "prior_mean": 0.25, "prior_sd": 2.0}
-        )
-        assert m == ConjugateModel(1.5, 0.25, 2.0)
-
-    def test_credal_prior_from_json(self):
-        nt, ny = 8, 8
-        tg = midpoint_grid(0.0, 1.0, nt)
-        yg = midpoint_grid(0.0, 1.0, ny)
-        obj = {
-            "theta_grid": {"lo": 0.0, "hi": 1.0, "count": nt},
-            "y_grid": {"lo": 0.0, "hi": 1.0, "count": ny},
-            "lower_density": [0.9] * nt,
-            "upper_density": [1.1] * nt,
-            "likelihood_table": [list(r) for r in proper_rows(tg, yg)],
-        }
-        cp = CredalPrior.from_json_obj(obj)
-        assert cp.theta_grid.size == nt and cp.y_grid.size == ny

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcp import cli
+from gridcp import cli, harness
 from gridcp.harness import (
     ExperimentConfig,
     emit,
@@ -152,6 +152,22 @@ class TestCoverage:
             scenario="iid_uniform",
         )
         assert run_coverage(cfg)["pass"]
+
+    def test_grid_and_score_are_built_once(self, monkeypatch):
+        built = []
+        build = harness.make_uniform_grid
+
+        def counting(bounds, counts):
+            built.append(counts)
+            return build(bounds, counts)
+
+        monkeypatch.setattr(harness, "make_uniform_grid", counting)
+        cfg = ExperimentConfig(experiment="coverage", trials=5, n=4, grid_counts=(41,))
+        assert run_coverage(cfg)["trials"] == 5
+        assert built == [(41,)]
+        # Flags override the config's fields before the one config is built.
+        assert cli.main(["coverage", "--seed", "1", "--trials", "2"]) in (0, 1)
+        assert built == [(41,), (201,)]
 
     def test_prototype_score_respects_bound(self):
         # The guarantee is score-free; the embedding score must satisfy it too.
@@ -339,6 +355,7 @@ class TestCli:
             ("bayes_triangle", {"extras": {"score_params": {}}}, "'score_params'"),
             ("coverage", {"model": {}}, "'model'"),
             ("coverage", {"grid": {"counts": [10**9]}}, "limit"),
+            ("coverage", {"score": "neg_predictive_density"}, "'neg_predictive_density'"),
         ],
         ids=[
             "malformed_score_params",
@@ -360,6 +377,7 @@ class TestCli:
             "extras_key_of_another_experiment",
             "removed_model_key",
             "oversized_grid",
+            "unsupported_score_kind",
         ],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, experiment, bad, named):

@@ -175,6 +175,35 @@ class TestIsMember:
         with pytest.raises(ValueError, match="too large"):
             is_member(p, cs)
 
+    def test_mass_is_a_read_only_array(self):
+        grid = make_uniform_grid([(0, 1)], [3])
+        p = ProbVector(grid, (0.2, 0.5, 0.3))
+        assert p.mass.dtype == np.float64 and p.mass.tolist() == [0.2, 0.5, 0.3]
+        with pytest.raises(ValueError):
+            p.mass[0] = 1.0
+
+    def test_array_is_frozen_in_place(self):
+        grid = make_uniform_grid([(0, 1)], [2])
+        arr = np.array([0.25, 0.75])
+        assert ProbVector(grid, arr).mass is arr
+        assert not arr.flags.writeable
+
+    def test_compares_by_identity(self):
+        grid = make_uniform_grid([(0, 1)], [2])
+        p = ProbVector(grid, (0.5, 0.5))
+        assert p == p
+        assert p != ProbVector(grid, (0.5, 0.5))
+
+    def test_shape_sign_and_sum_messages(self):
+        grid = make_uniform_grid([(0, 1)], [2])
+        for bad in ((1.0,), np.ones((2, 1)) / 2):
+            with pytest.raises(ValueError, match="one mass per grid point required"):
+                ProbVector(grid, bad)
+        with pytest.raises(ValueError, match="mass must be nonnegative"):
+            ProbVector(grid, (1.5, -0.5))
+        with pytest.raises(ValueError, match="mass sums to 0.9, not 1"):
+            ProbVector(grid, (0.4, 0.5))
+
     @given(contours(max_size=8))
     @settings(max_examples=50)
     def test_accepts_descending_ladder_transform(self, cs):
