@@ -249,6 +249,11 @@ class CredalPrior:
             lik = None
         if lik is None or lik.shape != (nt, self.y_grid.size):
             raise ValueError("likelihood table must be (n_theta, n_y)")
+        fields = {"lower_density": low, "upper_density": up, "likelihood_table": lik}
+        # Every order and integral check below compares false on NaN.
+        for name, arr in fields.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if (low < 0).any() or (up < 0).any():
             raise ValueError("densities must be nonnegative")
         if (low > up).any():
@@ -260,7 +265,6 @@ class CredalPrior:
                 f"envelope inconsistency: integral(lower)={low_int} must be <= 1 "
                 f"<= integral(upper)={up_int}"
             )
-        fields = {"lower_density": low, "upper_density": up, "likelihood_table": lik}
         for name, arr in fields.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -33,7 +33,6 @@ from .scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding, ScoreFn, 
 
 __all__ = [
     "ExperimentConfig",
-    "CoverageReport",
     "EXPERIMENTS",
     "run_coverage",
     "run_diagram",
@@ -79,32 +78,6 @@ def wilson_lower_bound(hits: int, trials: int, z: float = Z_99) -> float:
     return (center - half) / denom
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    trials: int
-    hits: int
-    empirical_coverage: float
-    target: float
-    wilson_lower_bound: float
-
-    def __post_init__(self):
-        if self.hits > self.trials:
-            raise ValueError("hits cannot exceed trials")
-        if self.empirical_coverage != self.hits / self.trials:
-            raise ValueError("empirical_coverage must equal hits/trials")
-
-
-_EXPERIMENT_NAMES = (
-    "coverage",
-    "diagram",
-    "bayes_triangle",
-    "monad_laws",
-    "category_axioms",
-    "eposterior",
-    "ihdr_oracle",
-)
-
-_CONFORMAL_EXPERIMENTS = ("coverage",)
 _SCENARIOS = ("iid_gaussian", "iid_uniform", "exchangeable_mixture")
 # The extras keys each experiment reads, with their defaults; no other key is
 # accepted. A missing score_params gives the score kind's default parameters.
@@ -113,6 +86,10 @@ _EXTRAS = {
     "diagram": {"score_families": scores._SCORE_KINDS, "brute_trials": 100, "brute_grid_limit": 12},
     "eposterior": {"theta_count": 101, "y_count": 101},
 }
+
+# The least value of each integer extra. Below 4 parameter values the
+# violating eposterior family's upper envelope integrates below 1.
+_COUNT_MINIMUMS = {"brute_trials": 0, "brute_grid_limit": 0, "theta_count": 4, "y_count": 1}
 # Largest grid a coverage config may ask for: every trial scores every point.
 _MAX_GRID_POINTS = 10**6
 
@@ -131,18 +108,33 @@ class ExperimentConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENT_NAMES:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; pick one of {_EXPERIMENT_NAMES}"
-            )
+        # A tuple, not the dict: an unhashable name is unknown, not a TypeError.
+        names = tuple(EXPERIMENTS)
+        if self.experiment not in names:
+            raise ValueError(f"unknown experiment {self.experiment!r}; pick one of {names}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.n < 1:
             raise ValueError("n must be positive")
-        _json_object(self.extras, _EXTRAS.get(self.experiment, {}))
-        if self.experiment in _CONFORMAL_EXPERIMENTS:
+        # An extras key is read by one experiment only, so no check needs to
+        # know which experiment it is.
+        for key, value in _json_object(self.extras, _EXTRAS.get(self.experiment, {})).items():
+            least = _COUNT_MINIMUMS.get(key)
+            if least is not None and (type(value) is not int or value < least):
+                raise ValueError(f"extras.{key} must be an integer >= {least}, got {value!r}")
+        families = self.extras.get("score_families", scores._SCORE_KINDS)
+        if not (
+            isinstance(families, (list, tuple))
+            and families
+            and all(f in scores._SCORE_KINDS for f in families)
+        ):
+            raise ValueError(
+                f"extras.score_families must be a nonempty list of {scores._SCORE_KINDS}, "
+                f"got {families!r}"
+            )
+        if self.experiment == "coverage":
             tg = TieGrid(self.n)
             if self.alpha in tg or not 0.0 <= self.alpha <= 1.0:
                 raise ValueError(
@@ -165,22 +157,6 @@ class ExperimentConfig:
             # Build the grid and score here, so that a bad one is a config
             # error; run_coverage reuses both.
             _ = self.universe, self.psi
-        if self.experiment == "diagram":
-            families = _extra(self, "score_families")
-            if not (
-                isinstance(families, (list, tuple))
-                and families
-                and all(f in scores._SCORE_KINDS for f in families)
-            ):
-                raise ValueError(
-                    f"extras.score_families must be a nonempty list of {scores._SCORE_KINDS}, "
-                    f"got {families!r}"
-                )
-            _check_count(self.extras, "brute_trials", 0)
-            _check_count(self.extras, "brute_grid_limit", 0)
-        if self.experiment == "eposterior":
-            _check_count(self.extras, "theta_count", 1)
-            _check_count(self.extras, "y_count", 1)
 
     @cached_property
     def universe(self) -> Grid:
@@ -194,45 +170,30 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_obj(obj: dict) -> ExperimentConfig:
-        """Parse a JSON config object; a malformed one raises ValueError."""
-        _json_object(obj, _CONFIG_KEYS)
-        grid = _field(obj, "grid", lambda g: _json_object(g, ("bounds", "counts")), {})
-        return ExperimentConfig(
-            experiment=obj["experiment"],
-            seed=_field(obj, "seed", int, 0),
-            trials=_field(obj, "trials", int, 100),
-            alpha=_field(obj, "alpha", float, 0.13),
-            n=_field(obj, "n", int, 20),
-            grid_bounds=_field(
-                grid,
-                "bounds",
-                lambda bs: tuple(tuple(float(v) for v in b) for b in bs),
-                ((-6.0, 6.0),),
-                "grid.",
-            ),
-            grid_counts=_field(
-                grid, "counts", lambda cs: tuple(int(c) for c in cs), (201,), "grid."
-            ),
-            score=_field(obj, "score", _score_kind, "mean_abs_distance"),
-            scenario=obj.get("scenario", "iid_gaussian"),
-            extras=_field(obj, "extras", _json_object, {}),
-        )
+        """Parse a JSON config object; a malformed one raises ValueError.
+
+        Only the keys present are converted: every default is the field's own.
+        """
+        _json_object(obj, ("experiment", *_CONVERT))
+        fields = _convert(obj, _CONVERT)
+        grid = _convert(fields.pop("grid", {}), _GRID_CONVERT, "grid.")
+        fields.update((f"grid_{key}", value) for key, value in grid.items())
+        return ExperimentConfig(experiment=obj["experiment"], **fields)
 
 
-_CONFIG_KEYS = ("experiment", "seed", "trials", "alpha", "n", "grid", "score", "scenario", "extras")
-
-
-def _field(obj: dict, key: str, convert: Callable, default, prefix: str = ""):
-    """obj[key] passed through `convert`, or `default` when absent.
+def _convert(obj: dict, converters: dict, prefix: str = "") -> dict:
+    """Each key of `obj` that has a converter, converted.
 
     Any failure to convert is a ValueError that names the field.
     """
-    if key not in obj:
-        return default
-    try:
-        return convert(obj[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"config field {prefix}{key}: {exc}") from None
+    out = {}
+    for key, convert in converters.items():
+        if key in obj:
+            try:
+                out[key] = convert(obj[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"config field {prefix}{key}: {exc}") from None
+    return out
 
 
 def _json_object(value, keys: Sequence[str] | None = None) -> dict:
@@ -250,13 +211,6 @@ def _extra(cfg: ExperimentConfig, key: str):
     return cfg.extras.get(key, _EXTRAS[cfg.experiment][key])
 
 
-def _check_count(extras: dict, key: str, minimum: int) -> None:
-    """Refuse extras[key], when present, unless it is an integer >= minimum."""
-    value = extras.get(key, minimum)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"extras.{key} must be an integer >= {minimum}, got {value!r}")
-
-
 def _score_kind(value) -> str:
     """A score is given as its kind, or as an object {"kind": ...}."""
     if isinstance(value, dict):
@@ -266,12 +220,48 @@ def _score_kind(value) -> str:
     return value
 
 
+# How each config key converts to the field of the same name. The grid object
+# holds "bounds" and "counts", which set grid_bounds and grid_counts.
+_GRID_CONVERT = {
+    "bounds": lambda bs: tuple(tuple(float(v) for v in b) for b in bs),
+    "counts": lambda cs: tuple(int(c) for c in cs),
+}
+_CONVERT = {
+    "seed": int,
+    "trials": int,
+    "alpha": float,
+    "n": int,
+    "grid": lambda g: _json_object(g, tuple(_GRID_CONVERT)),
+    "score": _score_kind,
+    "scenario": lambda s: s,
+    "extras": _json_object,
+}
+
+
 def _header(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "rng": RNG_ALGORITHM,
-    }
+    return {"experiment": cfg.experiment, "seed": cfg.seed, "rng": RNG_ALGORITHM}
+
+
+def _map_trials(
+    one_trial: Callable[[np.random.Generator, int], dict], cfg: ExperimentConfig, stream: int = 0
+) -> dict:
+    """The one trial loop: run cfg.trials trials and total what they return.
+
+    Trial t calls one_trial(rng, t), with rng keyed by (cfg.seed, stream + t).
+    A trial returns counts (a bool counts 0 or 1) and optionally the
+    "witness" of a failed check. The result sums each count under its key
+    and gathers the witnesses as "counterexamples".
+    """
+    totals: dict = {}
+    counterexamples = []
+    for t in range(cfg.trials):
+        outcome = one_trial(_trial_rng(cfg.seed, stream + t), t)
+        witness = outcome.pop("witness", None)
+        if witness:
+            counterexamples.append(witness)
+        for key, count in outcome.items():
+            totals[key] = totals.get(key, 0) + count
+    return {**totals, "counterexamples": counterexamples}
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +307,14 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     """
     universe, psi = cfg.universe, cfg.psi
 
-    def one_trial(t: int) -> bool:
-        rng = _trial_rng(cfg.seed, t)
+    def one_trial(rng: np.random.Generator, t: int) -> dict:
         raw = _draw_scenario(rng, cfg.scenario, cfg.n + 1)
         idxs = [universe.nearest_index(v) for v in raw]
         y_n = Sample(universe.points[idxs[: cfg.n]])
-        region = kappa(cfg.alpha, y_n, psi, universe)
-        return idxs[cfg.n] in region
+        return {"hits": idxs[cfg.n] in kappa(cfg.alpha, y_n, psi, universe)}
 
-    hits = sum(one_trial(t) for t in range(cfg.trials))
-    report = CoverageReport(
-        trials=cfg.trials,
-        hits=hits,
-        empirical_coverage=hits / cfg.trials,
-        target=1.0 - cfg.alpha,
-        wilson_lower_bound=wilson_lower_bound(hits, cfg.trials),
-    )
+    hits = _map_trials(one_trial, cfg)["hits"]
+    coverage, target = hits / cfg.trials, 1.0 - cfg.alpha
     slack = 3.0 * math.sqrt(cfg.alpha * (1.0 - cfg.alpha) / cfg.trials)
     return {
         **_header(cfg),
@@ -341,13 +323,13 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
         "n": cfg.n,
         "alpha": cfg.alpha,
         "grid": {"bounds": [list(b) for b in cfg.grid_bounds], "counts": list(cfg.grid_counts)},
-        "trials": report.trials,
-        "hits": report.hits,
-        "empirical_coverage": report.empirical_coverage,
-        "target": report.target,
-        "wilson_lower_bound": report.wilson_lower_bound,
-        "slack_threshold": report.target - slack,
-        "pass": report.empirical_coverage >= report.target - slack,
+        "trials": cfg.trials,
+        "hits": hits,
+        "empirical_coverage": coverage,
+        "target": target,
+        "wilson_lower_bound": wilson_lower_bound(hits, cfg.trials),
+        "slack_threshold": target - slack,
+        "pass": coverage >= target - slack,
     }
 
 
@@ -409,8 +391,7 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
     results = []
     for fam_idx, family in enumerate(families):
 
-        def one_trial(t: int) -> dict:
-            rng = _trial_rng(cfg.seed, fam_idx * 1_000_003 + t)
+        def one_trial(rng: np.random.Generator, t: int) -> dict:
             # The first brute_trials trials stay on grids small enough for the
             # subset-enumeration oracle, so exactly that many get both checks.
             size_hi = brute_limit if t < brute_trials else 16
@@ -421,13 +402,12 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
             cs = cred(y_n, psi, universe)
             r_contour = ihdr_contour(alpha, cs)
             ok = r_kappa == r_contour
-            brute_ok = None
-            if t < brute_trials and universe.size <= brute_limit:
-                brute_ok = ihdr_bruteforce(alpha, cs) == r_contour
+            brute = t < brute_trials and universe.size <= brute_limit
             return {
-                "ok": ok,
-                "brute_ok": brute_ok,
-                "rejections": rejections,
+                "equal": ok,
+                "brute_checked": brute,
+                "brute_equal": brute and ihdr_bruteforce(alpha, cs) == r_contour,
+                "consonance_rejections": rejections,
                 "witness": None
                 if ok
                 else {
@@ -437,19 +417,8 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
                 },
             }
 
-        outcomes = [one_trial(t) for t in range(cfg.trials)]
-        brute = [o["brute_ok"] for o in outcomes if o["brute_ok"] is not None]
-        results.append(
-            {
-                "score_family": family,
-                "trials": cfg.trials,
-                "equal": sum(1 for o in outcomes if o["ok"]),
-                "brute_checked": len(brute),
-                "brute_equal": sum(1 for b in brute if b),
-                "consonance_rejections": sum(o["rejections"] for o in outcomes),
-                "counterexamples": [o["witness"] for o in outcomes if o["witness"]],
-            }
-        )
+        counts = _map_trials(one_trial, cfg, stream=fam_idx * 1_000_003)
+        results.append({"score_family": family, "trials": cfg.trials, **counts})
     all_pass = all(
         r["equal"] == r["trials"] and r["brute_equal"] == r["brute_checked"]
         for r in results
@@ -465,8 +434,7 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
     the identity); both rejection counts are reported.
     """
 
-    def one_trial(t: int) -> dict:
-        rng = _trial_rng(cfg.seed, t)
+    def one_trial(rng: np.random.Generator, t: int) -> dict:
         tie_rejections = 0
         consonance_rejections = 0
         for _attempt in range(500):
@@ -492,7 +460,7 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
             alpha = _sample_alpha(rng, TieGrid(n).levels)
             ok, detail = bayes.bayes_triangle_detail(alpha, model, y_n, universe)
             return {
-                "ok": ok,
+                "equal": ok,
                 "tie_rejections": tie_rejections,
                 "consonance_rejections": consonance_rejections,
                 "witness": None
@@ -501,17 +469,8 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
             }
         raise RuntimeError("could not draw a tie-free consonant instance")
 
-    outcomes = [one_trial(t) for t in range(cfg.trials)]
-    equal = sum(1 for o in outcomes if o["ok"])
-    return {
-        **_header(cfg),
-        "trials": cfg.trials,
-        "equal": equal,
-        "tie_rejections": sum(o["tie_rejections"] for o in outcomes),
-        "consonance_rejections": sum(o["consonance_rejections"] for o in outcomes),
-        "counterexamples": [o["witness"] for o in outcomes if o["witness"]],
-        "pass": equal == cfg.trials,
-    }
+    counts = _map_trials(one_trial, cfg)
+    return {**_header(cfg), "trials": cfg.trials, **counts, "pass": counts["equal"] == cfg.trials}
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +604,7 @@ def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
     the level.
     """
 
-    def one_trial(t: int) -> dict:
-        rng = _trial_rng(cfg.seed, t)
+    def one_trial(rng: np.random.Generator, t: int) -> dict:
         size = int(rng.integers(3, 13))
         universe = make_uniform_grid([(0.0, 1.0)], [size])
         v_big = _random_consonant_values(rng, size)
@@ -671,26 +629,16 @@ def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
         a_lo, a_hi = sorted((alpha, _sample_alpha(rng, avoid)))
         antitone_ok = ihdr_contour(a_hi, cs_big).is_subset(ihdr_contour(a_lo, cs_big))
         return {
-            "oracle": oracle_ok,
-            "nesting": nest_ok,
-            "chain": chain_ok,
-            "antitone": antitone_ok,
+            "oracle_equal": oracle_ok,
+            "nesting_holds": nest_ok,
+            "chain_holds": chain_ok,
+            "antitone_holds": antitone_ok,
         }
 
-    outcomes = [one_trial(t) for t in range(cfg.trials)]
-    report = {
-        **_header(cfg),
-        "trials": cfg.trials,
-        "oracle_equal": sum(1 for o in outcomes if o["oracle"]),
-        "nesting_holds": sum(1 for o in outcomes if o["nesting"]),
-        "chain_holds": sum(1 for o in outcomes if o["chain"]),
-        "antitone_holds": sum(1 for o in outcomes if o["antitone"]),
-    }
-    report["pass"] = all(
-        report[k] == cfg.trials
-        for k in ("oracle_equal", "nesting_holds", "chain_holds", "antitone_holds")
-    )
-    return report
+    counts = _map_trials(one_trial, cfg)
+    del counts["counterexamples"]
+    ok = all(c == cfg.trials for c in counts.values())
+    return {**_header(cfg), "trials": cfg.trials, **counts, "pass": ok}
 
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig], dict]] = {

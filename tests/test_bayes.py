@@ -368,6 +368,19 @@ class TestUpperPosterior:
                     likelihood_table=table,
                 )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["lower_density", "upper_density", "likelihood_table"])
+    def test_non_finite_entry_is_refused(self, name, bad):
+        nt = self.tg.size
+        fields = {
+            "lower_density": np.full(nt, 0.9),
+            "upper_density": np.full(nt, 1.1),
+            "likelihood_table": np.array(self.lik),
+        }
+        fields[name][(0,) * fields[name].ndim] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CredalPrior(theta_grid=self.tg, y_grid=self.yg, **fields)
+
     def test_fields_are_read_only_arrays(self):
         cp = self.prior(uniform_prior(self.tg.size, 1.0), uniform_prior(self.tg.size, 1.0))
         assert cp.likelihood_table.shape == (self.tg.size, self.yg.size)

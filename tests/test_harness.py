@@ -1,5 +1,6 @@
 """Experiment orchestration: determinism, coverage behavior, CLI contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -93,6 +94,36 @@ class TestConfig:
         assert cfg.seed == 7
         assert cfg.grid_counts == (51,)
         assert cfg.scenario == "iid_uniform"
+
+    @pytest.mark.parametrize("experiment", list(harness.EXPERIMENTS))
+    def test_json_defaults_are_the_field_defaults(self, experiment):
+        parsed = ExperimentConfig.from_json_obj({"experiment": experiment})
+        built = ExperimentConfig(experiment=experiment)
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(parsed, f.name) == getattr(built, f.name), f.name
+
+
+class TestMapTrials:
+    def test_streams_sums_and_witnesses(self):
+        cfg = ExperimentConfig(experiment="ihdr_oracle", seed=3, trials=4)
+
+        def one_trial(rng, t):
+            return {
+                "odd": t % 2 == 1,
+                "t": t,
+                "draw": int(rng.integers(1 << 62)),
+                "witness": {"t": t} if t > 1 else None,
+            }
+
+        out = harness._map_trials(one_trial, cfg, stream=10)
+        draws = [int(harness._trial_rng(3, 10 + t).integers(1 << 62)) for t in range(4)]
+        assert out == {
+            "odd": 2,
+            "t": 6,
+            "draw": sum(draws),
+            "counterexamples": [{"t": 2}, {"t": 3}],
+        }
+        assert type(out["odd"]) is int
 
 
 class TestCoverage:
@@ -200,6 +231,17 @@ class TestCampaignsSmall:
             assert fam["equal"] == 25
             assert fam["brute_checked"] == 10
             assert fam["brute_equal"] == 10
+
+    def test_each_family_has_its_own_stream(self):
+        # One family listed twice draws other instances the second time.
+        cfg = ExperimentConfig(
+            experiment="diagram",
+            seed=7,
+            trials=50,
+            extras={"score_families": ["mean_abs_distance"] * 2},
+        )
+        first, second = run_diagram(cfg)["families"]
+        assert first["consonance_rejections"] != second["consonance_rejections"]
 
     def test_bayes_triangle_small(self):
         rep = run_bayes_triangle(
@@ -389,6 +431,19 @@ class TestCli:
         assert err.startswith("config error: ")
         assert named in err
 
+    @pytest.mark.parametrize("theta_count", [1, 2, 3, 4])
+    def test_eposterior_needs_four_parameter_values(self, tmp_path, capsys, theta_count):
+        # Below 4 values the violating family's upper envelope integrates
+        # below 1: that is a config error, not a traceback.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"extras": {"theta_count": theta_count, "y_count": 11}}))
+        code = cli.main(["eposterior", "--config", str(cfg_path)])
+        if theta_count < 4:
+            assert code == 2
+            assert "extras.theta_count" in capsys.readouterr().err
+        else:
+            assert code == 0
+
     def test_non_object_config_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[1, 2]")
@@ -417,9 +472,9 @@ class TestCli:
 _JSON = st.recursive(
     st.none()
     | st.booleans()
-    # Magnitudes stay small: a coverage config builds its grid, whose size
-    # is the value itself.
-    | st.integers(-1000, 1000)
+    # Up to twice _MAX_GRID_POINTS, so that grid counts at and above the
+    # limit are drawn: those must be refused without building the grid.
+    | st.integers(-2 * 10**6, 2 * 10**6)
     | st.floats()
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
