@@ -18,18 +18,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import bayes, catlaws, scores
+from . import bayes, catlaws
 from .fullcp import TieGrid, kappa, transducer
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
-    CredalSpec,
     PossibilityContour,
     check_functor_monotone,
     cred,
     ihdr_bruteforce,
     ihdr_contour,
 )
-from .scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding, ScoreFn, score_from_obj
+from .scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding, ScoreFn
 
 __all__ = [
     "ExperimentConfig",
@@ -79,13 +78,17 @@ def wilson_lower_bound(hits: int, trials: int, z: float = Z_99) -> float:
 
 
 _SCENARIOS = ("iid_gaussian", "iid_uniform", "exchangeable_mixture")
+# The score kinds a config may name: the scores that need no fitted model.
+_SCORE_KINDS = ("mean_abs_distance", "prototype_embedding")
 # The extras keys each experiment reads, with their defaults; no other key is
-# accepted. A missing score_params gives the score kind's default parameters.
+# accepted. Without score_params, prototype_embedding embeds by the identity.
 _EXTRAS = {
     "coverage": {"score_params": None},
-    "diagram": {"score_families": scores._SCORE_KINDS, "brute_trials": 100, "brute_grid_limit": 12},
+    "diagram": {"score_families": _SCORE_KINDS, "brute_trials": 100, "brute_grid_limit": 12},
     "eposterior": {"theta_count": 101, "y_count": 101},
 }
+# The config keys that only coverage reads; another experiment refuses them.
+_COVERAGE_KEYS = ("alpha", "n", "grid", "score", "scenario")
 
 # The least value of each integer extra. Below 4 parameter values the
 # violating eposterior family's upper envelope integrates below 1.
@@ -124,14 +127,14 @@ class ExperimentConfig:
             least = _COUNT_MINIMUMS.get(key)
             if least is not None and (type(value) is not int or value < least):
                 raise ValueError(f"extras.{key} must be an integer >= {least}, got {value!r}")
-        families = self.extras.get("score_families", scores._SCORE_KINDS)
+        families = self.extras.get("score_families", _SCORE_KINDS)
         if not (
             isinstance(families, (list, tuple))
             and families
-            and all(f in scores._SCORE_KINDS for f in families)
+            and all(f in _SCORE_KINDS for f in families)
         ):
             raise ValueError(
-                f"extras.score_families must be a nonempty list of {scores._SCORE_KINDS}, "
+                f"extras.score_families must be a nonempty list of {_SCORE_KINDS}, "
                 f"got {families!r}"
             )
         if self.experiment == "coverage":
@@ -175,6 +178,9 @@ class ExperimentConfig:
         Only the keys present are converted: every default is the field's own.
         """
         _json_object(obj, ("experiment", *_CONVERT))
+        misplaced = [key for key in _COVERAGE_KEYS if key in obj]
+        if misplaced and obj.get("experiment") != "coverage":
+            raise ValueError(f"config key {misplaced[0]!r} is read by coverage only")
         fields = _convert(obj, _CONVERT)
         grid = _convert(fields.pop("grid", {}), _GRID_CONVERT, "grid.")
         fields.update((f"grid_{key}", value) for key, value in grid.items())
@@ -215,22 +221,34 @@ def _score_kind(value) -> str:
     """A score is given as its kind, or as an object {"kind": ...}."""
     if isinstance(value, dict):
         value = _json_object(value, ("kind",)).get("kind", "mean_abs_distance")
-    if not isinstance(value, str):
-        raise TypeError(f"expected a score kind string, got {json.dumps(value)}")
     return value
+
+
+def _integer(value) -> int:
+    """A JSON integer; a bool is not one."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number (integer or float), as a float; a bool is not one."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
 
 
 # How each config key converts to the field of the same name. The grid object
 # holds "bounds" and "counts", which set grid_bounds and grid_counts.
 _GRID_CONVERT = {
-    "bounds": lambda bs: tuple(tuple(float(v) for v in b) for b in bs),
-    "counts": lambda cs: tuple(int(c) for c in cs),
+    "bounds": lambda bs: tuple(tuple(_number(v) for v in b) for b in bs),
+    "counts": lambda cs: tuple(_integer(c) for c in cs),
 }
 _CONVERT = {
-    "seed": int,
-    "trials": int,
-    "alpha": float,
-    "n": int,
+    "seed": _integer,
+    "trials": _integer,
+    "alpha": _number,
+    "n": _integer,
     "grid": lambda g: _json_object(g, tuple(_GRID_CONVERT)),
     "score": _score_kind,
     "scenario": lambda s: s,
@@ -284,18 +302,26 @@ def _draw_scenario(
 
 
 def _score_for(cfg: ExperimentConfig) -> ScoreFn:
-    if cfg.score not in scores._SCORE_KINDS:
-        raise ValueError(f"unsupported score kind {cfg.score!r} for this experiment")
+    """The score cfg names, with extras.score_params {"weights", "biases"}
+    as the embedding layers of a prototype_embedding."""
+    if cfg.score not in _SCORE_KINDS:
+        raise ValueError(f"unknown score kind {cfg.score!r}; pick one of {_SCORE_KINDS}")
+    params = _extra(cfg, "score_params")
     dim = len(cfg.grid_bounds)
+    if cfg.score == "mean_abs_distance":
+        if params is not None:
+            raise ValueError("extras.score_params: mean_abs_distance takes no parameters")
+        return MeanAbsDistance()
+    if params is None:
+        return PrototypeEmbedding(EmbeddingNet.identity(dim))
     try:
-        psi = score_from_obj({"kind": cfg.score, "params": _extra(cfg, "score_params")}, dim)
-    except ValueError as exc:
-        raise ValueError(f"extras.score_params: {exc}") from None
-    if isinstance(psi, PrototypeEmbedding) and psi.net.in_dim != dim:
-        raise ValueError(
-            f"extras.score_params takes {psi.net.in_dim}-D points; the grid is {dim}-D"
-        )
-    return psi
+        params = _json_object(params, ("weights", "biases"))
+        net = EmbeddingNet.from_weights(params["weights"], params["biases"])
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"extras.score_params: {exc!r}") from None
+    if net.in_dim != dim:
+        raise ValueError(f"extras.score_params takes {net.in_dim}-D points; the grid is {dim}-D")
+    return PrototypeEmbedding(net)
 
 
 def run_coverage(cfg: ExperimentConfig) -> dict:
@@ -399,14 +425,14 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
             tg = TieGrid(y_n.n)
             alpha = _sample_alpha(rng, tg.levels)
             r_kappa = kappa(alpha, y_n, psi, universe)
-            cs = cred(y_n, psi, universe)
-            r_contour = ihdr_contour(alpha, cs)
+            contour = cred(y_n, psi, universe)
+            r_contour = ihdr_contour(alpha, contour)
             ok = r_kappa == r_contour
             brute = t < brute_trials and universe.size <= brute_limit
             return {
                 "equal": ok,
                 "brute_checked": brute,
-                "brute_equal": brute and ihdr_bruteforce(alpha, cs) == r_contour,
+                "brute_equal": brute and ihdr_bruteforce(alpha, contour) == r_contour,
                 "consonance_rejections": rejections,
                 "witness": None
                 if ok
@@ -615,19 +641,19 @@ def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
         shrink2 = rng.uniform(0.0, 1.0, size)
         v_small = [float(m * s) for m, s in zip(v_mid, shrink2)]
         v_small[peak] = 1.0
-        cs_big = CredalSpec(PossibilityContour(universe, tuple(v_big)))
-        cs_mid = CredalSpec(PossibilityContour(universe, tuple(v_mid)))
-        cs_small = CredalSpec(PossibilityContour(universe, tuple(v_small)))
+        big = PossibilityContour(universe, v_big)
+        mid = PossibilityContour(universe, v_mid)
+        small = PossibilityContour(universe, v_small)
         avoid = v_big + v_mid + v_small
         alpha = _sample_alpha(rng, avoid)
-        oracle_ok = ihdr_bruteforce(alpha, cs_big) == ihdr_contour(alpha, cs_big)
-        nest_ok = check_functor_monotone(cs_small, cs_big, alpha)
-        r1 = ihdr_contour(alpha, cs_small)
-        r2 = ihdr_contour(alpha, cs_mid)
-        r3 = ihdr_contour(alpha, cs_big)
+        oracle_ok = ihdr_bruteforce(alpha, big) == ihdr_contour(alpha, big)
+        nest_ok = check_functor_monotone(small, big, alpha)
+        r1 = ihdr_contour(alpha, small)
+        r2 = ihdr_contour(alpha, mid)
+        r3 = ihdr_contour(alpha, big)
         chain_ok = r1.is_subset(r2) and r2.is_subset(r3) and r1.is_subset(r3)
         a_lo, a_hi = sorted((alpha, _sample_alpha(rng, avoid)))
-        antitone_ok = ihdr_contour(a_hi, cs_big).is_subset(ihdr_contour(a_lo, cs_big))
+        antitone_ok = ihdr_contour(a_hi, big).is_subset(ihdr_contour(a_lo, big))
         return {
             "oracle_equal": oracle_ok,
             "nesting_holds": nest_ok,

@@ -38,7 +38,6 @@ from .scores import ScoreFn
 __all__ = [
     "PossibilityContour",
     "ProbVector",
-    "CredalSpec",
     "cred",
     "upper_prob",
     "lower_prob",
@@ -107,21 +106,11 @@ class ProbVector:
         object.__setattr__(self, "mass", mass)
 
 
-@dataclass(frozen=True)
-class CredalSpec:
-    """A credal set, represented by the possibility contour dominating it."""
-
-    contour: PossibilityContour
-
-    @property
-    def universe(self) -> Grid:
-        return self.contour.universe
-
-
-def cred(y_n: Sample, psi: ScoreFn, universe: Grid) -> CredalSpec:
-    """Sample -> credal set: ranking transform, normalized to consonance."""
+def cred(y_n: Sample, psi: ScoreFn, universe: Grid) -> PossibilityContour:
+    """Sample -> credal set, as the contour that represents it: the ranking
+    transform, normalized to consonance."""
     t = normalize_consonant(transducer(y_n, psi, universe))
-    return CredalSpec(PossibilityContour.from_transducer(t))
+    return PossibilityContour.from_transducer(t)
 
 
 def upper_prob(c: PossibilityContour, a: Region) -> float:
@@ -146,22 +135,22 @@ def _subset_table(values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     return table
 
 
-def is_member(p: ProbVector, cs: CredalSpec) -> bool:
+def is_member(p: ProbVector, c: PossibilityContour) -> bool:
     """Dominance check over every subset: sum_A p <= max_A v + 1e-12.
 
     Enumerates all 2^size subsets, so the universe is capped at 20 points.
     """
-    if p.universe != cs.universe:
+    if p.universe != c.universe:
         raise UniverseMismatchError("vector and credal set live over different universes")
-    m = cs.universe.size
+    m = c.universe.size
     if m > _MEMBER_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
     sums = _subset_table(p.mass, np.add)
-    maxv = _subset_table(cs.contour.values, np.maximum)
+    maxv = _subset_table(c.values, np.maximum)
     return bool(np.all(sums <= maxv + _MEMBER_TOL))
 
 
-def ihdr_bruteforce(alpha: float, cs: CredalSpec) -> Region:
+def ihdr_bruteforce(alpha: float, c: PossibilityContour) -> Region:
     """Intersection of all subsets whose lower probability is >= 1 - alpha.
 
     The full grid always qualifies (its lower probability is 1), so the
@@ -169,25 +158,25 @@ def ihdr_bruteforce(alpha: float, cs: CredalSpec) -> Region:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    m = cs.universe.size
+    m = c.universe.size
     if m > _BRUTE_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
-    maxv = _subset_table(cs.contour.values, np.maximum)
+    maxv = _subset_table(c.values, np.maximum)
     full = (1 << m) - 1
     masks = np.arange(full + 1, dtype=np.int64)
     lower = 1.0 - maxv[full ^ masks]
     qualifying = masks[lower >= 1.0 - alpha]
     bits = int(np.bitwise_and.reduce(qualifying)) if qualifying.size else full
-    return Region(cs.universe, bits)
+    return Region(c.universe, bits)
 
 
-def ihdr_contour(alpha: float, cs: CredalSpec) -> Region:
+def ihdr_contour(alpha: float, c: PossibilityContour) -> Region:
     """Closed form: the strict super-level set {y : v(y) > alpha}."""
-    return Region.from_mask(cs.universe, cs.contour.values > alpha)
+    return Region.from_mask(c.universe, c.values > alpha)
 
 
 def check_functor_monotone(
-    cs_small: CredalSpec, cs_big: CredalSpec, alpha: float
+    small: PossibilityContour, big: PossibilityContour, alpha: float
 ) -> bool:
     """Nested credal sets must yield nested regions at every level.
 
@@ -196,16 +185,16 @@ def check_functor_monotone(
     credal sets to nest. Both regions go through the brute-force route when
     the grid is small enough to enumerate, else the closed form.
     """
-    if cs_small.universe != cs_big.universe:
+    if small.universe != big.universe:
         raise UniverseMismatchError("contours live over different universes")
-    vs, vb = cs_small.contour.values, cs_big.contour.values
+    vs, vb = small.values, big.values
     if (vs > vb).any():
         i = np.argmax(vs > vb)
         raise ValueError(f"precondition violated: small contour exceeds big ({vs[i]} > {vb[i]})")
-    if cs_small.universe.size <= 12:
-        r_small = ihdr_bruteforce(alpha, cs_small)
-        r_big = ihdr_bruteforce(alpha, cs_big)
+    if small.universe.size <= 12:
+        r_small = ihdr_bruteforce(alpha, small)
+        r_big = ihdr_bruteforce(alpha, big)
     else:
-        r_small = ihdr_contour(alpha, cs_small)
-        r_big = ihdr_contour(alpha, cs_big)
+        r_small = ihdr_contour(alpha, small)
+        r_big = ihdr_contour(alpha, big)
     return r_small.is_subset(r_big)

@@ -37,7 +37,6 @@ __all__ = [
     "score_mean_abs",
     "score_prototype",
     "check_permutation_invariance",
-    "score_from_obj",
     "gaussian_pdf",
 ]
 
@@ -131,62 +130,52 @@ class MeanAbsDistance(ScoreFn):
         return _loo_table(y_n.points, candidates, lambda v: np.linalg.norm(v, axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingNet:
     """Fixed feed-forward map R^d -> R^m: affine layers with ReLU between
-    them and a linear last layer. Weights are user-supplied constants."""
+    them and a linear last layer. Each layer is a (weights, biases) pair of
+    read-only float arrays, copied from the user-supplied constants."""
 
-    layers: tuple[tuple[tuple[tuple[float, ...], ...], tuple[float, ...]], ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        prev = None
+        layers = []
         for W, b in self.layers:
-            rows = len(W)
-            cols = len(W[0])
-            if any(len(r) != cols for r in W):
-                raise ValueError("ragged weight matrix")
-            if len(b) != rows:
-                raise ValueError("bias length must match output dim")
-            for r in W:
-                for v in r:
-                    if not math.isfinite(v):
-                        raise ValueError("non-finite weight")
-            if prev is not None and cols != prev:
+            W, b = np.array(W, dtype=float, order="C"), np.array(b, dtype=float)
+            if W.ndim != 2 or 0 in W.shape or b.shape != (W.shape[0],):
+                raise ValueError(f"a layer needs an (m, k) weight matrix and m biases, got "
+                                 f"shapes {W.shape} and {b.shape}")
+            if layers and W.shape[1] != layers[-1][0].shape[0]:
                 raise ValueError("layer dims inconsistent")
-            prev = rows
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise ValueError("non-finite weight or bias")
+            W.flags.writeable = b.flags.writeable = False
+            layers.append((W, b))
+        object.__setattr__(self, "layers", tuple(layers))
 
     @property
     def in_dim(self) -> int:
-        return len(self.layers[0][0][0])
-
-    @property
-    def out_dim(self) -> int:
-        return len(self.layers[-1][1])
+        return self.layers[0][0].shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Map a (batch, d) array to (batch, m)."""
         h = np.atleast_2d(np.asarray(x, dtype=float))
         last = len(self.layers) - 1
         for j, (W, b) in enumerate(self.layers):
-            h = h @ np.asarray(W, dtype=float).T + np.asarray(b, dtype=float)
+            h = h @ W.T + b
             if j != last:
                 h = np.maximum(h, 0.0)
         return h
 
     @staticmethod
     def identity(d: int) -> EmbeddingNet:
-        W = tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d))
-        return EmbeddingNet(((W, tuple(0.0 for _ in range(d))),))
+        return EmbeddingNet(((np.eye(d), np.zeros(d)),))
 
     @staticmethod
     def from_weights(mats: Sequence[np.ndarray], biases: Sequence[np.ndarray]) -> EmbeddingNet:
-        layers = tuple(
-            (tuple(tuple(float(v) for v in row) for row in W), tuple(float(v) for v in b))
-            for W, b in zip(mats, biases)
-        )
-        return EmbeddingNet(layers)
+        return EmbeddingNet(tuple(zip(mats, biases, strict=True)))
 
 
 @dataclass(frozen=True)
@@ -282,32 +271,3 @@ def check_permutation_invariance(
         if psi.evaluate(Sample(y_n.points[rng.permutation(y_n.n)]), y) != ref:
             return False
     return True
-
-
-# The kinds `score_from_obj` builds: the scores that need no fitted model.
-_SCORE_KINDS = ("mean_abs_distance", "prototype_embedding")
-
-
-def score_from_obj(obj: dict, dim: int = 1) -> ScoreFn:
-    """Build a score from {"kind": ..., "params": {...}}.
-
-    A prototype_embedding without params embeds by the identity map of R^dim.
-    Anything malformed raises ValueError.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError(f"a score must be an object, got {obj!r}")
-    unknown = sorted(set(obj) - {"kind", "params"})
-    if unknown:
-        raise ValueError(f"unknown score key {unknown[0]!r}; allowed keys: ('kind', 'params')")
-    kind = obj.get("kind")
-    if kind not in _SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}; pick one of {_SCORE_KINDS}")
-    params = obj.get("params") or {}
-    try:
-        if kind == "mean_abs_distance":
-            return MeanAbsDistance()
-        if not params:
-            return PrototypeEmbedding(EmbeddingNet.identity(dim))
-        return PrototypeEmbedding(EmbeddingNet.from_weights(params["weights"], params["biases"]))
-    except (LookupError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed {kind} params: {exc!r}") from None

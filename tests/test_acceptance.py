@@ -22,7 +22,7 @@ from gridcp.grid import Region, Sample, make_uniform_grid
 from gridcp.harness import ExperimentConfig, emit, run_coverage, run_diagram
 from gridcp.harness import run_bayes_triangle, run_eposterior, run_ihdr_oracle
 from gridcp.imprecise import ihdr_contour, lower_prob, upper_prob
-from gridcp.imprecise import CredalSpec, PossibilityContour, cred
+from gridcp.imprecise import PossibilityContour, cred
 from gridcp.scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding
 
 

@@ -7,13 +7,13 @@ from gridcp import catlaws
 from gridcp.catlaws import (
     FiniteCorrespondence,
     FinSet,
-    VietorisObject,
     check_category_axioms,
     check_functor_laws,
     check_monad_laws,
     check_tensor_laws,
     compose,
     downset_divergence_report,
+    hyperspace,
     identity,
     random_correspondence,
     tensor,
@@ -74,6 +74,11 @@ class TestCategoryAxioms:
         rep = check_category_axioms([2, 2, 2, 2], trials=0, seed=0)
         assert set(rep) >= {"law", "instance_sizes", "trials", "counterexamples"}
 
+    def test_too_many_unit_law_arrows_refused(self):
+        # 32^5 arrows X0 -> X1: refused before any arrow is built.
+        with pytest.raises(ValueError, match="too many"):
+            check_category_axioms([5, 5, 2, 2], trials=0, seed=0)
+
 
 class TestTensor:
     def test_id_tensor_id_is_product_id(self):
@@ -111,7 +116,10 @@ class TestTensor:
 class TestVietorisMap:
     def test_identity_lifts_to_identity(self):
         x = FinSet("X", 3)
-        assert vietoris_map(identity(x)) == identity(VietorisObject(x).as_finset())
+        assert vietoris_map(identity(x)) == identity(hyperspace(x))
+
+    def test_hyperspace_of_three_points(self):
+        assert hyperspace(FinSet("X", 3)) == FinSet("K(X)", 7)
 
     def test_swap_example(self):
         # phi swaps the two base points: the lift swaps the singletons and

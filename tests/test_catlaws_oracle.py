@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from gridcp.catlaws import (
     FiniteCorrespondence,
     FinSet,
-    VietorisObject,
     compose,
+    hyperspace,
     tensor,
     vietoris_map,
     vietoris_multiplication,
@@ -67,7 +67,7 @@ def _nonempty_submasks(mask):
 
 
 def bitmask_vietoris_map(phi, variant="singleton"):
-    kx, ky = VietorisObject(phi.source), VietorisObject(phi.target)
+    kx, ky = hyperspace(phi.source), hyperspace(phi.target)
     fibers = []
     for idx in range(kx.size):
         img = _image(phi, idx + 1)
@@ -78,19 +78,18 @@ def bitmask_vietoris_map(phi, variant="singleton"):
             for s in _nonempty_submasks(img):
                 mask |= 1 << (s - 1)
             fibers.append(mask)
-    return FiniteCorrespondence.from_fibers(kx.as_finset(), ky.as_finset(), tuple(fibers))
+    return FiniteCorrespondence.from_fibers(kx, ky, tuple(fibers))
 
 
 def bitmask_vietoris_unit(x):
-    kx = VietorisObject(x)
     return FiniteCorrespondence.from_fibers(
-        x, kx.as_finset(), tuple(1 << ((1 << i) - 1) for i in range(x.size))
+        x, hyperspace(x), tuple(1 << ((1 << i) - 1) for i in range(x.size))
     )
 
 
 def bitmask_vietoris_multiplication(x):
-    kx = VietorisObject(x)
-    kkx = VietorisObject(kx.as_finset())
+    kx = hyperspace(x)
+    kkx = hyperspace(kx)
     fibers = []
     for idx in range(kkx.size):
         fam = idx + 1
@@ -99,7 +98,7 @@ def bitmask_vietoris_multiplication(x):
             if (fam >> i) & 1:
                 union |= i + 1
         fibers.append(1 << (union - 1))
-    return FiniteCorrespondence.from_fibers(kkx.as_finset(), kx.as_finset(), tuple(fibers))
+    return FiniteCorrespondence.from_fibers(kkx, kx, tuple(fibers))
 
 
 SIZES = st.integers(1, 4)

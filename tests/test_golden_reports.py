@@ -105,7 +105,7 @@ grid_index,x0,x1,k,pi_value
 def test_worked_example_csv_text():
     sample = Sample.of([0, 1])
     assert transducer(sample, MeanAbsDistance(), WORKED_GRID).to_csv() == TRANSDUCER_CSV
-    assert cred(sample, MeanAbsDistance(), WORKED_GRID).contour.to_csv() == CONTOUR_CSV
+    assert cred(sample, MeanAbsDistance(), WORKED_GRID).to_csv() == CONTOUR_CSV
 
 
 def test_two_dimensional_csv_text():

@@ -24,6 +24,7 @@ from gridcp.harness import (
     run_ihdr_oracle,
     wilson_lower_bound,
 )
+from gridcp.scores import PrototypeEmbedding
 
 
 class TestWilson:
@@ -101,6 +102,44 @@ class TestConfig:
         built = ExperimentConfig(experiment=experiment)
         for f in dataclasses.fields(ExperimentConfig):
             assert getattr(parsed, f.name) == getattr(built, f.name), f.name
+
+
+class TestScoreConfig:
+    """The score a coverage config names, parsed once, by the harness."""
+
+    @staticmethod
+    def config(score, extras=None) -> dict:
+        return {"experiment": "coverage", "score": score, "extras": extras or {}}
+
+    def test_unknown_kind(self):
+        for kind in ("nope", "neg_predictive_density"):
+            with pytest.raises(ValueError, match=f"unknown score kind '{kind}'"):
+                ExperimentConfig.from_json_obj(self.config(kind))
+
+    def test_prototype_without_params_is_the_identity_embedding(self):
+        psi = ExperimentConfig.from_json_obj(self.config({"kind": "prototype_embedding"})).psi
+        assert isinstance(psi, PrototypeEmbedding)
+        ((W, b),) = psi.net.layers
+        assert W.tolist() == [[1.0]] and b.tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "score, params, named",
+        [
+            ({"kind": "mean_abs_distance", "parms": {}}, None, "'parms'"),
+            ({"kind": ["mean_abs_distance"]}, None, "unknown score kind"),
+            ("prototype_embedding", {"weights": 5, "biases": [1]}, "extras.score_params"),
+            ("prototype_embedding", {"weights": [[[1.0]]]}, "extras.score_params"),
+            ("prototype_embedding", {"weights": [[[math.nan]]], "biases": [[0]]},
+             "extras.score_params"),
+            ([1, 2], None, "unknown score kind"),
+        ],
+        ids=["unknown_key", "list_kind", "weights_not_a_list", "no_biases", "nan_weight",
+             "list_score"],
+    )
+    def test_malformed_score_is_a_value_error(self, score, params, named):
+        extras = {} if params is None else {"score_params": params}
+        with pytest.raises(ValueError, match=named):
+            ExperimentConfig.from_json_obj(self.config(score, extras))
 
 
 class TestMapTrials:
@@ -398,6 +437,69 @@ class TestCli:
             ("coverage", {"model": {}}, "'model'"),
             ("coverage", {"grid": {"counts": [10**9]}}, "limit"),
             ("coverage", {"score": "neg_predictive_density"}, "'neg_predictive_density'"),
+            ("coverage", {"trials": 2.9}, "field trials"),
+            ("coverage", {"n": 20.5}, "field n"),
+            ("coverage", {"grid": {"counts": [11.7]}}, "field grid.counts"),
+            ("coverage", {"trials": "3"}, "field trials"),
+            ("coverage", {"seed": True}, "field seed"),
+            ("coverage", {"alpha": "0.2"}, "field alpha"),
+            ("coverage", {"grid": {"bounds": [[-1, True]]}}, "field grid.bounds"),
+            (
+                "ihdr_oracle",
+                {"alpha": 0.5, "n": 50, "scenario": "nope", "grid": {"counts": [3]},
+                 "score": "bogus"},
+                "coverage only",
+            ),
+            ("diagram", {"score": "mean_abs_distance"}, "'score'"),
+            (
+                "coverage",
+                {
+                    "score": "prototype_embedding",
+                    "extras": {"score_params": {"weights": [[[1.0]]], "biases": [[math.nan]]}},
+                },
+                "extras.score_params",
+            ),
+            (
+                "coverage",
+                {
+                    "score": "prototype_embedding",
+                    "extras": {"score_params": {"weights": [[[10**400]]], "biases": [[0]]}},
+                },
+                "extras.score_params",
+            ),
+            (
+                "coverage",
+                {
+                    "score": "prototype_embedding",
+                    "extras": {"score_params": {"weights": [[[1.0]], [[1.0]]], "biases": [[0]]}},
+                },
+                "extras.score_params",
+            ),
+            (
+                "coverage",
+                {"extras": {"score_params": {"weights": [[[1.0]]], "biases": [[0]]}}},
+                "extras.score_params",
+            ),
+            (
+                "coverage",
+                {
+                    "score": "prototype_embedding",
+                    "extras": {
+                        "score_params": {"weights": [[[1.0]]], "biases": [[0]], "bias": [[0]]}
+                    },
+                },
+                "extras.score_params",
+            ),
+            (
+                "coverage",
+                {"score": "prototype_embedding", "extras": {"score_params": []}},
+                "extras.score_params",
+            ),
+            (
+                "coverage",
+                {"score": "prototype_embedding", "extras": {"score_params": 0}},
+                "extras.score_params",
+            ),
         ],
         ids=[
             "malformed_score_params",
@@ -420,12 +522,30 @@ class TestCli:
             "removed_model_key",
             "oversized_grid",
             "unsupported_score_kind",
+            "float_trials",
+            "float_n",
+            "float_grid_count",
+            "string_trials",
+            "bool_seed",
+            "string_alpha",
+            "bool_grid_bound",
+            "coverage_keys_elsewhere",
+            "score_for_diagram",
+            "nan_bias",
+            "overflowing_weight",
+            "two_weights_one_bias",
+            "score_params_for_mean_abs_distance",
+            "unknown_score_params_key",
+            "list_score_params",
+            "zero_score_params",
         ],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, experiment, bad, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(bad))
-        code = cli.main([experiment, "--config", str(cfg_path), "--trials", "3"])
+        # A --trials flag would override the config's own trials field.
+        trials = [] if "trials" in bad else ["--trials", "3"]
+        code = cli.main([experiment, "--config", str(cfg_path), *trials])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
@@ -460,10 +580,14 @@ class TestCli:
         assert cli.main(["coverage", "--trials", "5"]) == 1
 
     def test_entry_point_installed(self):
+        # The subprocess imports the gridcp this test imported.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "gridcp.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "experiment" in proc.stdout

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from gridcp.fullcp import transducer
 from gridcp.grid import Grid, Region, Sample, UniverseMismatchError, make_uniform_grid
 from gridcp.imprecise import (
-    CredalSpec,
     PossibilityContour,
     ProbVector,
     check_functor_monotone,
@@ -27,9 +26,9 @@ from gridcp.imprecise import (
 from gridcp.scores import MeanAbsDistance
 
 
-def contour_on(values) -> CredalSpec:
+def contour_on(values) -> PossibilityContour:
     grid = make_uniform_grid([(0, 1)], [len(values)])
-    return CredalSpec(PossibilityContour(grid, tuple(float(v) for v in values)))
+    return PossibilityContour(grid, tuple(float(v) for v in values))
 
 
 def consonant_values(draw_values):
@@ -61,7 +60,7 @@ class TestContourConstruction:
 
     def test_csv_has_normalized_flag(self):
         cs = contour_on([1.0, 0.5])
-        rows = list(csv.reader(io.StringIO(cs.contour.to_csv())))
+        rows = list(csv.reader(io.StringIO(cs.to_csv())))
         assert rows[0][-1] == "normalized"
         assert all(r[-1] == "1" for r in rows[1:])
 
@@ -72,12 +71,19 @@ class TestCred:
 
     def test_worked_example_already_consonant(self):
         cs = cred(Sample.of([0, 1]), MeanAbsDistance(), self.grid())
-        assert cs.contour.values.tolist() == [1.0, 1.0, 1.0, 2.0 / 3.0]
+        assert cs.values.tolist() == [1.0, 1.0, 1.0, 2.0 / 3.0]
+
+    def test_returns_the_contour_every_route_takes(self):
+        contour = cred(Sample.of([0, 1]), MeanAbsDistance(), self.grid())
+        assert isinstance(contour, PossibilityContour)
+        assert upper_prob(contour, contour.universe.region([3])) == 2.0 / 3.0
+        assert ihdr_contour(0.7, contour).indices == (0, 1, 2)
+        assert ihdr_bruteforce(0.7, contour) == ihdr_contour(0.7, contour)
 
     def test_constant_sample_vacuous_contour(self):
         grid = make_uniform_grid([(0, 4)], [5])
         cs = cred(Sample.of([2, 2, 2]), MeanAbsDistance(), grid)
-        assert max(cs.contour.values) == 1.0
+        assert max(cs.values) == 1.0
 
     def test_max_is_always_one(self):
         rng = np.random.default_rng(4)
@@ -85,7 +91,7 @@ class TestCred:
             s = Sample.of(rng.uniform(-2, 2, int(rng.integers(1, 6))).tolist())
             grid = make_uniform_grid([(-3, 3)], [int(rng.integers(2, 10))])
             cs = cred(s, MeanAbsDistance(), grid)
-            assert max(cs.contour.values) == 1.0
+            assert max(cs.values) == 1.0
 
 
 class TestUpperLowerProb:
@@ -94,25 +100,25 @@ class TestUpperLowerProb:
         self.grid = self.cs.universe
 
     def test_upper_full_is_one(self):
-        assert upper_prob(self.cs.contour, self.grid.full_region()) == 1.0
+        assert upper_prob(self.cs, self.grid.full_region()) == 1.0
 
     def test_upper_empty_is_zero(self):
-        assert upper_prob(self.cs.contour, self.grid.empty_region()) == 0.0
+        assert upper_prob(self.cs, self.grid.empty_region()) == 0.0
 
     def test_upper_hand_example(self):
-        assert upper_prob(self.cs.contour, self.grid.region([1, 2])) == 2.0 / 3.0
+        assert upper_prob(self.cs, self.grid.region([1, 2])) == 2.0 / 3.0
 
     def test_lower_full_and_empty(self):
-        assert lower_prob(self.cs.contour, self.grid.full_region()) == 1.0
-        assert lower_prob(self.cs.contour, self.grid.empty_region()) == 0.0
+        assert lower_prob(self.cs, self.grid.full_region()) == 1.0
+        assert lower_prob(self.cs, self.grid.empty_region()) == 0.0
 
     def test_lower_hand_example(self):
-        assert lower_prob(self.cs.contour, self.grid.region([0])) == 1.0 - 2.0 / 3.0
+        assert lower_prob(self.cs, self.grid.region([0])) == 1.0 - 2.0 / 3.0
 
     def test_universe_mismatch(self):
         other = make_uniform_grid([(0, 1)], [4])
         with pytest.raises(UniverseMismatchError):
-            upper_prob(self.cs.contour, other.full_region())
+            upper_prob(self.cs, other.full_region())
 
 
 @given(contours(max_size=8), st.integers(0, 255), st.integers(0, 255))
@@ -124,10 +130,10 @@ def test_conjugacy_and_maxitivity_exact(cs, bits_a, bits_b):
     b = Region(cs.universe, bits_b & mask)
     # Conjugacy: L(A) + U(A^c) = 1, exactly (IEEE round-to-nearest makes the
     # 1 - x + x pattern land back on 1.0 for x in [0, 1]).
-    assert lower_prob(cs.contour, a) + upper_prob(cs.contour, a.complement()) == 1.0
+    assert lower_prob(cs, a) + upper_prob(cs, a.complement()) == 1.0
     # Maxitivity: U(A u B) = max(U(A), U(B)).
-    assert upper_prob(cs.contour, a.union(b)) == max(
-        upper_prob(cs.contour, a), upper_prob(cs.contour, b)
+    assert upper_prob(cs, a.union(b)) == max(
+        upper_prob(cs, a), upper_prob(cs, b)
     )
 
 
@@ -170,7 +176,7 @@ class TestIsMember:
         grid = make_uniform_grid([(0, 1)], [21])
         vals = [0.5] * 21
         vals[0] = 1.0
-        cs = CredalSpec(PossibilityContour(grid, tuple(vals)))
+        cs = PossibilityContour(grid, tuple(vals))
         p = ProbVector(grid, tuple([1.0 / 21] * 21))
         with pytest.raises(ValueError, match="too large"):
             is_member(p, cs)
@@ -207,7 +213,7 @@ class TestIsMember:
     @given(contours(max_size=8))
     @settings(max_examples=50)
     def test_accepts_descending_ladder_transform(self, cs):
-        mass = possibility_to_probability(cs.contour.values)
+        mass = possibility_to_probability(cs.values)
         assert is_member(ProbVector(cs.universe, mass), cs)
 
     @given(contours(max_size=7))
@@ -219,7 +225,7 @@ class TestIsMember:
         m = cs.universe.size
         raw = rng.dirichlet(np.ones(m))
         p = ProbVector(cs.universe, tuple(float(v / raw.sum()) for v in raw))
-        vals = cs.contour.values
+        vals = cs.values
         level_ok = all(
             math.fsum(p.mass[i] for i in range(m) if vals[i] <= t) <= t + 1e-12
             for t in set(vals)
@@ -266,7 +272,7 @@ class TestIhdrRoutes:
     def test_oracle_equivalence(self, cs, alpha):
         # The computational content of the functor-image fact: for levels off
         # the contour's value set, definition and closed form agree exactly.
-        if any(abs(alpha - v) < 1e-9 for v in cs.contour.values):
+        if any(abs(alpha - v) < 1e-9 for v in cs.values):
             return
         assert ihdr_bruteforce(alpha, cs) == ihdr_contour(alpha, cs)
 
@@ -277,7 +283,7 @@ class TestIhdrRoutes:
             s = Sample.of(rng.uniform(-2, 2, int(rng.integers(2, 7))).tolist())
             cs = cred(s, MeanAbsDistance(), grid)
             alpha = float(rng.uniform(0.02, 0.98))
-            if any(abs(alpha - v) < 1e-9 for v in cs.contour.values):
+            if any(abs(alpha - v) < 1e-9 for v in cs.values):
                 continue
             assert ihdr_bruteforce(alpha, cs) == ihdr_contour(alpha, cs)
 
@@ -304,14 +310,14 @@ class TestFunctorMonotone:
     @settings(max_examples=80, deadline=None)
     def test_randomized_dominated_pairs(self, cs_big, alpha):
         rng = np.random.default_rng(7)
-        vals_big = cs_big.contour.values.tolist()
+        vals_big = cs_big.values.tolist()
         peak = vals_big.index(1.0)
         shrink = rng.uniform(0, 1, len(vals_big))
         vals_small = [v * s for v, s in zip(vals_big, shrink)]
         vals_small[peak] = 1.0
         if any(a > b for a, b in zip(vals_small, vals_big)):
             return
-        cs_small = CredalSpec(PossibilityContour(cs_big.universe, tuple(vals_small)))
+        cs_small = PossibilityContour(cs_big.universe, tuple(vals_small))
         if any(abs(alpha - v) < 1e-9 for v in list(vals_big) + vals_small):
             return
         assert check_functor_monotone(cs_small, cs_big, alpha)
@@ -329,7 +335,7 @@ class TestFunctorMonotone:
             v1[peak] = 1.0
             grid = make_uniform_grid([(0, 1)], [size])
             cs1, cs2, cs3 = (
-                CredalSpec(PossibilityContour(grid, tuple(float(x) for x in v)))
+                PossibilityContour(grid, tuple(float(x) for x in v))
                 for v in (v1, v2, v3)
             )
             alpha = float(rng.uniform(0.02, 0.98))

@@ -1,4 +1,4 @@
-"""Score families: frozen values, exact permutation invariance, config I/O."""
+"""Score families: frozen values, exact permutation invariance, embedding nets."""
 
 import itertools
 import math
@@ -16,7 +16,6 @@ from gridcp.scores import (
     PrototypeEmbedding,
     ScoreFn,
     check_permutation_invariance,
-    score_from_obj,
     score_mean_abs,
     score_prototype,
     _partial_sums,
@@ -224,33 +223,37 @@ class TestEmbeddingNet:
         with pytest.raises(ValueError):
             EmbeddingNet(((((float("nan"),),), (0.0,)),))
 
+    @pytest.mark.parametrize("bias", [math.nan, math.inf])
+    def test_rejects_nonfinite_bias(self, bias):
+        with pytest.raises(ValueError, match="non-finite"):
+            EmbeddingNet.from_weights([[[1.0]]], [[bias]])
 
-class TestJsonConfig:
-    def test_unknown_kind(self):
-        for kind in ("nope", "neg_predictive_density"):
-            with pytest.raises(ValueError, match=f"unknown score kind '{kind}'"):
-                score_from_obj({"kind": kind, "params": {}})
-
-    def test_prototype_without_params_is_the_identity_embedding(self):
-        for d in (1, 3):
-            psi = score_from_obj({"kind": "prototype_embedding"}, dim=d)
-            assert psi == PrototypeEmbedding(EmbeddingNet.identity(d))
+    def test_weights_and_biases_pair_up(self):
+        # Two weight matrices and one bias vector are no 1-layer net.
+        with pytest.raises(ValueError, match="zip"):
+            EmbeddingNet.from_weights([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1)])
 
     @pytest.mark.parametrize(
-        "obj, named",
-        [
-            ({"kind": "mean_abs_distance", "parms": {}}, "'parms'"),
-            ({"kind": ["mean_abs_distance"]}, "unknown score kind"),
-            ({"kind": "prototype_embedding", "params": {"weights": 5, "biases": [1]}}, "malformed"),
-            ({"kind": "prototype_embedding", "params": {"weights": [[[1.0]]]}}, "malformed"),
-            ({"kind": "prototype_embedding", "params": {"weights": [[[math.nan]]], "biases": [[0]]}},
-             "malformed"),
-            ([1, 2], "object"),
-        ],
+        "W, b", [([1.0], [0.0]), ([[1.0], [1.0]], [0.0]), (np.ones((1, 0)), [0.0])]
     )
-    def test_malformed_score_is_a_value_error(self, obj, named):
-        with pytest.raises(ValueError, match=named):
-            score_from_obj(obj)
+    def test_rejects_malformed_layer(self, W, b):
+        with pytest.raises(ValueError, match="a layer needs"):
+            EmbeddingNet.from_weights([W], [b])
+
+    def test_layers_are_read_only_copies(self):
+        W, b = np.ones((2, 1)), np.zeros(2)
+        net = EmbeddingNet.from_weights([W], [b])
+        for arr, given_arr in zip(net.layers[0], (W, b)):
+            assert arr.dtype == np.float64 and arr is not given_arr
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        W[0, 0] = b[0] = 5.0  # the caller's arrays stay writable
+        assert net.apply(np.array([[1.0]])).tolist() == [[1.0, 1.0]]
+
+    def test_compares_by_identity(self):
+        net = EmbeddingNet.identity(2)
+        assert net == net
+        assert net != EmbeddingNet.identity(2)
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=7), finite_floats)
