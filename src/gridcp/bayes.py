@@ -75,10 +75,12 @@ class ConjugateModel:
     prior_sd: float
 
     def __post_init__(self):
-        if self.likelihood_sd <= 0:
-            raise ValueError("likelihood_sd must be positive")
-        if self.prior_sd <= 0:
-            raise ValueError("prior_sd must be positive")
+        if not math.isfinite(self.prior_mean):
+            raise ValueError(f"prior_mean must be finite, got {self.prior_mean}")
+        for name in ("likelihood_sd", "prior_sd"):
+            sd = getattr(self, name)
+            if not (math.isfinite(sd) and sd > 0):
+                raise ValueError(f"{name} must be finite and positive, got {sd}")
 
 
 @dataclass(frozen=True, eq=False)

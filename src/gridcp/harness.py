@@ -316,6 +316,13 @@ def _score_for(cfg: ExperimentConfig) -> ScoreFn:
         return PrototypeEmbedding(EmbeddingNet.identity(dim))
     try:
         params = _json_object(params, ("weights", "biases"))
+        nested = [params["weights"], params["biases"]]
+        while nested:  # numpy would read a JSON bool as 0.0 or 1.0
+            value = nested.pop()
+            if isinstance(value, bool):
+                raise TypeError("weights and biases must be JSON numbers, not booleans")
+            if isinstance(value, list):
+                nested.extend(value)
         net = EmbeddingNet.from_weights(params["weights"], params["biases"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"extras.score_params: {exc!r}") from None

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Cells (candidates x n x m) per block of the leave-one-out kernel: about
+# 2 MiB per float temporary, whatever the grid size.
+_BLOCK_CELLS = 1 << 18
 
 
 def gaussian_pdf(y, mean: float, sd: float):
@@ -80,11 +83,17 @@ def _loo_table(points: np.ndarray, candidates, dist: Callable, embed: Callable =
     n, d = points.shape
     train = embed(points)  # (n, m)
     cand = embed(np.asarray(candidates, dtype=float).reshape(-1, d))  # (G, m)
-    # columns 0..n-1: held-out training point i against the other n points
-    t_train = dist((_partial_sums(train)[None, :, :] + cand[:, None, :]) / n - train[None, :, :])
+    sums = _partial_sums(train)
+    out = np.empty((len(cand), n + 1))
+    # columns 0..n-1: held-out training point i against the other n points,
+    # a block of candidates at a time, so no (G, n, m) temporary is built
+    step = max(1, _BLOCK_CELLS // (n * cand.shape[1]))
+    for lo in range(0, len(cand), step):
+        block = cand[lo : lo + step, None, :]
+        out[lo : lo + step, :n] = dist((sums[None, :, :] + block) / n - train[None, :, :])
     # column n: the candidate against the training sample
-    t_cand = dist(_fsum_mean(train) - cand)
-    return np.concatenate([t_train, t_cand[:, None]], axis=1)
+    out[:, n] = dist(_fsum_mean(train) - cand)
+    return out
 
 
 class ScoreFn:
@@ -208,8 +217,10 @@ class NegPredictiveDensity(ScoreFn):
     kind: str = "neg_predictive_density"
 
     def __post_init__(self):
-        if self.sd <= 0:
-            raise ValueError("sd must be positive")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not (math.isfinite(self.sd) and self.sd > 0):
+            raise ValueError(f"sd must be finite and positive, got {self.sd}")
 
     def density(self, y):
         return gaussian_pdf(y, self.mean, self.sd)
@@ -219,8 +230,12 @@ class NegPredictiveDensity(ScoreFn):
         return -float(self.density(val))
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
+        cand = np.asarray(candidates, dtype=float)
+        if y_n.dim != 1 or cand.shape[1:] not in ((), (1,)):
+            raise ValueError(f"{self.kind} scores 1-D points; got a {y_n.dim}-D sample and "
+                             f"candidates of shape {cand.shape}")
         pts = y_n.points[:, 0]
-        cand = np.asarray(candidates, dtype=float).reshape(-1)
+        cand = cand.reshape(-1)
         t_train = -self.density(pts)  # constant across candidates
         t_cand = -self.density(cand)
         G = cand.shape[0]

@@ -58,6 +58,17 @@ class TestPosteriorPredictive:
         with pytest.raises(ValueError):
             ConjugateModel(likelihood_sd=1.0, prior_mean=0.0, prior_sd=-2.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prior_mean", v) for v in (math.nan, math.inf, -math.inf)]
+        + [(f, v) for f in ("likelihood_sd", "prior_sd")
+           for v in (math.nan, math.inf, -math.inf, 0.0)],
+    )
+    def test_rejects_non_finite_mean_and_non_positive_sd(self, field, value):
+        params = {"likelihood_sd": 1.0, "prior_mean": 0.0, "prior_sd": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ConjugateModel(**params)
+
     def test_cached_values_match_density(self):
         m = ConjugateModel(likelihood_sd=1.0, prior_mean=0.0, prior_sd=1.0)
         grid = small_grid()

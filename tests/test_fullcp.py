@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,19 @@ def example_grid() -> Grid:
 
 
 class TestTransducer:
+    def test_large_grid_memory_stays_near_the_table(self):
+        # The (G, n+1) table is 31 MiB here; one (G, n, m) float array would
+        # be another 62 MiB, and the unblocked kernel peaked at 185 MiB.
+        grid = make_uniform_grid([(-3.0, 3.0), (-3.0, 3.0)], [201, 201])
+        y_n = Sample(np.random.default_rng(0).normal(size=(100, 2)))
+        tracemalloc.start()
+        try:
+            transducer(y_n, MeanAbsDistance(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_worked_example(self):
         # Hand enumeration: candidate 0.5 gives T=(0.75, 0.75, 0), all three
         # indicators fire; candidate 2 gives T=(1.5, 0, 1.5), two fire.

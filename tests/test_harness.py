@@ -500,6 +500,27 @@ class TestCli:
                 {"score": "prototype_embedding", "extras": {"score_params": 0}},
                 "extras.score_params",
             ),
+            (
+                "coverage",
+                {
+                    "score": "prototype_embedding",
+                    "extras": {"score_params": {"weights": [[[True]]], "biases": [[False]]}},
+                },
+                "extras.score_params",
+            ),
+            (
+                "coverage",
+                {
+                    "score": "prototype_embedding",
+                    "extras": {
+                        "score_params": {
+                            "weights": [[[1.0]], [[True]]],
+                            "biases": [[0.0], [0.0]],
+                        }
+                    },
+                },
+                "extras.score_params",
+            ),
         ],
         ids=[
             "malformed_score_params",
@@ -538,6 +559,8 @@ class TestCli:
             "unknown_score_params_key",
             "list_score_params",
             "zero_score_params",
+            "bool_score_params",
+            "bool_among_number_score_params",
         ],
     )
     def test_malformed_config_exit_two(self, tmp_path, capsys, experiment, bad, named):

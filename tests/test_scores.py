@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcp import scores as scores_module
 from gridcp.grid import Sample
 from gridcp.scores import (
     EmbeddingNet,
@@ -18,6 +19,7 @@ from gridcp.scores import (
     check_permutation_invariance,
     score_mean_abs,
     score_prototype,
+    _fsum_mean,
     _partial_sums,
 )
 
@@ -97,6 +99,23 @@ class TestNegPredictiveDensity:
         with pytest.raises(ValueError):
             NegPredictiveDensity(mean=0.0, sd=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mean", math.nan), ("mean", math.inf), ("mean", -math.inf)]
+        + [("sd", v) for v in (math.nan, math.inf, -math.inf, 0.0)],
+    )
+    def test_rejects_non_finite_mean_and_non_positive_sd(self, field, value):
+        params = {"mean": 0.0, "sd": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            NegPredictiveDensity(**params)
+
+    @pytest.mark.parametrize("sample_dim, cand_shape", [(2, (4, 2)), (1, (4, 2))])
+    def test_loo_matrix_refuses_multivariate_points(self, sample_dim, cand_shape):
+        psi = NegPredictiveDensity(mean=0.0, sd=1.0)
+        y_n = Sample(np.arange(3.0 * sample_dim).reshape(3, sample_dim))
+        with pytest.raises(ValueError, match="neg_predictive_density scores 1-D points"):
+            psi.loo_matrix(y_n, np.zeros(cand_shape))
+
 
 class TestPermutationInvariance:
     def test_mean_abs_random_permutations(self):
@@ -170,6 +189,58 @@ class TestVectorizedKernelAgreesWithEvaluate:
             slow = ScoreFn.loo_matrix(psi, y_n, candidates)
             assert fast.shape == (9, 7)
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
+
+
+def _one_shot_table(points, candidates, dist, embed=np.asarray):
+    """The unblocked kernel: one (G, n, m) difference array for columns 0..n-1."""
+    n, d = points.shape
+    train = embed(points)
+    cand = embed(np.asarray(candidates, dtype=float).reshape(-1, d))
+    t_train = dist((_partial_sums(train)[None, :, :] + cand[:, None, :]) / n - train[None, :, :])
+    t_cand = dist(_fsum_mean(train) - cand)
+    return np.concatenate([t_train, t_cand[:, None]], axis=1)
+
+
+def _blocking_cases():
+    """(score, d, m, dist, embed) for both sample scores, d = 1 and 2, m != d."""
+    rng = np.random.default_rng(5)
+    norm = lambda v: np.linalg.norm(v, axis=-1)  # noqa: E731
+    neg_sq = lambda v: -np.sum(v * v, axis=-1)  # noqa: E731
+    ident = EmbeddingNet.identity(1)
+    wide = EmbeddingNet.from_weights([rng.standard_normal((2, 1))], [rng.standard_normal(2)])
+    deep = EmbeddingNet.from_weights(
+        [rng.standard_normal((4, 2)), rng.standard_normal((3, 4))],
+        [rng.standard_normal(4), rng.standard_normal(3)],
+    )
+    return {
+        "mean_abs_d1": (MeanAbsDistance(), 1, 1, norm, np.asarray),
+        "mean_abs_d2": (MeanAbsDistance(), 2, 2, norm, np.asarray),
+        "prototype_d1": (PrototypeEmbedding(ident), 1, 1, neg_sq, ident.apply),
+        "prototype_d1_m2": (PrototypeEmbedding(wide), 1, 2, neg_sq, wide.apply),
+        "prototype_d2_m3": (PrototypeEmbedding(deep), 2, 3, neg_sq, deep.apply),
+    }
+
+
+class TestBlockedKernelIsBitExact:
+    """Blocking the kernel over candidates changes no bit of any table."""
+
+    @pytest.mark.parametrize("cells", [1, 7, None], ids=["cells1", "cells7", "default"])
+    @pytest.mark.parametrize("case", sorted(_blocking_cases()))
+    def test_matches_one_shot_table(self, monkeypatch, cells, case):
+        psi, d, m, dist, embed = _blocking_cases()[case]
+        if cells is not None:
+            monkeypatch.setattr(scores_module, "_BLOCK_CELLS", cells)
+        n = 3
+        rows = max(1, scores_module._BLOCK_CELLS // (n * m))
+        rng = np.random.default_rng(0)
+        y_n = Sample(rng.uniform(-2, 2, (n, d)))
+        # G one less than a block, exactly one block, and one more.
+        for size in (rows - 1, rows, rows + 1):
+            candidates = rng.uniform(-2, 2, (size, d))
+            table = psi.loo_matrix(y_n, candidates)
+            assert table.shape == (size, n + 1)
+            expected = _one_shot_table(y_n.points, candidates, dist, embed)
+            assert table.tobytes() == expected.tobytes(), size
 
 
 def _partial_sums_by_deletion(points: np.ndarray) -> np.ndarray:
