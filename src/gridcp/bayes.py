@@ -41,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fullcp import TieGrid, TieLevelError, assert_no_tie
+from .fullcp import check_level, kappa, transducer
 from .grid import Grid, Region, Sample
+from .imprecise import cred, ihdr_contour
 from .scores import NegPredictiveDensity, gaussian_pdf
 
 __all__ = [
@@ -126,29 +127,25 @@ def posterior_predictive(
     return PredictiveDensity(mean=mean, sd=sd, universe=universe, evaluated=vals, sample=y_n)
 
 
-def bcp(y_n: Sample, pd: PredictiveDensity) -> NegPredictiveDensity:
+def bcp(pd: PredictiveDensity) -> NegPredictiveDensity:
     """Freeze the predictive into a score: psi(_, y) = -density(y).
 
     The sample argument of the resulting score is ignored, so permutation
     invariance holds vacuously (and is still property-tested).
     """
-    if not np.array_equal(pd.sample.points, y_n.points):
-        raise ValueError("predictive was not built from this sample")
     return NegPredictiveDensity(mean=pd.mean, sd=pd.sd)
 
 
-def quant(alpha: float, y_n: Sample, pd: PredictiveDensity, universe: Grid) -> Region:
-    """Order-statistic level set of the predictive density.
+def quant(alpha: float, pd: PredictiveDensity) -> Region:
+    """Order-statistic level set of the predictive density on its grid.
 
     Region = {y in grid : density(y) >= c} with c the (q-1)-th smallest
-    training density, q = ceil((n+1) * alpha); the full grid when q = 1.
+    density of the training sample, q = ceil((n+1) * alpha); the full grid
+    when q = 1.
     """
-    n = y_n.n
-    if not assert_no_tie(alpha, TieGrid(n)):
-        raise TieLevelError(
-            f"alpha={alpha} lies on the attainable plausibility set for n={n}"
-        )
-    dens = pd.density(y_n.points[:, 0])
+    n = pd.sample.n
+    check_level(alpha, n)
+    dens = pd.density(pd.sample.points[:, 0])
     if len(set(dens.tolist())) != n:
         raise DensityTieError(
             "training points have exactly tied predictive densities; "
@@ -156,15 +153,12 @@ def quant(alpha: float, y_n: Sample, pd: PredictiveDensity, universe: Grid) -> R
         )
     q = math.ceil((n + 1) * alpha)
     if q <= 1:
-        return universe.full_region()
+        return pd.universe.full_region()
     c = float(np.sort(dens)[q - 2])  # (q-1)-th smallest, 0-based
-    grid_dens = pd.density(universe.points[:, 0])
-    return Region.from_mask(universe, grid_dens >= c)
+    return Region.from_mask(pd.universe, pd.evaluated >= c)
 
 
-def quant_cdf_diagnostic(
-    alpha: float, y_n: Sample, pd: PredictiveDensity, universe: Grid
-) -> tuple[Region, int]:
+def quant_cdf_diagnostic(alpha: float, pd: PredictiveDensity) -> tuple[Region, int]:
     """Level set cut at the grid-quadrature CDF quantile, plus its disagreement.
 
     The threshold is the smallest density value c (among grid densities) with
@@ -172,15 +166,15 @@ def quant_cdf_diagnostic(
     and the size of its symmetric difference against the order-statistic
     region. Diagnostic only; excluded from every acceptance check.
     """
+    universe, grid_dens = pd.universe, pd.evaluated
     dy = universe.spacing[0]
-    grid_dens = pd.density(universe.points[:, 0])
     order = np.argsort(grid_dens)
     csum = np.cumsum(grid_dens[order] * dy)
     # F(c) sweeps the sorted density values; take the first c with F >= 1-alpha.
     pos = int(np.searchsorted(csum, 1.0 - alpha))
     c = math.inf if pos >= len(order) else float(grid_dens[order][pos])
     region = Region.from_mask(universe, grid_dens >= c)
-    exact = quant(alpha, y_n, pd, universe)
+    exact = quant(alpha, pd)
     return region, len(region.difference(exact)) + len(exact.difference(region))
 
 
@@ -190,12 +184,9 @@ def bayes_triangle_detail(
     """Exact three-way set identity: level set == ranking region == contour
     region. Returns the verdict and the three regions' indices, with the
     transducer's consonance."""
-    from .fullcp import kappa, transducer
-    from .imprecise import cred, ihdr_contour
-
     pd = posterior_predictive(m, y_n, universe)
-    score = bcp(y_n, pd)
-    r_quant = quant(alpha, y_n, pd, universe)
+    score = bcp(pd)
+    r_quant = quant(alpha, pd)
     r_kappa = kappa(alpha, y_n, score, universe)
     t = transducer(y_n, score, universe)
     r_ihdr = ihdr_contour(alpha, cred(y_n, score, universe))

@@ -13,16 +13,17 @@ which always counts the candidate itself, so pi takes values in
 {1/(n+1), ..., 1}. The alpha-level prediction region is the strict
 super-level set {c : pi(c) > alpha}.
 
-Plausibility values are stored as integer numerators over an integer
-denominator so that membership of confidence levels in the attainable value
-set, and the next-attainable-level function, are exact. Region membership
-comparisons happen on the derived doubles, with no epsilon: the indicator
-structure is discontinuous by design and fuzzing it would silently change
-the transducer.
+Plausibility values are stored as integer numerators over n+1 so that
+membership of confidence levels in the attainable value set, and the
+next-attainable-level function, are exact. Region membership comparisons
+happen on the derived doubles, with no epsilon: the indicator structure is
+discontinuous by design and fuzzing it would silently change the
+transducer.
 
-Confidence levels that sit exactly on an attainable value are refused:
-ranking ties at those levels make the strict and weak super-level sets
-differ, which would void every exact set-equality check downstream.
+Confidence levels that sit exactly on an attainable value are refused by
+`check_level`, the one place that refuses a level: ranking ties at those
+levels make the strict and weak super-level sets differ, which would void
+every exact set-equality check downstream.
 """
 
 from __future__ import annotations
@@ -37,97 +38,101 @@ from .scores import ScoreFn
 
 __all__ = [
     "Transducer",
-    "TieGrid",
     "TieLevelError",
     "transducer",
+    "levels",
     "next_level",
-    "assert_no_tie",
+    "check_level",
     "kappa",
     "superlevel_region",
-    "normalize_consonant",
 ]
+
+# Below 2**53 every n + 1 is an exact double, so alpha * (n+1) is within one
+# of its true value and the levels next to it are the only candidate ties.
+_MAX_N = 2**53
 
 
 class TieLevelError(ValueError):
     """Confidence level coincides with an attainable plausibility value."""
 
 
-@dataclass(frozen=True)
-class TieGrid:
+def _denominator(n: int) -> int:
+    """n + 1, for a sample size n whose levels k/(n+1) doubles resolve."""
+    if not 1 <= n < _MAX_N:
+        raise ValueError(f"n must be in 1..2**53 - 1, got {n}")
+    return n + 1
+
+
+def levels(n: int) -> tuple[float, ...]:
     """The attainable-level set {0, 1/(n+1), ..., n/(n+1), 1} for sample size n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        return tuple(k / (self.n + 1) for k in range(self.n + 2))
-
-    def _near(self, alpha: float) -> list[float]:
-        """Levels k/(n+1), k next to alpha*(n+1): any equal to alpha and the next above."""
-        m = self.n + 1
-        k = math.floor(alpha * m) if math.isfinite(alpha * m) else 0
-        return [j / m for j in range(max(k - 1, 0), min(k + 2, m) + 1)]
-
-    def __contains__(self, alpha: float) -> bool:
-        # Exact comparison on stored doubles, deliberately.
-        return alpha in self._near(alpha)
+    m = _denominator(n)
+    return tuple(k / m for k in range(m + 1))
 
 
-def next_level(alpha: float, tg: TieGrid) -> float:
+def _near(alpha: float, n: int) -> list[float]:
+    """Levels k/(n+1), k next to alpha*(n+1): any equal to alpha and the next above."""
+    m = _denominator(n)
+    k = math.floor(alpha * m) if math.isfinite(alpha * m) else 0
+    return [j / m for j in range(max(k - 1, 0), min(k + 2, m) + 1)]
+
+
+def next_level(alpha: float, n: int) -> float:
     """The smallest attainable level strictly above alpha."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return next(lv for lv in tg._near(alpha) if lv > alpha)
+    return next(lv for lv in _near(alpha, n) if lv > alpha)
 
 
-def assert_no_tie(alpha: float, tg: TieGrid) -> bool:
-    """True iff alpha avoids every attainable plausibility value."""
+def check_level(alpha: float, n: int) -> None:
+    """Refuse alpha outside [0, 1] or on an attainable level k/(n+1).
+
+    Compares alpha exactly, on stored doubles, with the few levels next to
+    alpha*(n+1), so it costs the same for any n.
+    """
+    near = _near(alpha, n)
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    return alpha not in tg
+        raise ValueError(
+            f"alpha={alpha} lies outside [0, 1], the span of the attainable "
+            f"plausibility set {{k/{n + 1}}}"
+        )
+    if alpha in near:
+        raise TieLevelError(
+            f"alpha={alpha} lies on the attainable plausibility set "
+            f"{{k/{n + 1}: k=0..{n + 1}}}; pick a level off that set"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class Transducer:
-    """Plausibility values over a grid, stored as exact rationals nums/denom.
+    """Plausibility values over a grid, stored as exact rationals nums/(n+1).
 
-    `nums` is a read-only int array, one numerator per grid point. A freshly
-    computed transducer has denom == n+1 and every numerator in 1..n+1.
-    `normalize_consonant` rescales so the maximum value is exactly 1, which
-    changes denom to the maximum numerator.
+    `nums` is a read-only int array, one numerator in 1..n+1 per grid point.
     """
 
     universe: Grid
     nums: np.ndarray
-    denom: int
     n: int
 
     def __post_init__(self):
         nums = np.asarray(self.nums)
         if nums.shape != (self.universe.size,):
             raise ValueError("one value per grid point required")
-        if self.denom < 1:
-            raise ValueError("denominator must be positive")
-        if nums.dtype.kind not in "iu" or nums.min() < 1 or nums.max() > self.denom:
-            raise ValueError("numerators must lie in 1..denom")
+        if self.n < 1 or nums.dtype.kind not in "iu" or nums.min() < 1 or nums.max() > self.n + 1:
+            raise ValueError("numerators must lie in 1..n+1, with n >= 1")
         nums.flags.writeable = False
         object.__setattr__(self, "nums", nums)
 
     @property
     def values(self) -> np.ndarray:
         """Derived double-precision plausibilities."""
-        return self.nums / self.denom
+        return self.nums / (self.n + 1)
 
     @property
     def max_num(self) -> int:
         return int(self.nums.max())
 
     def is_consonant(self) -> bool:
-        return self.max_num == self.denom
+        return self.max_num == self.n + 1
 
     def argmax_indices(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.nums == self.nums.max()).tolist())
@@ -151,7 +156,7 @@ def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     if T.shape != (universe.size, n + 1):
         raise ValueError("score kernel returned a malformed table")
     nums = np.sum(T >= T[:, -1][:, None], axis=1)
-    return Transducer(universe=universe, nums=nums, denom=n + 1, n=n)
+    return Transducer(universe=universe, nums=nums, n=n)
 
 
 def superlevel_region(t: Transducer, alpha: float) -> Region:
@@ -166,22 +171,6 @@ def kappa(alpha: float, y_n: Sample, psi: ScoreFn, universe: Grid) -> Region:
     strict form equals the weak form at the next attainable level, so the
     strict one is computed and the weak one is reserved for diagnostics.
     """
-    tg = TieGrid(y_n.n)
-    if not assert_no_tie(alpha, tg):
-        raise TieLevelError(
-            f"alpha={alpha} lies on the attainable plausibility set "
-            f"{{k/{y_n.n + 1}: k=0..{y_n.n + 1}}}; pick a level off that set"
-        )
+    check_level(alpha, y_n.n)
     return superlevel_region(transducer(y_n, psi, universe), alpha)
 
-
-def normalize_consonant(t: Transducer) -> Transducer:
-    """Divide by the grid maximum so the top value is exactly 1.
-
-    Idempotent, and preserves the argmax set. The maximum numerator becomes
-    the new denominator; already-consonant transducers come back unchanged.
-    """
-    m = t.max_num
-    if m == t.denom:
-        return t
-    return Transducer(universe=t.universe, nums=t.nums, denom=m, n=t.n)

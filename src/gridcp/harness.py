@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bayes, catlaws
-from .fullcp import TieGrid, kappa, transducer
+from .fullcp import check_level, kappa, levels, transducer
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
     PossibilityContour,
@@ -77,7 +77,15 @@ def wilson_lower_bound(hits: int, trials: int, z: float = Z_99) -> float:
     return (center - half) / denom
 
 
-_SCENARIOS = ("iid_gaussian", "iid_uniform", "exchangeable_mixture")
+# How each coverage scenario draws `count` scalar observations.
+_SCENARIOS: dict[str, Callable[[np.random.Generator, int], np.ndarray]] = {
+    "iid_gaussian": lambda rng, count: rng.standard_normal(count),
+    "iid_uniform": lambda rng, count: rng.uniform(-3.0, 3.0, count),
+    # A latent center, drawn first, then iid around it: exchangeable, not iid.
+    "exchangeable_mixture": lambda rng, count: (
+        rng.standard_normal() * 2.0 + rng.standard_normal(count)
+    ),
+}
 # The score kinds a config may name: the scores that need no fitted model.
 _SCORE_KINDS = ("mean_abs_distance", "prototype_embedding")
 # The extras keys each experiment reads, with their defaults; no other key is
@@ -119,8 +127,6 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.n < 1:
-            raise ValueError("n must be positive")
         # An extras key is read by one experiment only, so no check needs to
         # know which experiment it is.
         for key, value in _json_object(self.extras, _EXTRAS.get(self.experiment, {})).items():
@@ -138,15 +144,11 @@ class ExperimentConfig:
                 f"got {families!r}"
             )
         if self.experiment == "coverage":
-            tg = TieGrid(self.n)
-            if self.alpha in tg or not 0.0 <= self.alpha <= 1.0:
+            check_level(self.alpha, self.n)
+            scenarios = tuple(_SCENARIOS)  # a tuple, as for names above
+            if self.scenario not in scenarios:
                 raise ValueError(
-                    f"alpha={self.alpha} must avoid the attainable plausibility "
-                    f"set {{k/{self.n + 1}}} for conformal experiments"
-                )
-            if self.scenario not in _SCENARIOS:
-                raise ValueError(
-                    f"unknown scenario {self.scenario!r}; pick one of {_SCENARIOS}"
+                    f"unknown scenario {self.scenario!r}; pick one of {scenarios}"
                 )
             if len(self.grid_bounds) != 1:
                 raise ValueError(
@@ -287,20 +289,6 @@ def _map_trials(
 # ---------------------------------------------------------------------------
 
 
-def _draw_scenario(
-    rng: np.random.Generator, scenario: str, count: int
-) -> np.ndarray:
-    if scenario == "iid_gaussian":
-        return rng.standard_normal(count)
-    if scenario == "iid_uniform":
-        return rng.uniform(-3.0, 3.0, count)
-    if scenario == "exchangeable_mixture":
-        # Draw a latent center once, then iid around it: exchangeable, not iid.
-        mu = rng.standard_normal() * 2.0
-        return mu + rng.standard_normal(count)
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def _score_for(cfg: ExperimentConfig) -> ScoreFn:
     """The score cfg names, with extras.score_params {"weights", "biases"}
     as the embedding layers of a prototype_embedding."""
@@ -338,10 +326,10 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     held-out point in the region is exact set membership; snapping is a
     fixed componentwise map, so exchangeability survives.
     """
-    universe, psi = cfg.universe, cfg.psi
+    universe, psi, draw = cfg.universe, cfg.psi, _SCENARIOS[cfg.scenario]
 
     def one_trial(rng: np.random.Generator, t: int) -> dict:
-        raw = _draw_scenario(rng, cfg.scenario, cfg.n + 1)
+        raw = draw(rng, cfg.n + 1)
         idxs = [universe.nearest_index(v) for v in raw]
         y_n = Sample(universe.points[idxs[: cfg.n]])
         return {"hits": idxs[cfg.n] in kappa(cfg.alpha, y_n, psi, universe)}
@@ -381,10 +369,7 @@ def _random_prototype_score(rng: np.random.Generator, d: int) -> PrototypeEmbedd
 
 
 def _consonant_instance(
-    rng: np.random.Generator,
-    score_kind: str,
-    size_hi: int = 16,
-    max_attempts: int = 500,
+    rng: np.random.Generator, score_kind: str, size_hi: int
 ) -> tuple[Sample, ScoreFn, Grid, int]:
     """Random (sample, score, grid) whose transducer is consonant.
 
@@ -393,18 +378,17 @@ def _consonant_instance(
     rejection count is surfaced in the reports.
     """
     rejections = 0
-    for _ in range(max_attempts):
+    for _ in range(500):
         size = int(rng.integers(6, size_hi + 1))
         half_width = float(rng.uniform(1.0, 4.0))
         universe = make_uniform_grid([(-half_width, half_width)], [size])
         n = int(rng.integers(3, 9))
         y_n = Sample(universe.points[rng.integers(0, size, n)])
-        if score_kind == "mean_abs_distance":
-            psi: ScoreFn = MeanAbsDistance()
-        elif score_kind == "prototype_embedding":
-            psi = _random_prototype_score(rng, 1)
-        else:
-            raise ValueError(f"unknown score kind {score_kind!r}")
+        psi: ScoreFn = (
+            MeanAbsDistance()
+            if score_kind == "mean_abs_distance"
+            else _random_prototype_score(rng, 1)
+        )
         if transducer(y_n, psi, universe).is_consonant():
             return y_n, psi, universe, rejections
         rejections += 1
@@ -429,8 +413,7 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
             # subset-enumeration oracle, so exactly that many get both checks.
             size_hi = brute_limit if t < brute_trials else 16
             y_n, psi, universe, rejections = _consonant_instance(rng, family, size_hi)
-            tg = TieGrid(y_n.n)
-            alpha = _sample_alpha(rng, tg.levels)
+            alpha = _sample_alpha(rng, levels(y_n.n))
             r_kappa = kappa(alpha, y_n, psi, universe)
             contour = cred(y_n, psi, universe)
             r_contour = ihdr_contour(alpha, contour)
@@ -490,7 +473,7 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
             if pd.evaluated.max() < dens.max():
                 consonance_rejections += 1
                 continue
-            alpha = _sample_alpha(rng, TieGrid(n).levels)
+            alpha = _sample_alpha(rng, levels(n))
             ok, detail = bayes.bayes_triangle_detail(alpha, model, y_n, universe)
             return {
                 "equal": ok,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fullcp import Transducer, normalize_consonant, transducer
+from .fullcp import Transducer, transducer
 from .grid import Grid, Region, Sample, UniverseMismatchError
 from .scores import ScoreFn
 
@@ -74,9 +74,9 @@ class PossibilityContour:
 
     @staticmethod
     def from_transducer(t: Transducer) -> PossibilityContour:
-        if not t.is_consonant():
-            raise ValueError("transducer must be normalized before wrapping")
-        return PossibilityContour(t.universe, t.values)
+        """The transducer divided by its grid maximum, so the top value is
+        exactly 1; a consonant transducer keeps its values bit for bit."""
+        return PossibilityContour(t.universe, t.nums / t.max_num)
 
     def to_csv(self) -> str:
         """Transducer CSV schema, less `k`, plus a `normalized` flag column."""
@@ -97,6 +97,8 @@ class ProbVector:
         mass = np.asarray(self.mass, dtype=float)
         if mass.shape != (self.universe.size,):
             raise ValueError("one mass per grid point required")
+        if not np.isfinite(mass).all():  # NaN passes the sign and sum checks
+            raise ValueError("mass must be finite")
         if (mass < 0).any():
             raise ValueError("mass must be nonnegative")
         tot = math.fsum(mass.tolist())
@@ -109,8 +111,7 @@ class ProbVector:
 def cred(y_n: Sample, psi: ScoreFn, universe: Grid) -> PossibilityContour:
     """Sample -> credal set, as the contour that represents it: the ranking
     transform, normalized to consonance."""
-    t = normalize_consonant(transducer(y_n, psi, universe))
-    return PossibilityContour.from_transducer(t)
+    return PossibilityContour.from_transducer(transducer(y_n, psi, universe))
 
 
 def upper_prob(c: PossibilityContour, a: Region) -> float:

@@ -225,15 +225,19 @@ class NegPredictiveDensity(ScoreFn):
     def density(self, y):
         return gaussian_pdf(y, self.mean, self.sd)
 
+    def _require_1d(self, y_n: Sample, what: str, shape: tuple) -> None:
+        if y_n.dim != 1 or shape not in ((), (1,)):
+            raise ValueError(f"{self.kind} scores 1-D points; got a {y_n.dim}-D sample and "
+                             f"{what} of shape {shape}")
+
     def evaluate(self, sample: Sample, y) -> float:
-        val = float(np.atleast_1d(y)[0]) if not isinstance(y, (int, float)) else float(y)
-        return -float(self.density(val))
+        val = np.asarray(y, dtype=float)
+        self._require_1d(sample, "a point", val.shape)
+        return -float(self.density(val.item()))
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
         cand = np.asarray(candidates, dtype=float)
-        if y_n.dim != 1 or cand.shape[1:] not in ((), (1,)):
-            raise ValueError(f"{self.kind} scores 1-D points; got a {y_n.dim}-D sample and "
-                             f"candidates of shape {cand.shape}")
+        self._require_1d(y_n, "candidate points", cand.shape[1:])
         pts = y_n.points[:, 0]
         cand = cand.reshape(-1)
         t_train = -self.density(pts)  # constant across candidates

@@ -17,7 +17,7 @@ from gridcp.catlaws import (
     check_monad_laws,
     check_tensor_laws,
 )
-from gridcp.fullcp import TieGrid, kappa, transducer
+from gridcp.fullcp import kappa, levels, transducer
 from gridcp.grid import Region, Sample, make_uniform_grid
 from gridcp.harness import ExperimentConfig, emit, run_coverage, run_diagram
 from gridcp.harness import run_bayes_triangle, run_eposterior, run_ihdr_oracle
@@ -179,8 +179,7 @@ def test_criterion_8_structural_invariants(tmp_path):
         s = Sample.of(rng.uniform(-3, 3, n).tolist())
         grid = make_uniform_grid([(-3, 3)], [int(rng.integers(2, 14))])
         t = transducer(s, MeanAbsDistance(), grid)
-        levels = TieGrid(n).levels
-        ok = ok and all(any(v == lv for lv in levels[1:]) for v in t.values.tolist())
+        ok = ok and all(any(v == lv for lv in levels(n)[1:]) for v in t.values.tolist())
 
     # (b) permutation invariance, exhaustive for n <= 6.
     net = EmbeddingNet.from_weights(
@@ -217,9 +216,8 @@ def test_criterion_8_structural_invariants(tmp_path):
     for _ in range(25):
         n = int(rng.integers(2, 8))
         s = Sample.of(rng.uniform(-2, 2, n).tolist())
-        levels = TieGrid(n).levels
         a1, a2 = sorted(rng.uniform(0.02, 0.98, 2).tolist())
-        if a1 == a2 or any(a1 == lv or a2 == lv for lv in levels):
+        if a1 == a2 or any(a1 == lv or a2 == lv for lv in levels(n)):
             continue
         ok = ok and kappa(a2, s, MeanAbsDistance(), grid).is_subset(
             kappa(a1, s, MeanAbsDistance(), grid)

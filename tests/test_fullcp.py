@@ -12,17 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcp.fullcp import (
-    TieGrid,
     TieLevelError,
     Transducer,
-    assert_no_tie,
+    check_level,
     kappa,
+    levels,
     next_level,
-    normalize_consonant,
     superlevel_region,
     transducer,
 )
 from gridcp.grid import Grid, Sample, make_uniform_grid
+from gridcp.imprecise import PossibilityContour
 from gridcp.scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding
 
 
@@ -50,7 +50,7 @@ class TestTransducer:
         # indicators fire; candidate 2 gives T=(1.5, 0, 1.5), two fire.
         t = transducer(Sample.of([0, 1]), MeanAbsDistance(), example_grid())
         assert t.nums.tolist() == [3, 3, 3, 2]
-        assert t.denom == 3
+        assert t.n == 2
         np.testing.assert_array_equal(t.values, [1.0, 1.0, 1.0, 2.0 / 3.0])
 
     def test_constant_sample_all_ties(self):
@@ -101,39 +101,56 @@ class TestTransducer:
 
 
 class TestTieGrid:
+    """The attainable-level set {k/(n+1)} and the rule that refuses it."""
+
     def test_levels(self):
-        tg = TieGrid(3)
-        assert tg.levels == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert levels(3) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def test_next_level_examples(self):
-        assert next_level(0.1, TieGrid(3)) == 0.25
+        assert next_level(0.1, 3) == 0.25
         for n in (1, 4, 9):
-            assert next_level(0.0, TieGrid(n)) == 1.0 / (n + 1)
+            assert next_level(0.0, n) == 1.0 / (n + 1)
         # strictness: 0.25 itself is excluded
-        assert next_level(0.25, TieGrid(3)) == 0.5
+        assert next_level(0.25, 3) == 0.5
 
     def test_next_level_rejects_one(self):
         with pytest.raises(ValueError):
-            next_level(1.0, TieGrid(3))
+            next_level(1.0, 3)
 
-    def test_assert_no_tie(self):
-        assert assert_no_tie(0.1, TieGrid(3))
-        assert not assert_no_tie(0.5, TieGrid(3))
-        assert not assert_no_tie(1.0, TieGrid(7))
-        assert not assert_no_tie(0.0, TieGrid(2))
+    def test_check_level(self):
+        check_level(0.1, 3)
+        for alpha, n in ((0.5, 3), (1.0, 7), (0.0, 2)):
+            with pytest.raises(TieLevelError, match=f"k/{n + 1}"):
+                check_level(alpha, n)
+        for alpha in (-0.1, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="outside"):
+                check_level(alpha, 3)
+        for n in (0, -1, -3, 2**53, 10**400):
+            for refuse in (check_level, next_level):
+                with pytest.raises(ValueError, match="n must be"):
+                    refuse(0.1, n)
+        for n in (0, -1, 2**53):
+            with pytest.raises(ValueError, match="n must be"):
+                levels(n)
 
     def test_membership_agrees_with_the_level_tuple(self):
-        # Membership and next_level look only at the levels next to
+        # check_level and next_level look only at the levels next to
         # alpha*(n+1); they must agree with a scan over all n+2 levels.
         rng = np.random.default_rng(11)
         odd = [math.nan, math.inf, -math.inf, -0.0, -1e-300, 1.0 + 1e-16, 2.0, 5e-324, 1e308, -1e308]
         for n in range(1, 61):
-            tg = TieGrid(n)
-            levels = tg.levels
-            for alpha in [*levels, *rng.uniform(0.0, 1.0, 50).tolist(), *odd]:
-                assert (alpha in tg) == (alpha in levels)
+            lvls = levels(n)
+            for alpha in [*lvls, *rng.uniform(0.0, 1.0, 50).tolist(), *odd]:
+                if not 0.0 <= alpha <= 1.0:
+                    with pytest.raises(ValueError, match="outside"):
+                        check_level(alpha, n)
+                elif alpha in lvls:
+                    with pytest.raises(TieLevelError):
+                        check_level(alpha, n)
+                else:
+                    check_level(alpha, n)
                 if 0.0 <= alpha < 1.0:
-                    assert next_level(alpha, tg) == min(lv for lv in levels if lv > alpha)
+                    assert next_level(alpha, n) == min(lv for lv in lvls if lv > alpha)
 
 
 class TestKappa:
@@ -169,9 +186,8 @@ class TestKappa:
         for _ in range(20):
             n = int(rng.integers(2, 8))
             s = Sample.of(rng.uniform(-2, 2, n).tolist())
-            levels = TieGrid(n).levels
             a1, a2 = sorted(rng.uniform(0.02, 0.98, 2).tolist())
-            if any(a1 == lv or a2 == lv for lv in levels) or a1 == a2:
+            if any(a1 == lv or a2 == lv for lv in levels(n)) or a1 == a2:
                 continue
             r1 = kappa(a1, s, MeanAbsDistance(), grid)
             r2 = kappa(a2, s, MeanAbsDistance(), grid)
@@ -180,9 +196,8 @@ class TestKappa:
     def test_region_depends_on_alpha_only_through_next_level(self):
         grid = make_uniform_grid([(-3, 3)], [11])
         s = Sample.of([0.5, -0.25, 1.0])
-        tg = TieGrid(s.n)
         for a1, a2 in [(0.05, 0.2), (0.3, 0.4), (0.8, 0.95)]:
-            assert next_level(a1, tg) == next_level(a2, tg)
+            assert next_level(a1, s.n) == next_level(a2, s.n)
             assert kappa(a1, s, MeanAbsDistance(), grid) == kappa(
                 a2, s, MeanAbsDistance(), grid
             )
@@ -192,7 +207,7 @@ class TestKappa:
         s = Sample.of([0.5, -0.25, 1.0, 0.1])
         t = transducer(s, MeanAbsDistance(), grid)
         for alpha in (0.03, 0.17, 0.33, 0.61, 0.87):
-            beta = next_level(alpha, TieGrid(s.n))
+            beta = next_level(alpha, s.n)
             weak_bits = 0
             for i, v in enumerate(t.values):
                 if v >= beta:
@@ -201,19 +216,21 @@ class TestKappa:
 
 
 class TestNormalizeConsonant:
+    """PossibilityContour.from_transducer divides by the grid maximum."""
+
     def test_idempotent_on_consonant(self):
         t = transducer(Sample.of([0, 1]), MeanAbsDistance(), example_grid())
-        assert normalize_consonant(t) is t
+        assert t.is_consonant()
+        assert PossibilityContour.from_transducer(t).values.tobytes() == t.values.tobytes()
 
     def test_divides_by_maximum(self):
-        t = Transducer(universe=make_uniform_grid([(0, 1)], [2]), nums=(2, 1), denom=3, n=2)
-        nt = normalize_consonant(t)
-        assert nt.denom == 2
-        np.testing.assert_array_equal(nt.values, [1.0, 0.5])
+        t = Transducer(universe=make_uniform_grid([(0, 1)], [2]), nums=(2, 1), n=2)
+        assert not t.is_consonant()
+        np.testing.assert_array_equal(PossibilityContour.from_transducer(t).values, [1.0, 0.5])
 
     def test_constant_transducer_normalizes_to_one(self):
-        t = Transducer(universe=make_uniform_grid([(0, 1)], [3]), nums=(2, 2, 2), denom=5, n=4)
-        np.testing.assert_array_equal(normalize_consonant(t).values, [1.0, 1.0, 1.0])
+        t = Transducer(universe=make_uniform_grid([(0, 1)], [3]), nums=(2, 2, 2), n=4)
+        np.testing.assert_array_equal(PossibilityContour.from_transducer(t).values, [1.0, 1.0, 1.0])
 
     def test_preserves_argmax_and_idempotent(self):
         rng = np.random.default_rng(9)
@@ -221,11 +238,12 @@ class TestNormalizeConsonant:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             nums = tuple(int(v) for v in rng.integers(1, n + 2, 6))
-            t = Transducer(universe=grid, nums=nums, denom=n + 1, n=n)
-            nt = normalize_consonant(t)
-            assert nt.is_consonant()
-            assert nt.argmax_indices() == t.argmax_indices()
-            assert normalize_consonant(nt) is nt
+            t = Transducer(universe=grid, nums=nums, n=n)
+            c = PossibilityContour.from_transducer(t)
+            assert c.values.max() == 1.0
+            assert tuple(np.flatnonzero(c.values == 1.0).tolist()) == t.argmax_indices()
+            again = PossibilityContour(grid, c.values / c.values.max())
+            assert again.values.tobytes() == c.values.tobytes()
 
 
 @given(
@@ -237,6 +255,5 @@ def test_transducer_values_never_zero(values, grid_size):
     grid = make_uniform_grid([(-5, 5)], [grid_size])
     t = transducer(Sample.of(values), MeanAbsDistance(), grid)
     assert all(k >= 1 for k in t.nums)
-    tg = TieGrid(t.n)
     for v in t.values.tolist():
-        assert any(v == lv for lv in tg.levels[1:])
+        assert any(v == lv for lv in levels(t.n)[1:])

@@ -390,8 +390,9 @@ class TestCli:
             {"score": {"kind": "neg_predictive_density"}},
             {"grid": {"bounds": [["nan", 1]], "counts": [11]}},
             {"grid": {"counts": [0]}},
+            {"n": 10**400},
         ],
-        ids=["2d_grid", "unknown_scenario", "unsupported_score", "nan_bound", "zero_count"],
+        ids=["2d_grid", "unknown_scenario", "unsupported_score", "nan_bound", "zero_count", "huge_n"],
     )
     def test_bad_coverage_config_exit_two(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"

@@ -210,6 +210,13 @@ class TestIsMember:
         with pytest.raises(ValueError, match="mass sums to 0.9, not 1"):
             ProbVector(grid, (0.4, 0.5))
 
+    def test_refuses_non_finite_mass(self):
+        # NaN compares false in the sign and sum checks.
+        grid = make_uniform_grid([(0, 1)], [3])
+        for bad in ((math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0), (math.inf, -math.inf, 1.0)):
+            with pytest.raises(ValueError, match="mass must be finite"):
+                ProbVector(grid, bad)
+
     @given(contours(max_size=8))
     @settings(max_examples=50)
     def test_accepts_descending_ladder_transform(self, cs):

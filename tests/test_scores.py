@@ -116,6 +116,21 @@ class TestNegPredictiveDensity:
         with pytest.raises(ValueError, match="neg_predictive_density scores 1-D points"):
             psi.loo_matrix(y_n, np.zeros(cand_shape))
 
+    @pytest.mark.parametrize(
+        "sample, y",
+        [([1.0], [0.0, 5.0]), ([1.0], [[0.0]]), ([(1.0, 2.0)], 0.0)],
+        ids=["2d_point", "nested_point", "2d_sample"],
+    )
+    def test_evaluate_refuses_multivariate_points(self, sample, y):
+        psi = NegPredictiveDensity(mean=0.0, sd=1.0)
+        with pytest.raises(ValueError, match="neg_predictive_density scores 1-D points"):
+            psi.evaluate(Sample.of(sample), y)
+
+    def test_evaluate_accepts_scalars_and_one_coordinate(self):
+        psi = NegPredictiveDensity(mean=0.0, sd=1.0)
+        values = {psi.evaluate(Sample.of([1.0]), y) for y in (0.5, np.float64(0.5), [0.5], np.array([0.5]))}
+        assert values == {-float(psi.density(0.5))}
+
 
 class TestPermutationInvariance:
     def test_mean_abs_random_permutations(self):
