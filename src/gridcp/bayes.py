@@ -12,11 +12,7 @@ that three-way identity as exact bitset equality.
 The threshold: with q = ceil((n+1) * alpha) (alpha off the attainable set),
 a candidate is in the region iff at least q-1 of the n training points have
 density <= the candidate's, i.e. iff the candidate's density is at least the
-(q-1)-th smallest training density (full grid when q = 1). The cumulative-
-distribution quantile that usually defines such regions is also provided,
-as a diagnostic only: its level set differs from the order-statistic one by
-a boundary sliver in general, and `quant_cdf_diagnostic` reports that
-disagreement instead of papering over it.
+(q-1)-th smallest training density (full grid when q = 1).
 
 Exact ties among training densities are refused, not broken: the order
 statistics presume distinct values, and silent tie-breaking could fake
@@ -55,7 +51,6 @@ __all__ = [
     "posterior_predictive",
     "bcp",
     "quant",
-    "quant_cdf_diagnostic",
     "bayes_triangle_detail",
     "upper_posterior",
     "check_eposterior",
@@ -156,26 +151,6 @@ def quant(alpha: float, pd: PredictiveDensity) -> Region:
         return pd.universe.full_region()
     c = float(np.sort(dens)[q - 2])  # (q-1)-th smallest, 0-based
     return Region.from_mask(pd.universe, pd.evaluated >= c)
-
-
-def quant_cdf_diagnostic(alpha: float, pd: PredictiveDensity) -> tuple[Region, int]:
-    """Level set cut at the grid-quadrature CDF quantile, plus its disagreement.
-
-    The threshold is the smallest density value c (among grid densities) with
-    sum_{y: density(y) <= c} density(y) * dy >= 1 - alpha. Returns the region
-    and the size of its symmetric difference against the order-statistic
-    region. Diagnostic only; excluded from every acceptance check.
-    """
-    universe, grid_dens = pd.universe, pd.evaluated
-    dy = universe.spacing[0]
-    order = np.argsort(grid_dens)
-    csum = np.cumsum(grid_dens[order] * dy)
-    # F(c) sweeps the sorted density values; take the first c with F >= 1-alpha.
-    pos = int(np.searchsorted(csum, 1.0 - alpha))
-    c = math.inf if pos >= len(order) else float(grid_dens[order][pos])
-    region = Region.from_mask(universe, grid_dens >= c)
-    exact = quant(alpha, pd)
-    return region, len(region.difference(exact)) + len(exact.difference(region))
 
 
 def bayes_triangle_detail(

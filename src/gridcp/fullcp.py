@@ -134,9 +134,6 @@ class Transducer:
     def is_consonant(self) -> bool:
         return self.max_num == self.n + 1
 
-    def argmax_indices(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.nums == self.nums.max()).tolist())
-
     def to_csv(self) -> str:
         """Columns: grid_index, one coordinate column per dimension, k, pi_value."""
         return self.universe.csv_table(k=self.nums.tolist(), pi_value=self.values.tolist())

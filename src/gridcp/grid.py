@@ -28,7 +28,6 @@ __all__ = [
     "Sample",
     "UniverseMismatchError",
     "make_uniform_grid",
-    "drop_index",
 ]
 
 # Tolerance for the bounds-containment invariant. Comparisons that feed
@@ -109,13 +108,6 @@ class Grid:
         points.flags.writeable = False
         return points
 
-    def index_of(self, point) -> int:
-        """Index of a grid point given exactly; ValueError when off the grid."""
-        idx = 0
-        for c, axis in zip(_as_point(point), self.axes):
-            idx = idx * len(axis) + axis.index(c)
-        return idx
-
     def nearest_index(self, point) -> int:
         """Index of the grid point nearest to `point`, one dimension at a time.
 
@@ -134,15 +126,8 @@ class Grid:
             idx = idx * (last + 1) + i
         return idx
 
-    def snap(self, point) -> tuple[float, ...]:
-        """The grid point nearest to `point`."""
-        return tuple(self.points[self.nearest_index(point)].tolist())
-
     def full_region(self) -> Region:
         return Region(self, (1 << self.size) - 1)
-
-    def empty_region(self) -> Region:
-        return Region(self, 0)
 
     def region(self, indices: Iterable[int]) -> Region:
         idx = list(indices)
@@ -190,8 +175,8 @@ def make_uniform_grid(
 class Region:
     """A subset of a grid, stored as a bitset over grid indices.
 
-    Bit i set means the i-th grid point belongs to the region. All set
-    operations require both operands to share the same universe.
+    Bit i set means the i-th grid point belongs to the region. `is_subset`
+    requires both operands to share the same universe.
     """
 
     universe: Grid
@@ -212,27 +197,12 @@ class Region:
         packed = np.packbits(mask, bitorder="little")
         return Region(universe, int.from_bytes(packed.tobytes(), "little"))
 
-    def _check(self, other: Region) -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatchError("regions live over different universes")
-
-    def union(self, other: Region) -> Region:
-        self._check(other)
-        return Region(self.universe, self.bits | other.bits)
-
-    def intersection(self, other: Region) -> Region:
-        self._check(other)
-        return Region(self.universe, self.bits & other.bits)
-
     def complement(self) -> Region:
         return Region(self.universe, self.bits ^ ((1 << self.universe.size) - 1))
 
-    def difference(self, other: Region) -> Region:
-        self._check(other)
-        return Region(self.universe, self.bits & ~other.bits)
-
     def is_subset(self, other: Region) -> bool:
-        self._check(other)
+        if self.universe != other.universe:
+            raise UniverseMismatchError("regions live over different universes")
         return self.bits & ~other.bits == 0
 
     def __contains__(self, index: int) -> bool:
@@ -262,8 +232,10 @@ class Sample:
     """An ordered sample: a read-only float64 (n, d) array `points`, one
     observation per row. An array passed in is frozen in place.
 
-    Order is stored, but every score shipped with the package is invariant to
-    permuting it; that invariance is property-tested, not assumed.
+    Order is stored, but every score shipped with the package is equivariant
+    under permuting it: the leave-one-out table's training columns permute
+    and its candidate column is unchanged. That is property-tested, not
+    assumed.
     """
 
     points: np.ndarray
@@ -294,18 +266,3 @@ class Sample:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def append(self, point) -> Sample:
-        return Sample(np.vstack([self.points, np.reshape(point, (1, -1))]))
-
-
-def drop_index(s: Sample, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Remove the i-th observation (1-based), preserving the others' order.
-
-    Returns (remaining observations, held-out point): an (n-1, d) array,
-    empty when s is a singleton (wrap it in Sample when nonempty), and a (d,)
-    read-only view of s.points.
-    """
-    if not 1 <= i <= s.n:
-        raise IndexError(f"index {i} out of range 1..{s.n}")
-    return np.concatenate([s.points[: i - 1], s.points[i:]]), s.points[i - 1]

@@ -22,6 +22,7 @@ from . import bayes, catlaws
 from .fullcp import check_level, kappa, levels, transducer
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
+    _BRUTE_LIMIT,
     PossibilityContour,
     check_functor_monotone,
     cred,
@@ -98,11 +99,20 @@ _EXTRAS = {
 # The config keys that only coverage reads; another experiment refuses them.
 _COVERAGE_KEYS = ("alpha", "n", "grid", "score", "scenario")
 
-# The least value of each integer extra. Below 4 parameter values the
-# violating eposterior family's upper envelope integrates below 1.
-_COUNT_MINIMUMS = {"brute_trials": 0, "brute_grid_limit": 0, "theta_count": 4, "y_count": 1}
-# Largest grid a coverage config may ask for: every trial scores every point.
-_MAX_GRID_POINTS = 10**6
+# The range of each integer extra. Below 4 parameter values the violating
+# eposterior family's upper envelope integrates below 1. The brute-checked
+# diagram grids have 6 to brute_grid_limit points, and above _BRUTE_LIMIT
+# points the subset-enumeration oracle refuses a grid.
+_COUNT_RANGES = {
+    "brute_trials": (0, math.inf),
+    "brute_grid_limit": (6, _BRUTE_LIMIT),
+    "theta_count": (4, math.inf),
+    "y_count": (1, math.inf),
+}
+# Most cells (80 MB of floats) of the table a config may ask for: coverage
+# scores an (n+1) x grid points table per trial, and eposterior builds a
+# theta_count x y_count likelihood table.
+_MAX_TABLE_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -130,9 +140,11 @@ class ExperimentConfig:
         # An extras key is read by one experiment only, so no check needs to
         # know which experiment it is.
         for key, value in _json_object(self.extras, _EXTRAS.get(self.experiment, {})).items():
-            least = _COUNT_MINIMUMS.get(key)
-            if least is not None and (type(value) is not int or value < least):
-                raise ValueError(f"extras.{key} must be an integer >= {least}, got {value!r}")
+            least, most = _COUNT_RANGES.get(key, (None, None))
+            if least is not None and (type(value) is not int or not least <= value <= most):
+                raise ValueError(
+                    f"extras.{key} must be an integer in [{least}, {most}], got {value!r}"
+                )
         families = self.extras.get("score_families", _SCORE_KINDS)
         if not (
             isinstance(families, (list, tuple))
@@ -155,13 +167,13 @@ class ExperimentConfig:
                     f"{self.experiment} draws scalar observations; the grid must "
                     f"be 1-D, got {len(self.grid_bounds)} bounds"
                 )
-            if math.prod(self.grid_counts) > _MAX_GRID_POINTS:
-                raise ValueError(
-                    f"grid counts {self.grid_counts} exceed the limit of {_MAX_GRID_POINTS} points"
-                )
+            _check_cells((self.n + 1) * math.prod(self.grid_counts), "(n + 1) x grid points")
             # Build the grid and score here, so that a bad one is a config
             # error; run_coverage reuses both.
             _ = self.universe, self.psi
+        if self.experiment == "eposterior":
+            cells = _extra(self, "theta_count") * _extra(self, "y_count")
+            _check_cells(cells, "extras.theta_count x extras.y_count")
 
     @cached_property
     def universe(self) -> Grid:
@@ -187,6 +199,12 @@ class ExperimentConfig:
         grid = _convert(fields.pop("grid", {}), _GRID_CONVERT, "grid.")
         fields.update((f"grid_{key}", value) for key, value in grid.items())
         return ExperimentConfig(experiment=obj["experiment"], **fields)
+
+
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse a table of more than _MAX_TABLE_CELLS cells, before it is built."""
+    if cells > _MAX_TABLE_CELLS:
+        raise ValueError(f"{what} = {cells} cells exceeds the limit of {_MAX_TABLE_CELLS}")
 
 
 def _convert(obj: dict, converters: dict, prefix: str = "") -> dict:

@@ -14,8 +14,11 @@ to the sample. Three families ship:
   the candidate; the sample argument is ignored, so permutation invariance
   is vacuous (and still property-tested).
 
-Sample aggregates are computed with exactly rounded summation (math.fsum) so
-that score values are bit-for-bit invariant under permuting the sample.
+Every score is computed one way: `loo_matrix`, the full-CP leave-one-out
+table that every region is built from. Sample aggregates in it are computed
+with exactly rounded summation (math.fsum), so that permuting the sample
+permutes the table's training columns and leaves the candidate column
+bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Sample, drop_index
+from .grid import Sample
 
 __all__ = [
     "ScoreFn",
@@ -34,9 +37,6 @@ __all__ = [
     "PrototypeEmbedding",
     "NegPredictiveDensity",
     "EmbeddingNet",
-    "score_mean_abs",
-    "score_prototype",
-    "check_permutation_invariance",
     "gaussian_pdf",
 ]
 
@@ -97,33 +97,18 @@ def _loo_table(points: np.ndarray, candidates, dist: Callable, embed: Callable =
 
 
 class ScoreFn:
-    """Base class for nonconformity scores.
-
-    Subclasses implement `evaluate` (single pair) and may override
-    `loo_matrix` with a vectorized kernel used by the ranking transform.
-    """
+    """Base class for nonconformity scores: a subclass implements `loo_matrix`."""
 
     kind: str = "abstract"
-
-    def evaluate(self, sample: Sample, y) -> float:
-        raise NotImplementedError
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
         """Leave-one-out score table for the plug-in ranking transform.
 
         For each candidate c (rows) and each i in 1..n+1 (columns), entry
         [c, i-1] is the score of the i-th element of (y_1..y_n, c) against
-        the remaining n elements. Default implementation loops over
-        `evaluate`; subclasses provide vectorized versions.
+        the remaining n elements.
         """
-        cand = np.asarray(candidates, dtype=float).reshape(-1, y_n.dim)
-        out = np.empty((len(cand), y_n.n + 1))
-        for g, c in enumerate(cand):
-            full = y_n.append(c)
-            for i in range(y_n.n + 1):
-                rest, held = drop_index(full, i + 1)
-                out[g, i] = self.evaluate(Sample(rest), held)
-        return out
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -131,9 +116,6 @@ class MeanAbsDistance(ScoreFn):
     """|mean(sample) - y|, Euclidean norm when d > 1."""
 
     kind: str = "mean_abs_distance"
-
-    def evaluate(self, sample: Sample, y) -> float:
-        return score_mean_abs(sample, y)
 
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
         return _loo_table(y_n.points, candidates, lambda v: np.linalg.norm(v, axis=-1))
@@ -194,9 +176,6 @@ class PrototypeEmbedding(ScoreFn):
     net: EmbeddingNet
     kind: str = "prototype_embedding"
 
-    def evaluate(self, sample: Sample, y) -> float:
-        return score_prototype(sample, y, self.net)
-
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
         return _loo_table(
             y_n.points, candidates, lambda v: -np.sum(v * v, axis=-1), self.net.apply
@@ -225,19 +204,11 @@ class NegPredictiveDensity(ScoreFn):
     def density(self, y):
         return gaussian_pdf(y, self.mean, self.sd)
 
-    def _require_1d(self, y_n: Sample, what: str, shape: tuple) -> None:
-        if y_n.dim != 1 or shape not in ((), (1,)):
-            raise ValueError(f"{self.kind} scores 1-D points; got a {y_n.dim}-D sample and "
-                             f"{what} of shape {shape}")
-
-    def evaluate(self, sample: Sample, y) -> float:
-        val = np.asarray(y, dtype=float)
-        self._require_1d(sample, "a point", val.shape)
-        return -float(self.density(val.item()))
-
     def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
         cand = np.asarray(candidates, dtype=float)
-        self._require_1d(y_n, "candidate points", cand.shape[1:])
+        if y_n.dim != 1 or cand.shape[1:] not in ((), (1,)):
+            raise ValueError(f"{self.kind} scores 1-D points; got a {y_n.dim}-D sample and "
+                             f"candidate points of shape {cand.shape[1:]}")
         pts = y_n.points[:, 0]
         cand = cand.reshape(-1)
         t_train = -self.density(pts)  # constant across candidates
@@ -248,45 +219,3 @@ class NegPredictiveDensity(ScoreFn):
         out[:, -1] = t_cand
         return out
 
-
-def score_mean_abs(y_n: Sample, y) -> float:
-    """|mean(y_n) - y|; Euclidean norm componentwise for d > 1."""
-    pts = y_n.points
-    mean = _fsum_mean(pts)
-    yy = np.atleast_1d(np.asarray(y, dtype=float))
-    if yy.shape[0] != pts.shape[1]:
-        raise ValueError(f"dimension mismatch: sample d={pts.shape[1]}, y={yy.shape}")
-    diff = mean - yy
-    return float(math.sqrt(math.fsum((diff * diff).tolist())))
-
-
-def score_prototype(y_n: Sample, y, net: EmbeddingNet) -> float:
-    """-||phi(y) - mean_i phi(y_i)||^2 with the network's embedding phi.
-
-    Note the sign: the value is <= 0 and *larger* (closer to 0) means more
-    conforming, the reverse of the other families.
-    """
-    pts = y_n.points
-    if pts.shape[1] != net.in_dim:
-        raise ValueError(
-            f"dimension mismatch: sample d={pts.shape[1]}, net expects {net.in_dim}"
-        )
-    emb = net.apply(pts)
-    proto = _fsum_mean(emb)
-    phi_y = net.apply(np.atleast_2d(np.asarray(y, dtype=float)))[0]
-    diff = phi_y - proto
-    return -float(math.fsum((diff * diff).tolist()))
-
-
-def check_permutation_invariance(
-    psi: ScoreFn, y_n: Sample, y, trials: int, seed: int = 0
-) -> bool:
-    """True iff psi agrees exactly across `trials` random permutations of y_n."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    ref = psi.evaluate(y_n, y)
-    for _ in range(trials):
-        if psi.evaluate(Sample(y_n.points[rng.permutation(y_n.n)]), y) != ref:
-            return False
-    return True

@@ -181,20 +181,22 @@ def test_criterion_8_structural_invariants(tmp_path):
         t = transducer(s, MeanAbsDistance(), grid)
         ok = ok and all(any(v == lv for lv in levels(n)[1:]) for v in t.values.tolist())
 
-    # (b) permutation invariance, exhaustive for n <= 6.
+    # (b) permutation equivariance of the leave-one-out table, exhaustive for
+    # n <= 6: permuting the sample permutes columns 0..n-1 the same way and
+    # leaves the candidate's column n bit-identical.
     net = EmbeddingNet.from_weights(
         [rng.standard_normal((3, 1)), rng.standard_normal((2, 3))],
         [rng.standard_normal(3), rng.standard_normal(2)],
     )
     for n in range(2, 7):
-        values = rng.uniform(-2, 2, n).tolist()
-        y = float(rng.uniform(-2, 2))
+        points = rng.uniform(-2, 2, (n, 1))
+        candidates = [[float(rng.uniform(-2, 2))]]
         for psi in (MeanAbsDistance(), PrototypeEmbedding(net)):
-            ref = psi.evaluate(Sample.of(values), y)
-            ok = ok and all(
-                psi.evaluate(Sample.of(p), y) == ref
-                for p in itertools.permutations(values)
-            )
+            table = psi.loo_matrix(Sample(points), candidates)
+            for p in itertools.permutations(range(n)):
+                permuted = psi.loo_matrix(Sample(points[list(p)]), candidates)
+                ok = ok and permuted[:, :n].tobytes() == table[:, list(p)].tobytes()
+                ok = ok and permuted[:, n].tobytes() == table[:, n].tobytes()
 
     # (c) conjugacy and maxitivity, exact.
     for _ in range(40):
@@ -207,7 +209,7 @@ def test_criterion_8_structural_invariants(tmp_path):
         a = Region(grid, int(rng.integers(0, mask + 1)))
         b = Region(grid, int(rng.integers(0, mask + 1)))
         ok = ok and lower_prob(contour, a) + upper_prob(contour, a.complement()) == 1.0
-        ok = ok and upper_prob(contour, a.union(b)) == max(
+        ok = ok and upper_prob(contour, Region(grid, a.bits | b.bits)) == max(
             upper_prob(contour, a), upper_prob(contour, b)
         )
 
@@ -237,7 +239,7 @@ def test_criterion_8_structural_invariants(tmp_path):
     announce(
         8,
         ok,
-        "invariants: attainable-set values, exhaustive permutation invariance "
+        "invariants: attainable-set values, exhaustive permutation equivariance "
         "(n<=6), exact conjugacy/maxitivity, antitone nesting, byte-identical "
         "reruns",
     )

@@ -1,5 +1,6 @@
 """Conjugate predictives, level-set regions, the triangle, and upper posteriors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,12 +18,10 @@ from gridcp.bayes import (
     posterior_params,
     posterior_predictive,
     quant,
-    quant_cdf_diagnostic,
     upper_posterior,
 )
 from gridcp.fullcp import TieLevelError, kappa
 from gridcp.grid import Sample, make_uniform_grid
-from gridcp.scores import check_permutation_invariance
 
 
 def small_grid(lo=-5.0, hi=5.0, count=101):
@@ -91,15 +90,14 @@ class TestBcp:
         np.testing.assert_array_equal(t[:, -1], -np.asarray(self.pd.evaluated))
 
     def test_minimum_score_at_density_peak(self):
-        psi = bcp(self.pd)
-        scores = [psi.evaluate(self.s, y[0]) for y in self.grid.points.tolist()]
+        scores = bcp(self.pd).loo_matrix(self.s, self.grid.points)[:, -1]
         best = self.grid.points[int(np.argmin(scores))][0]
         assert abs(best - self.pd.mean) <= self.grid.spacing[0] / 2 + 1e-12
 
     def test_symmetric_candidates_tie(self):
-        psi = bcp(self.pd)
         m = self.pd.mean
-        assert psi.evaluate(self.s, m + 0.8) == psi.evaluate(self.s, m - 0.8)
+        t = bcp(self.pd).loo_matrix(self.s, [m + 0.8, m - 0.8])
+        assert t[0, -1] == t[1, -1]
 
     def test_cached_values_are_read_only(self):
         assert self.pd.evaluated.shape == (self.grid.size,)
@@ -107,8 +105,14 @@ class TestBcp:
             self.pd.evaluated[0] = 0.0
 
     def test_permutation_invariance_vacuous_but_tested(self):
-        psi = bcp(self.pd)
-        assert check_permutation_invariance(psi, self.s, 0.7, trials=10)
+        # Every permutation of the sample permutes the training columns and
+        # leaves the candidate column bit-identical.
+        psi, candidates = bcp(self.pd), self.grid.points
+        table = psi.loo_matrix(self.s, candidates)
+        for perm in itertools.permutations(range(self.s.n)):
+            permuted = psi.loo_matrix(Sample(self.s.points[list(perm)]), candidates)
+            assert permuted[:, :-1].tobytes() == table[:, list(perm)].tobytes()
+            assert permuted[:, -1].tobytes() == table[:, -1].tobytes()
 
 
 class TestQuant:
@@ -158,14 +162,6 @@ class TestQuant:
         with pytest.raises(TieLevelError):
             quant(1.0 / 3.0, pd)
 
-    def test_cdf_diagnostic_reports_disagreement(self):
-        rng = np.random.default_rng(3)
-        s = Sample.of(rng.standard_normal(12).tolist())
-        pd = posterior_predictive(self.m, s, self.grid)
-        region, disagreement = quant_cdf_diagnostic(0.205, pd)
-        assert len(region) > 0
-        assert disagreement >= 0  # surfaced, not asserted away
-
 
 class TestConsonanceAtMode:
     def test_transducer_attains_one_when_mode_is_on_grid(self):
@@ -180,7 +176,7 @@ class TestConsonanceAtMode:
         pd = posterior_predictive(m, s, grid)
         assert pd.mean == 0.0 and 0.0 in grid.axes[0]
         t = transducer(s, bcp(pd), grid)
-        assert t.nums[grid.index_of(0.0)] == s.n + 1
+        assert t.nums[grid.nearest_index(0.0)] == s.n + 1
         assert t.is_consonant()
 
     def test_snapped_training_data_forces_consonance(self):
@@ -193,8 +189,7 @@ class TestConsonanceAtMode:
         grid = make_uniform_grid([(-6, 6)], [121])
         for _ in range(10):
             raw = rng.standard_normal(8)
-            pts = [grid.snap(v) for v in raw]
-            s = Sample(tuple(pts))
+            s = Sample(grid.points[[grid.nearest_index(v) for v in raw]])
             pd = posterior_predictive(m, s, grid)
             assert transducer(s, bcp(pd), grid).is_consonant()
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcp import cli, harness
+from gridcp.fullcp import TieLevelError, check_level
 from gridcp.harness import (
     ExperimentConfig,
     emit,
@@ -62,9 +63,9 @@ class TestConfig:
         # n+2 of them would take gigabytes here.
         tracemalloc.start()
         try:
-            ExperimentConfig(experiment="coverage", n=10**9)
-            with pytest.raises(ValueError, match="attainable"):
-                ExperimentConfig(experiment="coverage", n=10**9, alpha=0.5 + 0.5 / (10**9 + 1))
+            check_level(0.13, 10**9)
+            with pytest.raises(TieLevelError, match="attainable"):
+                check_level(0.5 + 0.5 / (10**9 + 1), 10**9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -427,6 +428,8 @@ class TestCli:
             ("diagram", {"extras": {"brute_trials": "x"}}, "brute_trials"),
             ("diagram", {"extras": {"brute_trials": 1.5}}, "brute_trials"),
             ("diagram", {"extras": {"brute_grid_limit": -1}}, "brute_grid_limit"),
+            ("diagram", {"extras": {"brute_grid_limit": 5}}, "brute_grid_limit"),
+            ("diagram", {"extras": {"brute_grid_limit": 20}}, "brute_grid_limit"),
             ("diagram", {"extras": {"score_families": ["nope"]}}, "score_families"),
             ("diagram", {"extras": {"score_families": "mean_abs_distance"}}, "score_families"),
             ("diagram", {"extras": {"score_families": []}}, "score_families"),
@@ -437,6 +440,8 @@ class TestCli:
             ("bayes_triangle", {"extras": {"score_params": {}}}, "'score_params'"),
             ("coverage", {"model": {}}, "'model'"),
             ("coverage", {"grid": {"counts": [10**9]}}, "limit"),
+            ("coverage", {"n": 10**9}, "limit"),
+            ("eposterior", {"extras": {"theta_count": 10**5, "y_count": 10**5}}, "limit"),
             ("coverage", {"score": "neg_predictive_density"}, "'neg_predictive_density'"),
             ("coverage", {"trials": 2.9}, "field trials"),
             ("coverage", {"n": 20.5}, "field n"),
@@ -533,6 +538,8 @@ class TestCli:
             "string_brute_trials",
             "float_brute_trials",
             "negative_brute_grid_limit",
+            "brute_grid_limit_below_the_least_grid",
+            "brute_grid_limit_above_the_enumeration_limit",
             "unknown_score_family",
             "score_families_not_a_list",
             "no_score_families",
@@ -543,6 +550,8 @@ class TestCli:
             "extras_key_of_another_experiment",
             "removed_model_key",
             "oversized_grid",
+            "oversized_coverage_table",
+            "oversized_eposterior_table",
             "unsupported_score_kind",
             "float_trials",
             "float_n",
@@ -588,6 +597,16 @@ class TestCli:
         else:
             assert code == 0
 
+    @pytest.mark.parametrize("limit", [6, 16])
+    def test_brute_grid_limit_in_range_runs(self, tmp_path, limit):
+        # Both ends of the range: every brute-checked grid has 6 to `limit`
+        # points, all within reach of the subset-enumeration oracle.
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(json.dumps({"extras": {"brute_grid_limit": limit}}))
+        code = cli.main(["diagram", "--config", str(cfg_path), "--trials", "8", "--out", str(out)])
+        assert code == 0
+        assert [f["brute_checked"] for f in json.loads(out.read_text())["families"]] == [8, 8]
+
     def test_non_object_config_exit_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[1, 2]")
@@ -620,8 +639,9 @@ class TestCli:
 _JSON = st.recursive(
     st.none()
     | st.booleans()
-    # Up to twice _MAX_GRID_POINTS, so that grid counts at and above the
-    # limit are drawn: those must be refused without building the grid.
+    # Up to 2 * 10**6, so that grid counts whose (n+1) x grid points table is
+    # above _MAX_TABLE_CELLS are drawn: those must be refused without building
+    # the grid.
     | st.integers(-2 * 10**6, 2 * 10**6)
     | st.floats()
     | st.text(max_size=6),

@@ -103,14 +103,14 @@ class TestUpperLowerProb:
         assert upper_prob(self.cs, self.grid.full_region()) == 1.0
 
     def test_upper_empty_is_zero(self):
-        assert upper_prob(self.cs, self.grid.empty_region()) == 0.0
+        assert upper_prob(self.cs, Region(self.grid, 0)) == 0.0
 
     def test_upper_hand_example(self):
         assert upper_prob(self.cs, self.grid.region([1, 2])) == 2.0 / 3.0
 
     def test_lower_full_and_empty(self):
         assert lower_prob(self.cs, self.grid.full_region()) == 1.0
-        assert lower_prob(self.cs, self.grid.empty_region()) == 0.0
+        assert lower_prob(self.cs, Region(self.grid, 0)) == 0.0
 
     def test_lower_hand_example(self):
         assert lower_prob(self.cs, self.grid.region([0])) == 1.0 - 2.0 / 3.0
@@ -132,7 +132,7 @@ def test_conjugacy_and_maxitivity_exact(cs, bits_a, bits_b):
     # 1 - x + x pattern land back on 1.0 for x in [0, 1]).
     assert lower_prob(cs, a) + upper_prob(cs, a.complement()) == 1.0
     # Maxitivity: U(A u B) = max(U(A), U(B)).
-    assert upper_prob(cs, a.union(b)) == max(
+    assert upper_prob(cs, Region(cs.universe, a.bits | b.bits)) == max(
         upper_prob(cs, a), upper_prob(cs, b)
     )
 
@@ -249,7 +249,7 @@ class TestIhdrRoutes:
 
     def test_alpha_one_gives_empty(self):
         cs = contour_on([1.0, 2.0 / 3.0, 1.0 / 3.0])
-        assert ihdr_bruteforce(1.0, cs) == cs.universe.empty_region()
+        assert ihdr_bruteforce(1.0, cs) == Region(cs.universe, 0)
 
     def test_vacuous_contour_full_grid(self):
         cs = contour_on([1.0, 1.0, 1.0])

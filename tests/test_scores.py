@@ -1,4 +1,4 @@
-"""Score families: frozen values, exact permutation invariance, embedding nets."""
+"""Score families: frozen values, exact permutation equivariance, embedding nets."""
 
 import itertools
 import math
@@ -16,84 +16,101 @@ from gridcp.scores import (
     NegPredictiveDensity,
     PrototypeEmbedding,
     ScoreFn,
-    check_permutation_invariance,
-    score_mean_abs,
-    score_prototype,
     _fsum_mean,
     _partial_sums,
 )
+from test_scores_oracle import loo_by_definition
 
 finite_floats = st.floats(-50, 50)
 
 
+def score(psi: ScoreFn, sample, y) -> float:
+    """psi of the point y against the sample: the candidate column of the
+    leave-one-out table."""
+    return float(psi.loo_matrix(Sample.of(sample), np.reshape(y, (1, -1)))[0, -1])
+
+
+def is_equivariant(psi: ScoreFn, points: np.ndarray, candidates, perm) -> bool:
+    """Whether sampling points[perm] permutes the table's training columns by
+    perm and leaves its candidate column bit-identical."""
+    n = len(points)
+    table = psi.loo_matrix(Sample(points), candidates)
+    permuted = psi.loo_matrix(Sample(points[list(perm)]), candidates)
+    return (
+        permuted[:, :n].tobytes() == table[:, list(perm)].tobytes()
+        and permuted[:, n].tobytes() == table[:, n].tobytes()
+    )
+
+
 class FirstElementScore(ScoreFn):
-    """Deliberately order-sensitive: negative control for invariance checks."""
+    """Deliberately order-sensitive: negative control for equivariance checks."""
 
     kind = "first_element"
 
-    def evaluate(self, sample: Sample, y) -> float:
-        return abs(sample.points[0, 0] - float(np.atleast_1d(y)[0]))
+    def loo_matrix(self, y_n: Sample, candidates) -> np.ndarray:
+        cand = np.asarray(candidates, dtype=float).reshape(-1, y_n.dim)
+        return np.repeat(np.abs(cand[:, :1] - y_n.points[0, 0]), y_n.n + 1, axis=1)
 
 
 class TestMeanAbs:
     def test_candidate_at_mean(self):
-        assert score_mean_abs(Sample.of([0, 1]), 0.5) == 0.0
+        assert score(MeanAbsDistance(), [0, 1], 0.5) == 0.0
 
     def test_hand_arithmetic(self):
-        assert score_mean_abs(Sample.of([0, 2]), 0.0) == 1.0
+        assert score(MeanAbsDistance(), [0, 2], 0.0) == 1.0
 
     def test_identity(self):
-        assert score_mean_abs(Sample.of([3]), 3.0) == 0.0
+        assert score(MeanAbsDistance(), [3], 3.0) == 0.0
 
     def test_euclidean_for_d2(self):
-        s = Sample.of([(0, 0), (2, 2)])
-        assert score_mean_abs(s, (1, 1)) == 0.0
-        assert score_mean_abs(s, (1, 0)) == 1.0
+        s = [(0, 0), (2, 2)]
+        assert score(MeanAbsDistance(), s, (1, 1)) == 0.0
+        assert score(MeanAbsDistance(), s, (1, 0)) == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            score_mean_abs(Sample.of([(0, 0)]), 1.0)
+            score(MeanAbsDistance(), [(0, 0)], 1.0)
 
 
 class TestPrototype:
     def test_candidate_at_prototype(self):
-        net = EmbeddingNet.identity(1)
-        assert score_prototype(Sample.of([0, 1]), 0.5, net) == 0.0
+        psi = PrototypeEmbedding(EmbeddingNet.identity(1))
+        assert score(psi, [0, 1], 0.5) == 0.0
 
     def test_hand_arithmetic(self):
-        net = EmbeddingNet.identity(1)
-        assert score_prototype(Sample.of([0, 2]), 0.0, net) == -1.0
+        psi = PrototypeEmbedding(EmbeddingNet.identity(1))
+        assert score(psi, [0, 2], 0.0) == -1.0
 
     def test_zero_net_collapses(self):
-        net = EmbeddingNet(((((0.0,),), (0.0,)),))
+        psi = PrototypeEmbedding(EmbeddingNet(((((0.0,),), (0.0,)),)))
         for y in (-3.0, 0.0, 7.5):
-            assert score_prototype(Sample.of([0, 2, 4]), y, net) == 0.0
+            assert score(psi, [0, 2, 4], y) == 0.0
 
     def test_sign_is_nonpositive(self):
-        net = EmbeddingNet.identity(1)
-        assert score_prototype(Sample.of([0, 4]), 9.0, net) <= 0.0
+        psi = PrototypeEmbedding(EmbeddingNet.identity(1))
+        assert score(psi, [0, 4], 9.0) <= 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            score_prototype(Sample.of([(0, 1)]), (0, 1), EmbeddingNet.identity(1))
+            score(PrototypeEmbedding(EmbeddingNet.identity(1)), [(0, 1)], (0, 1))
 
     @given(st.lists(finite_floats, min_size=1, max_size=6), finite_floats)
     def test_identity_net_matches_neg_squared_mean_abs(self, values, y):
-        net = EmbeddingNet.identity(1)
-        lhs = score_prototype(Sample.of(values), y, net)
-        rhs = -score_mean_abs(Sample.of(values), y) ** 2
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        candidates = np.array([[y]])
+        lhs = PrototypeEmbedding(EmbeddingNet.identity(1)).loo_matrix(Sample.of(values), candidates)
+        rhs = -MeanAbsDistance().loo_matrix(Sample.of(values), candidates) ** 2
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 class TestNegPredictiveDensity:
     def test_matches_gaussian(self):
         psi = NegPredictiveDensity(mean=1.0, sd=2.0)
         expected = -math.exp(-0.125) / (2.0 * math.sqrt(2 * math.pi))
-        assert psi.evaluate(Sample.of([99.0]), 2.0) == pytest.approx(expected, rel=1e-15)
+        assert score(psi, [99.0], 2.0) == pytest.approx(expected, rel=1e-15)
 
     def test_sample_argument_ignored(self):
         psi = NegPredictiveDensity(mean=0.0, sd=1.0)
-        assert psi.evaluate(Sample.of([1]), 0.3) == psi.evaluate(Sample.of([-9, 4]), 0.3)
+        assert score(psi, [1], 0.3) == score(psi, [-9, 4], 0.3)
 
     def test_rejects_bad_sd(self):
         with pytest.raises(ValueError):
@@ -118,24 +135,61 @@ class TestNegPredictiveDensity:
 
     @pytest.mark.parametrize(
         "sample, y",
-        [([1.0], [0.0, 5.0]), ([1.0], [[0.0]]), ([(1.0, 2.0)], 0.0)],
-        ids=["2d_point", "nested_point", "2d_sample"],
+        [([1.0], [0.0, 5.0]), ([(1.0, 2.0)], 0.0)],
+        ids=["2d_point", "2d_sample"],
     )
     def test_evaluate_refuses_multivariate_points(self, sample, y):
         psi = NegPredictiveDensity(mean=0.0, sd=1.0)
         with pytest.raises(ValueError, match="neg_predictive_density scores 1-D points"):
-            psi.evaluate(Sample.of(sample), y)
+            score(psi, sample, y)
 
-    def test_evaluate_accepts_scalars_and_one_coordinate(self):
+    def test_loo_matrix_accepts_scalars_and_one_coordinate(self):
         psi = NegPredictiveDensity(mean=0.0, sd=1.0)
-        values = {psi.evaluate(Sample.of([1.0]), y) for y in (0.5, np.float64(0.5), [0.5], np.array([0.5]))}
-        assert values == {-float(psi.density(0.5))}
+        y_n = Sample.of([1.0])
+        tables = [psi.loo_matrix(y_n, c) for c in (0.5, [0.5], np.array([[0.5]]))]
+        for table in tables:
+            assert table.tobytes() == tables[0].tobytes()
+        assert tables[0][0, -1] == -float(psi.density(0.5))
+
+
+@st.composite
+def equivariance_cases(draw):
+    """(score, sample, candidates, permutation) over all three scores, d = 1
+    and 2, and embeddings into m = 1..3 dimensions, so m != d too."""
+    kind = draw(st.sampled_from(["mean_abs", "prototype", "neg_density"]))
+    d = 1 if kind == "neg_density" else draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6))
+    points = st.lists(st.floats(-10, 10), min_size=d, max_size=d)
+    sample = np.array(draw(st.lists(points, min_size=n, max_size=n)))
+    candidates = np.array(draw(st.lists(points, min_size=1, max_size=4)))
+    if kind == "mean_abs":
+        psi = MeanAbsDistance()
+    elif kind == "neg_density":
+        psi = NegPredictiveDensity(mean=draw(st.floats(-3, 3)), sd=draw(st.floats(0.1, 3)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        h, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        psi = PrototypeEmbedding(EmbeddingNet.from_weights(
+            [rng.standard_normal((h, d)), rng.standard_normal((m, h))],
+            [rng.standard_normal(h), rng.standard_normal(m)],
+        ))
+    return psi, sample, candidates, draw(st.permutations(range(n)))
 
 
 class TestPermutationInvariance:
+    """Permuting the sample permutes the leave-one-out table's columns 0..n-1
+    the same way and leaves column n, the candidate's, bit-identical."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(equivariance_cases())
+    def test_loo_table_is_permutation_equivariant(self, case):
+        assert is_equivariant(*case)
+
     def test_mean_abs_random_permutations(self):
-        s = Sample.of([0.3, -1.2, 4.0, 2.2])
-        assert check_permutation_invariance(MeanAbsDistance(), s, 0.7, trials=20)
+        rng = np.random.default_rng(0)
+        points = np.array([[0.3], [-1.2], [4.0], [2.2]])
+        for _ in range(20):
+            assert is_equivariant(MeanAbsDistance(), points, [[0.7]], rng.permutation(4))
 
     def test_prototype_random_permutations(self):
         rng = np.random.default_rng(5)
@@ -143,31 +197,29 @@ class TestPermutationInvariance:
             [rng.standard_normal((3, 1)), rng.standard_normal((2, 3))],
             [rng.standard_normal(3), rng.standard_normal(2)],
         )
-        s = Sample.of([0.3, -1.2, 4.0, 2.2, 0.9])
-        assert check_permutation_invariance(PrototypeEmbedding(net), s, 0.7, trials=20)
+        points = np.array([[0.3], [-1.2], [4.0], [2.2], [0.9]])
+        for _ in range(20):
+            assert is_equivariant(PrototypeEmbedding(net), points, [[0.7]], rng.permutation(5))
 
     def test_negative_control(self):
-        s = Sample.of([0.0, 10.0, 20.0])
-        assert not check_permutation_invariance(FirstElementScore(), s, 1.0, trials=50)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            check_permutation_invariance(MeanAbsDistance(), Sample.of([1]), 0.0, trials=0)
+        points = np.array([[0.0], [10.0], [20.0]])
+        assert not all(
+            is_equivariant(FirstElementScore(), points, [[1.0]], perm)
+            for perm in itertools.permutations(range(3))
+        )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_exhaustive_bit_for_bit(self, n):
-        # Exact (not approximate) equality across every permutation, n <= 6.
+        # Every permutation, n <= 6, both sample scores, an embedding m != d.
         rng = np.random.default_rng(n)
-        values = rng.uniform(-5, 5, n).tolist()
-        y = float(rng.uniform(-5, 5))
+        points = rng.uniform(-5, 5, (n, 1))
+        candidates = rng.uniform(-5, 5, (3, 1))
         net = EmbeddingNet.from_weights(
             [rng.standard_normal((2, 1))], [rng.standard_normal(2)]
         )
-        scores = [MeanAbsDistance(), PrototypeEmbedding(net)]
-        for psi in scores:
-            ref = psi.evaluate(Sample.of(values), y)
-            for perm in itertools.permutations(values):
-                assert psi.evaluate(Sample.of(perm), y) == ref
+        for psi in (MeanAbsDistance(), PrototypeEmbedding(net)):
+            for perm in itertools.permutations(range(n)):
+                assert is_equivariant(psi, points, candidates, perm)
 
 
 class TestVectorizedKernelAgreesWithEvaluate:
@@ -186,7 +238,7 @@ class TestVectorizedKernelAgreesWithEvaluate:
         y_n = Sample.of(rng.uniform(-2, 2, 5).tolist())
         candidates = rng.uniform(-2, 2, 7).reshape(-1, 1)
         fast = psi.loo_matrix(y_n, candidates)
-        slow = ScoreFn.loo_matrix(psi, y_n, candidates)
+        slow = loo_by_definition(psi, y_n, candidates)
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -201,7 +253,7 @@ class TestVectorizedKernelAgreesWithEvaluate:
         )
         for psi in (MeanAbsDistance(), PrototypeEmbedding(net)):
             fast = psi.loo_matrix(y_n, candidates)
-            slow = ScoreFn.loo_matrix(psi, y_n, candidates)
+            slow = loo_by_definition(psi, y_n, candidates)
             assert fast.shape == (9, 7)
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
@@ -345,6 +397,7 @@ class TestEmbeddingNet:
 @given(st.lists(finite_floats, min_size=1, max_size=7), finite_floats)
 @settings(max_examples=60)
 def test_scores_finite_on_finite_inputs(values, y):
-    s = Sample.of(values)
-    assert math.isfinite(score_mean_abs(s, y))
-    assert math.isfinite(score_prototype(s, y, EmbeddingNet.identity(1)))
+    s, candidates = Sample.of(values), np.array([[y]])
+    assert np.isfinite(MeanAbsDistance().loo_matrix(s, candidates)).all()
+    psi = PrototypeEmbedding(EmbeddingNet.identity(1))
+    assert np.isfinite(psi.loo_matrix(s, candidates)).all()
