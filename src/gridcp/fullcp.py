@@ -40,6 +40,7 @@ __all__ = [
     "Transducer",
     "TieLevelError",
     "transducer",
+    "transducers",
     "levels",
     "next_level",
     "check_level",
@@ -139,6 +140,12 @@ class Transducer:
         return self.universe.csv_table(k=self.nums.tolist(), pi_value=self.values.tolist())
 
 
+def _rank_counts(tables: np.ndarray) -> np.ndarray:
+    """#{i : T_i >= T_{n+1}} per row of a leave-one-out table, or of a stack
+    of them: the plausibility numerators."""
+    return np.sum(tables >= tables[..., -1:], axis=-1)
+
+
 def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     """Run the leave-one-out ranking transform over every grid point.
 
@@ -152,8 +159,19 @@ def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     n = y_n.n
     if T.shape != (universe.size, n + 1):
         raise ValueError("score kernel returned a malformed table")
-    nums = np.sum(T >= T[:, -1][:, None], axis=1)
-    return Transducer(universe=universe, nums=nums, n=n)
+    return Transducer(universe=universe, nums=_rank_counts(T), n=n)
+
+
+def transducers(points: np.ndarray, psi: ScoreFn, universe: Grid) -> list[Transducer]:
+    """`transducer` of each sample in a (T, n, d) stack of finite points,
+    from one call of the score kernel."""
+    count, n, d = points.shape
+    if d != universe.dim:
+        raise ValueError(f"dimension mismatch: sample d={d}, grid d={universe.dim}")
+    tables = psi.loo_tables(points, universe.points)
+    if tables.shape != (count, universe.size, n + 1):
+        raise ValueError("score kernel returned a malformed table")
+    return [Transducer(universe=universe, nums=nums, n=n) for nums in _rank_counts(tables)]
 
 
 def superlevel_region(t: Transducer, alpha: float) -> Region:

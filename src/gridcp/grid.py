@@ -108,23 +108,43 @@ class Grid:
         points.flags.writeable = False
         return points
 
-    def nearest_index(self, point) -> int:
-        """Index of the grid point nearest to `point`, one dimension at a time.
+    @cached_property
+    def _fenced_axes(self) -> tuple[np.ndarray, ...]:
+        """Each axis as an array between -inf and +inf: no finite point is
+        nearer to a fence than to the axis, so the neighbour moves of
+        `nearest_indices` stop at its ends."""
+        return tuple(np.array([-math.inf, *axis, math.inf]) for axis in self.axes)
 
-        The first guess, round((c - axis[0]) / spacing), is the nearest
-        coordinate on an evenly spaced axis; on any other axis it moves to a
-        neighbour while that neighbour is strictly nearer.
+    def nearest_indices(self, points) -> np.ndarray:
+        """Index of the grid point nearest to each row of an (N, dim) array,
+        one dimension at a time.
+
+        The first guess, rint((c - axis[0]) / spacing) clipped to the axis, is
+        the nearest coordinate on an evenly spaced axis, ties to even; on any
+        other axis it moves to a neighbour while that neighbour is strictly
+        nearer.
         """
-        idx = 0
-        for c, axis, h in zip(_as_point(point), self.axes, self.spacing):
-            last = len(axis) - 1
-            i = min(max(round((c - axis[0]) / h), 0), last) if last else 0
-            while i > 0 and c - axis[i - 1] < axis[i] - c:
-                i -= 1
-            while i < last and axis[i + 1] - c < c - axis[i]:
-                i += 1
-            idx = idx * (last + 1) + i
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"expected an (N, {self.dim}) array of points, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("cannot snap a non-finite point")
+        idx = np.zeros(len(pts), dtype=np.intp)
+        for c, axis, h in zip(pts.T, self._fenced_axes, self.spacing):
+            last = len(axis) - 3
+            j = np.ones(len(pts), dtype=np.intp)  # axis[j] is point j - 1
+            if last:
+                j += np.clip(np.rint((c - axis[1]) / h), 0, last).astype(np.intp)
+            while (down := c - axis[j - 1] < axis[j] - c).any():
+                j -= down
+            while (up := axis[j + 1] - c < c - axis[j]).any():
+                j += up
+            idx = idx * (last + 1) + j - 1
         return idx
+
+    def nearest_index(self, point) -> int:
+        """Index of the grid point nearest to `point`: `nearest_indices` of one row."""
+        return int(self.nearest_indices([_as_point(point)])[0])
 
     def full_region(self) -> Region:
         return Region(self, (1 << self.size) - 1)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import bayes, catlaws
-from .fullcp import check_level, kappa, levels, transducer
+from .fullcp import check_level, kappa, levels, superlevel_region, transducer, transducers
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
     _BRUTE_LIMIT,
@@ -29,7 +29,13 @@ from .imprecise import (
     ihdr_bruteforce,
     ihdr_contour,
 )
-from .scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding, ScoreFn
+from .scores import (
+    EmbeddingNet,
+    MeanAbsDistance,
+    PrototypeEmbedding,
+    ScoreFn,
+    _per_block,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -344,13 +350,24 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     held-out point in the region is exact set membership; snapping is a
     fixed componentwise map, so exchangeability survives.
     """
-    universe, psi, draw = cfg.universe, cfg.psi, _SCENARIOS[cfg.scenario]
+    universe, psi, draw, n = cfg.universe, cfg.psi, _SCENARIOS[cfg.scenario], cfg.n
+    check_level(cfg.alpha, n)
+    # Trials are drawn into a chunk of one kernel block's worth of samples;
+    # the chunk's last trial snaps and scores them all with one kernel call.
+    chunk = _per_block(universe.size * n * psi.width(1))
+    draws = np.empty((chunk, n + 1))
 
     def one_trial(rng: np.random.Generator, t: int) -> dict:
-        raw = draw(rng, cfg.n + 1)
-        idxs = [universe.nearest_index(v) for v in raw]
-        y_n = Sample(universe.points[idxs[: cfg.n]])
-        return {"hits": idxs[cfg.n] in kappa(cfg.alpha, y_n, psi, universe)}
+        k = t % chunk
+        draws[k] = draw(rng, n + 1)
+        if k < chunk - 1 and t < cfg.trials - 1:
+            return {}
+        idxs = universe.nearest_indices(draws[: k + 1].reshape(-1, 1)).reshape(k + 1, n + 1)
+        regions = [
+            superlevel_region(tr, cfg.alpha)
+            for tr in transducers(universe.points[idxs[:, :n]], psi, universe)
+        ]
+        return {"hits": sum(i in r for i, r in zip(idxs[:, n].tolist(), regions))}
 
     hits = _map_trials(one_trial, cfg)["hits"]
     coverage, target = hits / cfg.trials, 1.0 - cfg.alpha

@@ -151,14 +151,19 @@ def is_member(p: ProbVector, c: PossibilityContour) -> bool:
     return bool(np.all(sums <= maxv + _MEMBER_TOL))
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a level outside [0, 1], NaN included."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+
+
 def ihdr_bruteforce(alpha: float, c: PossibilityContour) -> Region:
     """Intersection of all subsets whose lower probability is >= 1 - alpha.
 
     The full grid always qualifies (its lower probability is 1), so the
     intersection is never over an empty family for alpha in [0, 1].
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     m = c.universe.size
     if m > _BRUTE_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
@@ -173,6 +178,7 @@ def ihdr_bruteforce(alpha: float, c: PossibilityContour) -> Region:
 
 def ihdr_contour(alpha: float, c: PossibilityContour) -> Region:
     """Closed form: the strict super-level set {y : v(y) > alpha}."""
+    _check_alpha(alpha)
     return Region.from_mask(c.universe, c.values > alpha)
 
 

@@ -14,11 +14,12 @@ to the sample. Three families ship:
   the candidate; the sample argument is ignored, so permutation invariance
   is vacuous (and still property-tested).
 
-Every score is computed one way: `loo_matrix`, the full-CP leave-one-out
-table that every region is built from. Sample aggregates in it are computed
-with exactly rounded summation (math.fsum), so that permuting the sample
-permutes the table's training columns and leaves the candidate column
-bit-for-bit unchanged.
+Every score is computed one way: `loo_tables`, the full-CP leave-one-out
+tables of a stack of samples, which every region is built from;
+`loo_matrix` is the table of a stack of one. Sample aggregates in a table
+are computed with exactly rounded summation (math.fsum), so that permuting
+the sample permutes the table's training columns and leaves the candidate
+column bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Cells (candidates x n x m) per block of the leave-one-out kernel: about
-# 2 MiB per float temporary, whatever the grid size.
-_BLOCK_CELLS = 1 << 18
+# Cells (samples x candidates x n x m) per block of the leave-one-out kernel:
+# 128 KiB per float temporary, whatever the grid size. `ck coverage` draws its
+# trials in chunks of one block.
+_BLOCK_CELLS = 1 << 14
 
 
 def gaussian_pdf(y, mean: float, sd: float):
@@ -54,50 +56,87 @@ def gaussian_pdf(y, mean: float, sd: float):
 
 
 def _fsum_mean(points: np.ndarray) -> np.ndarray:
-    """Componentwise mean via exactly rounded sums (order-independent)."""
-    n, d = points.shape
-    return np.array([math.fsum(points[:, k]) / n for k in range(d)])
+    """Componentwise mean of each sample in a (..., n, m) stack, via exactly
+    rounded sums (order-independent)."""
+    columns = np.swapaxes(points, -1, -2)
+    n = columns.shape[-1]
+    means = [math.fsum(col) / n for col in columns.reshape(-1, n).tolist()]
+    return np.array(means).reshape(columns.shape[:-1])
 
 
 def _partial_sums(points: np.ndarray) -> np.ndarray:
-    """Row i = exactly rounded componentwise sum of all rows except i.
+    """Row i of each sample in a (..., n, m) stack = exactly rounded
+    componentwise sum of the sample's rows except i.
 
     fsum over a column with -x_i appended is the correctly rounded value of
     the same exact sum as fsum over the column without x_i.
     """
-    columns = points.T.tolist()
-    return np.array([[math.fsum(col + [-col[i]]) for col in columns] for i in range(len(points))])
+    columns = np.swapaxes(points, -1, -2)
+    flat = columns.reshape(-1, columns.shape[-1]).tolist()
+    sums = [[math.fsum(col + [-c]) for c in col] for col in flat]
+    return np.swapaxes(np.array(sums).reshape(columns.shape), -1, -2)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1), bit for bit; squares v in place."""
+    r = np.add.reduce(np.multiply(v, v, out=v), axis=-1)
+    return np.sqrt(r, out=r)
+
+
+def _negated_square_norm(v: np.ndarray) -> np.ndarray:
+    """-np.sum(v * v, axis=-1), bit for bit; squares v in place."""
+    r = np.add.reduce(np.multiply(v, v, out=v), axis=-1)
+    return np.negative(r, out=r)
+
+
+def _per_block(cells: int) -> int:
+    """How many items of `cells` cells each fit in one block of the
+    leave-one-out kernel; at least one."""
+    return max(1, _BLOCK_CELLS // max(cells, 1))
 
 
 def _loo_table(points: np.ndarray, candidates, dist: Callable, embed: Callable = np.asarray):
-    """Leave-one-out table of a score dist(prototype - embedding).
+    """Leave-one-out tables of a score dist(prototype - embedding), one per
+    sample of a (T, n, d) stack: a (T, G, n+1) array.
 
     The prototype is the mean embedding of the other n points: for column
     i < n, the training points without i plus the candidate; for column n,
-    the n training points. `dist` maps an array of differences (..., m) to
-    scores (...). Means use per-index partial sums via exactly rounded
-    summation, rather than total-minus-point: the latter's rounding can break
-    score ties that hold in exact arithmetic (e.g. n = 1, where the held-out
-    point's score must tie the candidate's at every candidate).
+    the n training points. `dist` maps an array of differences (..., m),
+    which it may overwrite, to scores (...). Means use per-index partial sums
+    via exactly rounded summation, rather than total-minus-point: the
+    latter's rounding can break score ties that hold in exact arithmetic
+    (e.g. n = 1, where the held-out point's score must tie the candidate's at
+    every candidate).
+
+    Each sample's points are embedded in a call of their own and the
+    candidates in one call, because a network's output rows can depend on
+    how many rows one call maps.
     """
-    n, d = points.shape
-    train = embed(points)  # (n, m)
+    T, n, d = points.shape
+    train = np.array([embed(p) for p in points])  # (T, n, m)
     cand = embed(np.asarray(candidates, dtype=float).reshape(-1, d))  # (G, m)
+    G, m = cand.shape
     sums = _partial_sums(train)
-    out = np.empty((len(cand), n + 1))
+    out = np.empty((T, G, n + 1))
     # columns 0..n-1: held-out training point i against the other n points,
-    # a block of candidates at a time, so no (G, n, m) temporary is built
-    step = max(1, _BLOCK_CELLS // (n * cand.shape[1]))
-    for lo in range(0, len(cand), step):
-        block = cand[lo : lo + step, None, :]
-        out[lo : lo + step, :n] = dist((sums[None, :, :] + block) / n - train[None, :, :])
+    # one block of whole samples, or of one sample's candidates, at a time,
+    # so no (T, G, n, m) temporary is built
+    samples, step = _per_block(G * n * m), _per_block(n * m)
+    for t in range(0, T, samples):
+        for lo in range(0, G, step):
+            # (sums + candidate) / n - train, in one temporary
+            diff = np.add(sums[t : t + samples, None], cand[None, lo : lo + step, None, :])
+            np.divide(diff, n, out=diff)
+            np.subtract(diff, train[t : t + samples, None], out=diff)
+            out[t : t + samples, lo : lo + step, :n] = dist(diff)
     # column n: the candidate against the training sample
-    out[:, n] = dist(_fsum_mean(train) - cand)
+    means = _fsum_mean(train)
+    out[:, :, n] = dist(means[:, None, :] - cand[None])
     return out
 
 
 class ScoreFn:
-    """Base class for nonconformity scores: a subclass implements `loo_matrix`."""
+    """Base class for nonconformity scores: a subclass implements `loo_tables`."""
 
     kind: str = "abstract"
 
@@ -106,9 +145,18 @@ class ScoreFn:
 
         For each candidate c (rows) and each i in 1..n+1 (columns), entry
         [c, i-1] is the score of the i-th element of (y_1..y_n, c) against
-        the remaining n elements.
+        the remaining n elements. It is `loo_tables` of a stack of one.
         """
+        return self.loo_tables(y_n.points[None], candidates)[0]
+
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """`loo_matrix` of each sample in a (T, n, d) stack, as a (T, G, n+1) array."""
         raise NotImplementedError
+
+    def width(self, d: int) -> int:
+        """m, the length of the vectors the score compares for d-D points: one
+        sample's leave-one-out table costs G x n x m cells."""
+        return d
 
 
 @dataclass(frozen=True)
@@ -117,8 +165,8 @@ class MeanAbsDistance(ScoreFn):
 
     kind: str = "mean_abs_distance"
 
-    def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
-        return _loo_table(y_n.points, candidates, lambda v: np.linalg.norm(v, axis=-1))
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        return _loo_table(points, candidates, _norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +224,11 @@ class PrototypeEmbedding(ScoreFn):
     net: EmbeddingNet
     kind: str = "prototype_embedding"
 
-    def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
-        return _loo_table(
-            y_n.points, candidates, lambda v: -np.sum(v * v, axis=-1), self.net.apply
-        )
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        return _loo_table(points, candidates, _negated_square_norm, self.net.apply)
+
+    def width(self, d: int) -> int:
+        return self.net.layers[-1][0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -204,18 +253,14 @@ class NegPredictiveDensity(ScoreFn):
     def density(self, y):
         return gaussian_pdf(y, self.mean, self.sd)
 
-    def loo_matrix(self, y_n: Sample, candidates: np.ndarray) -> np.ndarray:
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         cand = np.asarray(candidates, dtype=float)
-        if y_n.dim != 1 or cand.shape[1:] not in ((), (1,)):
-            raise ValueError(f"{self.kind} scores 1-D points; got a {y_n.dim}-D sample and "
+        T, n, d = points.shape
+        if d != 1 or cand.shape[1:] not in ((), (1,)):
+            raise ValueError(f"{self.kind} scores 1-D points; got a {d}-D sample and "
                              f"candidate points of shape {cand.shape[1:]}")
-        pts = y_n.points[:, 0]
         cand = cand.reshape(-1)
-        t_train = -self.density(pts)  # constant across candidates
-        t_cand = -self.density(cand)
-        G = cand.shape[0]
-        out = np.empty((G, pts.shape[0] + 1))
-        out[:, : pts.shape[0]] = t_train[None, :]
-        out[:, -1] = t_cand
+        out = np.empty((T, cand.shape[0], n + 1))
+        out[:, :, :n] = -self.density(points[:, None, :, 0])  # constant across candidates
+        out[:, :, n] = -self.density(cand)
         return out
-

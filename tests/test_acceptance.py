@@ -6,7 +6,6 @@ elsewhere.
 """
 
 import itertools
-import math
 import time
 
 import numpy as np

@@ -20,7 +20,9 @@ from gridcp.fullcp import (
     next_level,
     superlevel_region,
     transducer,
+    transducers,
 )
+from gridcp import scores as scores_module
 from gridcp.grid import Grid, Sample, make_uniform_grid
 from gridcp.imprecise import PossibilityContour
 from gridcp.scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding
@@ -98,6 +100,56 @@ class TestTransducer:
         assert rows[0] == ["grid_index", "x0", "k", "pi_value"]
         assert [r[2] for r in rows[1:]] == ["3", "3", "3", "2"]
         assert float(rows[4][3]) == 2.0 / 3.0
+
+
+def _two_layer_net(d: int) -> EmbeddingNet:
+    rng = np.random.default_rng(3)
+    return EmbeddingNet.from_weights(
+        [rng.standard_normal((8, d)), rng.standard_normal((3, 8))],
+        [rng.standard_normal(8), rng.standard_normal(3)],
+    )
+
+
+_STACK_GRIDS = {
+    1: make_uniform_grid([(-2.0, 2.0)], [11]),
+    2: make_uniform_grid([(-2.0, 2.0), (-1.0, 1.0)], [5, 4]),
+}
+
+
+class TestStackedTransducers:
+    """One kernel call over a stack of samples gives each sample's own table
+    and counts, bit for bit, wherever the blocks fall."""
+
+    @pytest.mark.parametrize("cells", [1, 37, 1 << 20], ids=["cells1", "cells37", "large"])
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("score", ["mean_abs_distance", "prototype_embedding"])
+    def test_each_slice_is_the_single_sample_transducer(self, monkeypatch, score, d, n, cells):
+        grid = _STACK_GRIDS[d]
+        psi = MeanAbsDistance() if score == "mean_abs_distance" else PrototypeEmbedding(
+            _two_layer_net(d)
+        )
+        points = grid.points[np.random.default_rng(n).integers(0, grid.size, (5, n))]
+        if score == "prototype_embedding" and n == 1:
+            # The net maps 5 rows in one call to other bits than 5 one-row
+            # calls, so embedding the stack at once would fail this test.
+            net = psi.net
+            whole = net.apply(points.reshape(-1, d))
+            assert not np.array_equal(whole, np.concatenate([net.apply(p) for p in points]))
+        monkeypatch.setattr(scores_module, "_BLOCK_CELLS", cells)
+        tables = psi.loo_tables(points, grid.points)
+        stacked = transducers(points, psi, grid)
+        assert tables.shape == (5, grid.size, n + 1) and len(stacked) == 5
+        for t, points_t in enumerate(points):
+            y_n = Sample(points_t)
+            assert tables[t].tobytes() == psi.loo_matrix(y_n, grid.points).tobytes()
+            single = transducer(y_n, psi, grid)
+            assert stacked[t].nums.tobytes() == single.nums.tobytes()
+            assert stacked[t].n == n and stacked[t].universe is grid
+
+    def test_refuses_a_stack_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            transducers(np.zeros((2, 3, 2)), MeanAbsDistance(), _STACK_GRIDS[1])
 
 
 class TestTieGrid:

@@ -176,6 +176,90 @@ def test_nearest_index_is_the_brute_force_argmin(dims, data):
         assume(len(gaps) == 1 or gaps[1] - gaps[0] > 1e-9)  # away from exact midpoints
     assert grid.nearest_index(point) == _brute_nearest(grid, point)
 
+
+def _scalar_nearest_index(grid: Grid, point) -> int:
+    """The snapping rule one point at a time, as a loop: the reference for
+    `Grid.nearest_indices`."""
+    idx = 0
+    for c, axis, h in zip(point, grid.axes, grid.spacing):
+        last = len(axis) - 1
+        i = min(max(round((c - axis[0]) / h), 0), last) if last else 0
+        while i > 0 and c - axis[i - 1] < axis[i] - c:
+            i -= 1
+        while i < last and axis[i + 1] - c < c - axis[i]:
+            i += 1
+        idx = idx * (last + 1) + i
+    return idx
+
+
+@st.composite
+def _snap_axes(draw):
+    """(axis, bound, spacing) of one dimension: uniform, midpoint or hand-built,
+    single-point axes included."""
+    kind = draw(st.sampled_from(["uniform", "midpoint", "hand_built"]))
+    lo, width = draw(st.floats(-50, 50)), draw(st.floats(0.01, 50))
+    count = draw(st.integers(1, 25))
+    if kind == "uniform":
+        grid = make_uniform_grid([(lo, lo + width)], [count])
+    elif kind == "midpoint":
+        grid = midpoint_grid(lo, lo + width, count)
+    else:
+        axis = sorted(set(draw(st.lists(st.floats(-50, 50), min_size=1, max_size=12))))
+        spacing = draw(st.floats(0.01, 20)) if len(axis) > 1 else 0.0
+        return tuple(axis), (axis[0], axis[-1]), spacing
+    return grid.axes[0], grid.bounds[0], grid.spacing[0]
+
+
+@st.composite
+def _snap_coordinate(draw, axis, bound, spacing):
+    """A coordinate inside or outside the bounds, on an axis point, on the
+    exact midpoint of two neighbours, or where the first guess is a half."""
+    lo, hi = bound
+    choices = [st.floats(lo - 10, hi + 10), st.sampled_from(axis)]
+    if len(axis) > 1:
+        pairs = list(zip(axis, axis[1:]))
+        choices.append(st.sampled_from([(a + b) / 2 for a, b in pairs]))
+        choices.append(st.integers(-3, len(axis) + 2).map(lambda k: axis[0] + (k + 0.5) * spacing))
+    return draw(st.one_of(choices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_snap_axes(), min_size=1, max_size=2), st.data())
+def test_nearest_indices_is_nearest_index_of_each_row(dims, data):
+    axes, bounds, spacing = zip(*dims)
+    grid = Grid(axes=axes, bounds=bounds, spacing=spacing)
+    row = st.tuples(*(_snap_coordinate(*dim) for dim in dims))
+    points = data.draw(st.lists(row, min_size=1, max_size=20))
+    got = grid.nearest_indices(np.array(points))
+    assert got.shape == (len(points),)
+    assert got.tolist() == [grid.nearest_index(p) for p in points]
+    assert got.tolist() == [_scalar_nearest_index(grid, p) for p in points]
+
+
+class TestNearestIndices:
+    def test_exact_midpoints_round_half_to_even(self):
+        grid = make_uniform_grid([(0.0, 4.0)], [5])
+        points = np.array([[0.5], [1.5], [2.5], [3.5], [-0.5], [4.5]])
+        assert grid.nearest_indices(points).tolist() == [0, 2, 2, 4, 0, 4]
+
+    def test_two_dimensions_in_grid_order(self):
+        grid = make_uniform_grid([(0, 1), (0, 1)], [2, 3])
+        points = np.array([[0.9, 0.1], [0.1, 0.9], [2.0, -2.0]])
+        assert grid.nearest_indices(points).tolist() == [3, 2, 3]
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 3, 1)])
+    def test_refuses_an_array_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(N, 1\) array"):
+            make_uniform_grid([(0, 1)], [3]).nearest_indices(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_refuses_non_finite_points(self, bad):
+        grid = make_uniform_grid([(0, 1)], [1])
+        with pytest.raises(ValueError, match="non-finite"):
+            grid.nearest_indices(np.array([[0.5], [bad]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            grid.nearest_index(bad)
+
 class TestRegionOps:
     def setup_method(self):
         self.grid = make_uniform_grid([(0, 1)], [3])

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcp import cli, harness
-from gridcp.fullcp import TieLevelError, check_level
+from gridcp import scores as scores_module
+from gridcp.fullcp import TieLevelError, check_level, kappa
+from gridcp.grid import Sample
 from gridcp.harness import (
     ExperimentConfig,
     emit,
@@ -21,7 +23,6 @@ from gridcp.harness import (
     run_coverage,
     run_diagram,
     run_eposterior,
-    run_experiment,
     run_ihdr_oracle,
     wilson_lower_bound,
 )
@@ -255,6 +256,76 @@ class TestCoverage:
         rep = run_coverage(cfg)
         assert rep["score"] == "prototype_embedding"
         assert rep["pass"]
+
+
+def _coverage_hits_by_trial(cfg: ExperimentConfig) -> int:
+    """The coverage loop one trial at a time: snap the trial's draws, build
+    its region with `kappa`, count a hit when the test point is in it."""
+    universe, psi, draw = cfg.universe, cfg.psi, harness._SCENARIOS[cfg.scenario]
+    hits = 0
+    for t in range(cfg.trials):
+        raw = draw(harness._trial_rng(cfg.seed, t), cfg.n + 1)
+        idxs = [universe.nearest_index(v) for v in raw]
+        y_n = Sample(universe.points[idxs[: cfg.n]])
+        hits += idxs[cfg.n] in kappa(cfg.alpha, y_n, psi, universe)
+    return hits
+
+
+_TWO_LAYER_PARAMS = {
+    "weights": [[[1.5], [-0.7], [0.3]], [[0.4, -1.1, 0.9], [0.2, 0.5, -0.8]]],
+    "biases": [[0.1, -0.2, 0.05], [0.3, -0.1]],
+}
+
+
+class TestCoverageChunks:
+    """Trials scored a chunk at a time give the per-trial loop's hits."""
+
+    @pytest.mark.parametrize("n, count, trials", [(1, 11, 9), (5, 51, 70), (20, 201, 10)])
+    @pytest.mark.parametrize(
+        "score, params",
+        [
+            ("mean_abs_distance", None),
+            ("prototype_embedding", None),
+            ("prototype_embedding", _TWO_LAYER_PARAMS),
+        ],
+        ids=["mean_abs", "prototype_identity", "prototype_two_layer"],
+    )
+    @pytest.mark.parametrize("scenario", ["iid_gaussian", "iid_uniform", "exchangeable_mixture"])
+    def test_hits_equal_the_per_trial_oracle(self, scenario, score, params, n, count, trials):
+        cfg = ExperimentConfig(
+            experiment="coverage",
+            seed=n + count,
+            trials=trials,
+            alpha=0.23,
+            n=n,
+            grid_bounds=((-3.0, 3.0),),
+            grid_counts=(count,),
+            score=score,
+            scenario=scenario,
+            extras={} if params is None else {"score_params": params},
+        )
+        assert run_coverage(cfg)["hits"] == _coverage_hits_by_trial(cfg)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4])
+    def test_partial_last_chunk(self, monkeypatch, chunk):
+        # 10 trials in chunks of 3 or 4 leave a short last chunk.
+        cfg = ExperimentConfig(experiment="coverage", seed=8, trials=10, n=6, grid_counts=(31,))
+        monkeypatch.setattr(scores_module, "_BLOCK_CELLS", chunk * 31 * 6)
+        assert scores_module._per_block(31 * 6) == chunk
+        assert run_coverage(cfg)["hits"] == _coverage_hits_by_trial(cfg)
+
+    def test_acceptance_shape_stays_in_small_chunks(self):
+        # All 2,000 trials of the acceptance shape stacked at once would take
+        # 2000 x 201 x 21 doubles, 64 MiB, for the tables alone.
+        cfg = ExperimentConfig(experiment="coverage", seed=0, trials=2000, n=20, grid_counts=(201,))
+        run_coverage(dataclasses.replace(cfg, trials=1))  # first-use imports
+        tracemalloc.start()
+        try:
+            run_coverage(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCampaignsSmall:

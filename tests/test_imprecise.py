@@ -2,7 +2,6 @@
 
 import csv
 import io
-import itertools
 import math
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcp.fullcp import transducer
 from gridcp.grid import Grid, Region, Sample, UniverseMismatchError, make_uniform_grid
 from gridcp.imprecise import (
     PossibilityContour,
@@ -266,6 +264,13 @@ class TestIhdrRoutes:
     def test_contour_alpha_near_one_argmax_set(self):
         cs = contour_on([1.0, 0.7, 1.0])
         assert ihdr_contour(0.999, cs).indices == (0, 2)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.5, math.nan, -math.inf, math.inf])
+    @pytest.mark.parametrize("route", [ihdr_bruteforce, ihdr_contour])
+    def test_both_routes_refuse_alpha_outside_unit_interval(self, route, alpha):
+        cs = contour_on([1.0, 2.0 / 3.0, 1.0 / 3.0])
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+            route(alpha, cs)
 
     def test_bruteforce_rejects_large_grid(self):
         vals = [0.5] * 17
