@@ -21,9 +21,10 @@ discontinuous by design and fuzzing it would silently change the
 transducer.
 
 Confidence levels that sit exactly on an attainable value are refused by
-`check_level`, the one place that refuses a level: ranking ties at those
-levels make the strict and weak super-level sets differ, which would void
-every exact set-equality check downstream.
+`check_level`, the ranking route's one refusal (the contour route,
+`imprecise.ihdr_contour`, refuses the contour's own values): ranking ties at
+those levels make the strict and weak super-level sets differ, which would
+void every exact set-equality check downstream.
 """
 
 from __future__ import annotations
@@ -149,8 +150,15 @@ def _rank_counts(tables: np.ndarray) -> np.ndarray:
 def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     """Run the leave-one-out ranking transform over every grid point.
 
-    The vectorized kernels in `scores` batch the grid loop.
+    The vectorized kernels in `scores` batch the grid loop. The result is
+    memoized on the sample: a call with the same psi and universe objects
+    (`is`) as the sample's last call returns that call's Transducer, which
+    the read-only inputs make bit for bit what the kernel would compute
+    again. Any other call computes anew and replaces the entry.
     """
+    memo = y_n._memo
+    if memo is not None and memo[0] is psi and memo[1].universe is universe:
+        return memo[1]
     if y_n.dim != universe.dim:
         raise ValueError(
             f"dimension mismatch: sample d={y_n.dim}, grid d={universe.dim}"
@@ -159,7 +167,9 @@ def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     n = y_n.n
     if T.shape != (universe.size, n + 1):
         raise ValueError("score kernel returned a malformed table")
-    return Transducer(universe=universe, nums=_rank_counts(T), n=n)
+    t = Transducer(universe=universe, nums=_rank_counts(T), n=n)
+    object.__setattr__(y_n, "_memo", (psi, t))
+    return t
 
 
 def transducers(points: np.ndarray, psi: ScoreFn, universe: Grid) -> list[Transducer]:

@@ -8,7 +8,8 @@ represented as bitsets keyed to the grid order so that equality and hashing
 are canonical.
 
 All types here are immutable after construction and safe to share across
-threads.
+threads. The one exception, a `Sample`'s memo of its last transducer, is
+replaced by a single assignment of one tuple.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -256,9 +257,19 @@ class Sample:
     under permuting it: the leave-one-out table's training columns permute
     and its candidate column is unchanged. That is property-tested, not
     assumed.
+
+    `fullcp.transducer` memoizes its last result on the sample, keyed by the
+    identity (`is`) of the score and the grid, so the routes that start from
+    one (sample, score, grid) compute its leave-one-out table once. The memo
+    relies on the sample's, the grid's and the network's arrays staying
+    read-only: re-enabling writes on any of them voids the memo, as it
+    already voids their immutability.
     """
 
     points: np.ndarray
+    # (psi, transducer) of the last `fullcp.transducer` call on this sample;
+    # written only there.
+    _memo: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)

@@ -17,7 +17,9 @@ events whose lower probability is at least 1-alpha. Two routes compute it:
 * `ihdr_contour` takes the strict super-level set {y : v(y) > alpha}.
 
 Their exact agreement (for alpha off the contour's value set) is one of the
-structural facts this package machine-checks rather than assumes.
+structural facts this package machine-checks rather than assumes. The closed
+form refuses an alpha on that value set, as the ranking route refuses one on
+its attainable levels; the brute-force route stays definitional.
 
 All set-level comparisons are exact on stored doubles; the membership test
 alone uses an additive 1e-12 slack because probability masses arrive as
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fullcp import Transducer, transducer
+from .fullcp import TieLevelError, Transducer, transducer
 from .grid import Grid, Region, Sample, UniverseMismatchError
 from .scores import ScoreFn
 
@@ -177,8 +179,18 @@ def ihdr_bruteforce(alpha: float, c: PossibilityContour) -> Region:
 
 
 def ihdr_contour(alpha: float, c: PossibilityContour) -> Region:
-    """Closed form: the strict super-level set {y : v(y) > alpha}."""
+    """Closed form: the strict super-level set {y : v(y) > alpha}.
+
+    Refuses (TieLevelError) an alpha on the contour's own value set
+    (k/max_num for a normalized transducer), where the strict and weak
+    super-level sets differ, as `check_level` refuses the ranking route's
+    levels k/(n+1).
+    """
     _check_alpha(alpha)
+    if (c.values == alpha).any():
+        raise TieLevelError(
+            f"alpha={alpha} lies on the contour's value set; pick a level off that set"
+        )
     return Region.from_mask(c.universe, c.values > alpha)
 
 
@@ -190,7 +202,8 @@ def check_functor_monotone(
     Precondition (checked, error on violation): the small contour is
     pointwise dominated by the big one, which is sufficient for the induced
     credal sets to nest. Both regions go through the brute-force route when
-    the grid is small enough to enumerate, else the closed form.
+    the grid is small enough to enumerate, else the closed form, which
+    refuses an alpha on either contour's value set.
     """
     if small.universe != big.universe:
         raise UniverseMismatchError("contours live over different universes")

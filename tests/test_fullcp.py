@@ -1,10 +1,14 @@
 """The ranking transducer, attainable-level machinery, and regions."""
 
 import csv
+import gc
 import io
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from gridcp.fullcp import (
 from gridcp import scores as scores_module
 from gridcp.grid import Grid, Sample, make_uniform_grid
 from gridcp.imprecise import PossibilityContour
-from gridcp.scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding
+from gridcp.scores import EmbeddingNet, MeanAbsDistance, NegPredictiveDensity, PrototypeEmbedding
 
 
 def example_grid() -> Grid:
@@ -150,6 +154,110 @@ class TestStackedTransducers:
     def test_refuses_a_stack_of_another_dimension(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             transducers(np.zeros((2, 3, 2)), MeanAbsDistance(), _STACK_GRIDS[1])
+
+
+# Two grids per dimension, and the scores of that dimension (the predictive
+# density scores 1-D points only), built once so calls can share them.
+_MEMO_GRIDS = {
+    1: (_STACK_GRIDS[1], make_uniform_grid([(-3.0, 1.0)], [7])),
+    2: (_STACK_GRIDS[2], make_uniform_grid([(-1.0, 2.0), (-2.0, 2.0)], [3, 6])),
+}
+_MEMO_SCORES = {
+    1: (MeanAbsDistance(), PrototypeEmbedding(_two_layer_net(1)),
+        NegPredictiveDensity(mean=0.3, sd=1.2)),
+    2: (MeanAbsDistance(), PrototypeEmbedding(_two_layer_net(2))),
+}
+
+
+class TestTransducerMemo:
+    """`transducer` keeps its last (score, grid) on the sample, by identity,
+    and returns what a fresh sample of the same points would give."""
+
+    @given(
+        st.sampled_from([1, 2]),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_calls_match_a_fresh_sample(self, d, n, seed, calls):
+        scores, grids = _MEMO_SCORES[d], _MEMO_GRIDS[d]
+        points = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, d))
+        y_n = Sample(points)
+        last = None
+        for s, g in calls:
+            psi, grid = scores[s % len(scores)], grids[g]
+            got = transducer(y_n, psi, grid)
+            fresh = transducer(Sample(points), psi, grid)
+            assert got.nums.tobytes() == fresh.nums.tobytes()
+            assert got.n == n and got.universe is grid
+            if last is not None:
+                assert (got is last[2]) == (psi is last[0] and grid is last[1])
+            last = (psi, grid, got)
+
+    def test_key_is_identity(self, kernel_calls):
+        grid = _MEMO_GRIDS[1][0]
+        points = np.array([[0.3], [-1.1], [0.8]])
+        y_n, psi = Sample(points), MeanAbsDistance()
+        first = transducer(y_n, psi, grid)
+        assert transducer(y_n, psi, grid) is first and len(kernel_calls) == 1
+        equal_sample = transducer(Sample(points), psi, grid)
+        equal_score = transducer(y_n, MeanAbsDistance(), grid)
+        assert len(kernel_calls) == 3
+        assert equal_sample is not first and equal_score is not first
+        assert equal_sample.nums.tobytes() == equal_score.nums.tobytes() == first.nums.tobytes()
+
+    def test_a_call_that_raises_leaves_no_entry(self, kernel_calls):
+        y_n = Sample.of([(0.0, 1.0), (1.0, 0.5)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            transducer(y_n, MeanAbsDistance(), example_grid())
+        assert y_n._memo is None and kernel_calls == []
+
+    def test_a_malformed_table_leaves_no_entry(self):
+        class Malformed(MeanAbsDistance):
+            def loo_tables(self, points, candidates):
+                return super().loo_tables(points, candidates)[:, :, :-1]
+
+        y_n = Sample.of([0.0, 1.0])
+        with pytest.raises(ValueError, match="malformed"):
+            transducer(y_n, Malformed(), example_grid())
+        assert y_n._memo is None
+
+    def test_threads_sharing_a_sample_get_their_own_transducers(self):
+        # The entry is swapped as one (score, transducer) tuple, so a thread
+        # never reads one call's score with another call's transducer.
+        y_n = Sample.of([0.3, -1.1, 0.8, 1.4])
+        keys = [(psi, grid) for psi in _MEMO_SCORES[1] for grid in _MEMO_GRIDS[1]]
+        want = [transducer(Sample(y_n.points), psi, grid).nums.tobytes() for psi, grid in keys]
+        wrong = []
+
+        def work(offset: int) -> None:
+            for i in range(300):
+                k = (offset + i) % len(keys)
+                t = transducer(y_n, *keys[k])
+                if t.universe is not keys[k][1] or t.nums.tobytes() != want[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and wrong == []
+
+    def test_the_entry_dies_with_its_sample(self):
+        y_n = Sample.of([0.0, 1.0, 0.4])
+        ref = weakref.ref(transducer(y_n, MeanAbsDistance(), example_grid()))
+        gc.collect()
+        assert ref() is not None  # the sample holds it
+        del y_n
+        gc.collect()
+        assert ref() is None
 
 
 class TestTieGrid:

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcp import cli, harness
+from gridcp import bayes, cli, harness
 from gridcp import scores as scores_module
-from gridcp.fullcp import TieLevelError, check_level, kappa
-from gridcp.grid import Sample
+from gridcp.fullcp import TieLevelError, check_level, kappa, transducer
+from gridcp.grid import Sample, make_uniform_grid
 from gridcp.harness import (
     ExperimentConfig,
     emit,
@@ -26,7 +26,8 @@ from gridcp.harness import (
     run_ihdr_oracle,
     wilson_lower_bound,
 )
-from gridcp.scores import PrototypeEmbedding
+from gridcp.imprecise import cred
+from gridcp.scores import MeanAbsDistance, PrototypeEmbedding
 
 
 class TestWilson:
@@ -379,6 +380,40 @@ class TestCampaignsSmall:
         assert families["conforming"]["condition_holds"]
         assert not families["violating"]["condition_holds"]
         assert families["violating"]["max_evalue_expectation"] > 1.0
+
+
+class TestKernelBudget:
+    """The leave-one-out kernel runs once per (sample, score, grid): the
+    ranking and contour routes share one transducer."""
+
+    def test_transducer_kappa_and_cred_share_one_table(self, kernel_calls):
+        grid = make_uniform_grid([(-2.0, 2.0)], [9])
+        y_n, psi = Sample.of([0.3, -1.1, 0.25, 1.9]), MeanAbsDistance()
+        t = transducer(y_n, psi, grid)
+        kappa(0.33, y_n, psi, grid)
+        cred(y_n, psi, grid)
+        assert kernel_calls == ["mean_abs_distance"] and transducer(y_n, psi, grid) is t
+
+    def test_bayes_triangle_detail_runs_the_kernel_once(self, kernel_calls):
+        model = bayes.ConjugateModel(likelihood_sd=1.0, prior_mean=0.0, prior_sd=2.0)
+        y_n = Sample.of([0.4, -0.7, 1.3, 0.1, -1.6])
+        grid = make_uniform_grid([(-4.0, 4.0)], [41])
+        bayes.bayes_triangle_detail(0.3, model, y_n, grid)
+        assert kernel_calls == ["neg_predictive_density"]
+
+    def test_diagram_runs_the_kernel_once_per_drawn_instance(self, kernel_calls):
+        rep = run_diagram(
+            ExperimentConfig(experiment="diagram", seed=5, trials=25, extras={"brute_trials": 10})
+        )
+        drawn = sum(f["trials"] + f["consonance_rejections"] for f in rep["families"])
+        assert sum(f["consonance_rejections"] for f in rep["families"]) > 0
+        assert len(kernel_calls) == drawn
+
+    def test_bayes_triangle_runs_the_kernel_once_per_trial(self, kernel_calls):
+        # Tie and consonance rejections are decided on the predictive alone.
+        rep = run_bayes_triangle(ExperimentConfig(experiment="bayes_triangle", seed=2, trials=20))
+        assert rep["consonance_rejections"] > 0
+        assert kernel_calls == ["neg_predictive_density"] * 20
 
 
 class TestDeterminism:

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gridcp.fullcp import TieLevelError, Transducer, check_level
 from gridcp.grid import Grid, Region, Sample, UniverseMismatchError, make_uniform_grid
 from gridcp.imprecise import (
     PossibilityContour,
@@ -258,8 +259,10 @@ class TestIhdrRoutes:
         assert ihdr_contour(0.5, cs).indices == (0, 1)
 
     def test_contour_alpha_zero(self):
-        cs = contour_on([1.0, 0.7, 0.0])
-        assert ihdr_contour(0.0, cs).indices == (0, 1)
+        assert ihdr_contour(0.0, contour_on([1.0, 0.7, 0.2])).indices == (0, 1, 2)
+        # Zero is a value of this contour: strict and weak sets differ there.
+        with pytest.raises(TieLevelError):
+            ihdr_contour(0.0, contour_on([1.0, 0.7, 0.0]))
 
     def test_contour_alpha_near_one_argmax_set(self):
         cs = contour_on([1.0, 0.7, 1.0])
@@ -298,6 +301,37 @@ class TestIhdrRoutes:
             if any(abs(alpha - v) < 1e-9 for v in cs.values):
                 continue
             assert ihdr_bruteforce(alpha, cs) == ihdr_contour(alpha, cs)
+
+
+class TestContourValueSet:
+    """The closed form refuses a level on the contour's own value set and
+    takes one an ulp to either side of it."""
+
+    def cases(self) -> dict[str, PossibilityContour]:
+        grid = make_uniform_grid([(0.0, 2.0)], [4])
+        consonant = cred(Sample.of([0, 1]), MeanAbsDistance(), grid)
+        # Numerators over n + 1 = 5 with maximum 3: the values are k/3, not k/5.
+        flat = Transducer(universe=grid, nums=(3, 2, 1, 2), n=4)
+        assert consonant.values.max() == 1.0 and not flat.is_consonant()
+        return {"consonant": consonant, "non_consonant": PossibilityContour.from_transducer(flat)}
+
+    @pytest.mark.parametrize("kind", ["consonant", "non_consonant"])
+    def test_refused_on_its_values_and_accepted_one_ulp_away(self, kind):
+        cs = self.cases()[kind]
+        for v in set(cs.values.tolist()):
+            with pytest.raises(TieLevelError, match="value set"):
+                ihdr_contour(v, cs)
+            for alpha in (math.nextafter(v, 0.0), math.nextafter(v, 1.0)):
+                if alpha != v:  # no level above 1
+                    region = ihdr_contour(alpha, cs)
+                    assert all((i in region) == (alpha < v) for i in np.flatnonzero(cs.values == v))
+
+    def test_non_consonant_values_are_not_the_ranking_levels(self):
+        cs = self.cases()["non_consonant"]
+        assert cs.values.tolist() == [1.0, 2 / 3, 1 / 3, 2 / 3]
+        check_level(2 / 3, 4)  # off the ranking route's set {k/5}
+        with pytest.raises(TieLevelError):
+            ihdr_contour(2 / 3, cs)
 
 
 class TestFunctorMonotone:
@@ -363,5 +397,6 @@ class TestFunctorMonotone:
 @given(contours(max_size=8), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
 @settings(max_examples=60)
 def test_ihdr_antitone_in_alpha(cs, a, b):
+    assume(a not in cs.values and b not in cs.values)  # on the value set: refused
     lo, hi = min(a, b), max(a, b)
     assert ihdr_contour(hi, cs).is_subset(ihdr_contour(lo, cs))
