@@ -354,7 +354,7 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     check_level(cfg.alpha, n)
     # Trials are drawn into a chunk of one kernel block's worth of samples;
     # the chunk's last trial snaps and scores them all with one kernel call.
-    chunk = _per_block(universe.size * n * psi.width(1))
+    chunk = _per_block(universe.size * n)
     draws = np.empty((chunk, n + 1))
 
     def one_trial(rng: np.random.Generator, t: int) -> dict:

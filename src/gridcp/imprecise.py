@@ -162,6 +162,8 @@ def _check_alpha(alpha: float) -> None:
 def ihdr_bruteforce(alpha: float, c: PossibilityContour) -> Region:
     """Intersection of all subsets whose lower probability is >= 1 - alpha.
 
+    L(A) = 1 - U(A^c) >= 1 - alpha is evaluated as U(A^c) <= alpha, which
+    is the same condition in exact arithmetic and needs no rounded 1 - v.
     The full grid always qualifies (its lower probability is 1), so the
     intersection is never over an empty family for alpha in [0, 1].
     """
@@ -172,8 +174,7 @@ def ihdr_bruteforce(alpha: float, c: PossibilityContour) -> Region:
     maxv = _subset_table(c.values, np.maximum)
     full = (1 << m) - 1
     masks = np.arange(full + 1, dtype=np.int64)
-    lower = 1.0 - maxv[full ^ masks]
-    qualifying = masks[lower >= 1.0 - alpha]
+    qualifying = masks[maxv[full ^ masks] <= alpha]
     bits = int(np.bitwise_and.reduce(qualifying)) if qualifying.size else full
     return Region(c.universe, bits)
 

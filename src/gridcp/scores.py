@@ -19,7 +19,9 @@ tables of a stack of samples, which every region is built from;
 `loo_matrix` is the table of a stack of one. Sample aggregates in a table
 are computed with exactly rounded summation (math.fsum), so that permuting
 the sample permutes the table's training columns and leaves the candidate
-column bit-for-bit unchanged.
+column bit-for-bit unchanged. The two sample scores share one kernel: it
+adds the squared differences one coordinate at a time, in coordinate order,
+then takes the square root (mean distance) or negates (prototype).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Cells (samples x candidates x n x m) per block of the leave-one-out kernel:
+# Cells (samples x candidates x n) per block of the leave-one-out kernel:
 # 128 KiB per float temporary, whatever the grid size. `ck coverage` draws its
 # trials in chunks of one block.
 _BLOCK_CELLS = 1 << 14
@@ -77,16 +79,23 @@ def _partial_sums(points: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.array(sums).reshape(columns.shape), -1, -2)
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1), bit for bit; squares v in place."""
-    r = np.add.reduce(np.multiply(v, v, out=v), axis=-1)
-    return np.sqrt(r, out=r)
+def _held_out_diff(sums, cand, train, n: int) -> np.ndarray:
+    """(sums + candidate) / n - train of one coordinate, in one contiguous
+    (samples, candidates, n) temporary."""
+    diff = np.add(sums[:, None], cand[None, :, None])
+    np.divide(diff, n, out=diff)
+    return np.subtract(diff, train[:, None], out=diff)
 
 
-def _negated_square_norm(v: np.ndarray) -> np.ndarray:
-    """-np.sum(v * v, axis=-1), bit for bit; squares v in place."""
-    r = np.add.reduce(np.multiply(v, v, out=v), axis=-1)
-    return np.negative(r, out=r)
+def _sum_of_squares(planes, finish: np.ufunc) -> np.ndarray:
+    """finish(d_0**2 + d_1**2 + ...) over one difference plane per coordinate,
+    added in coordinate order (np.add.reduce's for m < 8), in place."""
+    planes = iter(planes)
+    acc = next(planes)
+    np.multiply(acc, acc, out=acc)
+    for plane in planes:
+        np.add(acc, np.multiply(plane, plane, out=plane), out=acc)
+    return finish(acc, out=acc)
 
 
 def _per_block(cells: int) -> int:
@@ -95,18 +104,16 @@ def _per_block(cells: int) -> int:
     return max(1, _BLOCK_CELLS // max(cells, 1))
 
 
-def _loo_table(points: np.ndarray, candidates, dist: Callable, embed: Callable = np.asarray):
-    """Leave-one-out tables of a score dist(prototype - embedding), one per
-    sample of a (T, n, d) stack: a (T, G, n+1) array.
+def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable = np.asarray):
+    """Leave-one-out tables of a score finish(|prototype - embedding|^2), one
+    per sample of a (T, n, d) stack: a (T, G, n+1) array.
 
     The prototype is the mean embedding of the other n points: for column
     i < n, the training points without i plus the candidate; for column n,
-    the n training points. `dist` maps an array of differences (..., m),
-    which it may overwrite, to scores (...). Means use per-index partial sums
-    via exactly rounded summation, rather than total-minus-point: the
-    latter's rounding can break score ties that hold in exact arithmetic
-    (e.g. n = 1, where the held-out point's score must tie the candidate's at
-    every candidate).
+    the n training points. Means use per-index partial sums via exactly
+    rounded summation, rather than total-minus-point: the latter's rounding
+    can break score ties that hold in exact arithmetic (e.g. n = 1, where the
+    held-out point's score must tie the candidate's at every candidate).
 
     Each sample's points are embedded in a call of their own and the
     candidates in one call, because a network's output rows can depend on
@@ -120,18 +127,17 @@ def _loo_table(points: np.ndarray, candidates, dist: Callable, embed: Callable =
     out = np.empty((T, G, n + 1))
     # columns 0..n-1: held-out training point i against the other n points,
     # one block of whole samples, or of one sample's candidates, at a time,
-    # so no (T, G, n, m) temporary is built
-    samples, step = _per_block(G * n * m), _per_block(n * m)
+    # and in a block one coordinate's contiguous plane at a time
+    train_k, sums_k, cand_k = train.transpose(2, 0, 1), sums.transpose(2, 0, 1), cand.T
+    samples, step = _per_block(G * n), _per_block(n)
     for t in range(0, T, samples):
         for lo in range(0, G, step):
-            # (sums + candidate) / n - train, in one temporary
-            diff = np.add(sums[t : t + samples, None], cand[None, lo : lo + step, None, :])
-            np.divide(diff, n, out=diff)
-            np.subtract(diff, train[t : t + samples, None], out=diff)
-            out[t : t + samples, lo : lo + step, :n] = dist(diff)
+            ts, cs = slice(t, t + samples), slice(lo, lo + step)
+            planes = (_held_out_diff(sums_k[k, ts], cand_k[k, cs], train_k[k, ts], n) for k in range(m))
+            out[ts, cs, :n] = _sum_of_squares(planes, finish)
     # column n: the candidate against the training sample
     means = _fsum_mean(train)
-    out[:, :, n] = dist(means[:, None, :] - cand[None])
+    out[:, :, n] = _sum_of_squares((means[:, None, k] - cand_k[k] for k in range(m)), finish)
     return out
 
 
@@ -153,11 +159,6 @@ class ScoreFn:
         """`loo_matrix` of each sample in a (T, n, d) stack, as a (T, G, n+1) array."""
         raise NotImplementedError
 
-    def width(self, d: int) -> int:
-        """m, the length of the vectors the score compares for d-D points: one
-        sample's leave-one-out table costs G x n x m cells."""
-        return d
-
 
 @dataclass(frozen=True)
 class MeanAbsDistance(ScoreFn):
@@ -166,7 +167,7 @@ class MeanAbsDistance(ScoreFn):
     kind: str = "mean_abs_distance"
 
     def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        return _loo_table(points, candidates, _norm)
+        return _loo_table(points, candidates, np.sqrt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +226,7 @@ class PrototypeEmbedding(ScoreFn):
     kind: str = "prototype_embedding"
 
     def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        return _loo_table(points, candidates, _negated_square_norm, self.net.apply)
-
-    def width(self, d: int) -> int:
-        return self.net.layers[-1][0].shape[0]
+        return _loo_table(points, candidates, np.negative, self.net.apply)
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,16 @@ class TestIhdrRoutes:
             return
         assert ihdr_bruteforce(alpha, cs) == ihdr_contour(alpha, cs)
 
+    @pytest.mark.parametrize("toward", [0.0, 1.0], ids=["ulp_below", "ulp_above"])
+    def test_routes_agree_one_ulp_from_a_value_under_one_half(self, toward):
+        # 1 - nextafter(1/3, 0) rounds to 1 - 1/3, so comparing lower
+        # probabilities as 1 - U(A^c) >= 1 - alpha kept the 1/3 point out.
+        cs = contour_on([1.0, 2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0])
+        alpha = math.nextafter(1.0 / 3.0, toward)
+        expected = (0, 1, 2, 3) if toward == 0.0 else (0, 1, 3)
+        assert ihdr_contour(alpha, cs).indices == expected
+        assert ihdr_bruteforce(alpha, cs).indices == expected
+
     def test_conformal_contour_equivalence(self):
         grid = make_uniform_grid([(-2, 2)], [9])
         rng = np.random.default_rng(12)

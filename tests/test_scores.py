@@ -1,7 +1,9 @@
 """Score families: frozen values, exact permutation equivariance, embedding nets."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcp import scores as scores_module
-from gridcp.grid import Sample
+from gridcp.grid import Sample, make_uniform_grid
 from gridcp.scores import (
     EmbeddingNet,
     MeanAbsDistance,
@@ -298,7 +300,7 @@ class TestBlockedKernelIsBitExact:
         if cells is not None:
             monkeypatch.setattr(scores_module, "_BLOCK_CELLS", cells)
         n = 3
-        rows = max(1, scores_module._BLOCK_CELLS // (n * m))
+        rows = max(1, scores_module._BLOCK_CELLS // n)
         rng = np.random.default_rng(0)
         y_n = Sample(rng.uniform(-2, 2, (n, d)))
         # G one less than a block, exactly one block, and one more.
@@ -308,6 +310,41 @@ class TestBlockedKernelIsBitExact:
             assert table.shape == (size, n + 1)
             expected = _one_shot_table(y_n.points, candidates, dist, embed)
             assert table.tobytes() == expected.tobytes(), size
+
+
+def test_wide_embedding_adds_coordinates_in_order():
+    # np.add.reduce adds 8 or more terms pairwise; the kernel adds the squared
+    # coordinates left to right at every embedding width.
+    rng = np.random.default_rng(2)
+    net = EmbeddingNet.from_weights([rng.standard_normal((9, 1))], [rng.standard_normal(9)])
+    points, candidates = rng.uniform(-2, 2, (4, 1)), rng.uniform(-2, 2, (50, 1))
+    in_order = lambda v: -functools.reduce(np.add, [v[..., k] * v[..., k] for k in range(9)])  # noqa: E731
+    table = PrototypeEmbedding(net).loo_matrix(Sample(points), candidates)
+    assert table.tobytes() == _one_shot_table(points, candidates, in_order, net.apply).tobytes()
+
+
+class TestKernelMemory:
+    @pytest.mark.parametrize("kind", ["mean_abs", "prototype"])
+    def test_peak_stays_near_the_table(self, kind):
+        # 201x201 grid, n = 100: the table is 31 MiB; a (G, n, m) difference
+        # array would be another 62 MiB. The kernel's temporaries are a few
+        # 128 KiB blocks, the embedded candidates and the candidate column.
+        rng = np.random.default_rng(0)
+        grid = make_uniform_grid([(-3.0, 3.0), (-3.0, 3.0)], [201, 201])
+        y_n = Sample(rng.normal(size=(100, 2)))
+        net = EmbeddingNet.from_weights(
+            [rng.standard_normal((3, 2)), rng.standard_normal((2, 3))],
+            [rng.standard_normal(3), rng.standard_normal(2)],
+        )
+        psi = MeanAbsDistance() if kind == "mean_abs" else PrototypeEmbedding(net)
+        psi.loo_matrix(y_n, grid.points)  # warm-up: numpy's lazy set-up is not the kernel's
+        tracemalloc.start()
+        try:
+            table = psi.loo_matrix(y_n, grid.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 2 * 2**20, (peak - table.nbytes) / 2**20
 
 
 def _partial_sums_by_deletion(points: np.ndarray) -> np.ndarray:
