@@ -8,9 +8,12 @@ composition is the boolean matrix product
 
 and the monoidal product is the Kronecker product. Leading matrix axes
 stack arrows with the same endpoints; `compose`, `tensor` and
-`vietoris_map` broadcast over them, so the exhaustive campaigns check every
-inner arrow at once, one outer arrow at a time, while each law's two sides
-still come from separate routes.
+`vietoris_map` broadcast over them, so the exhaustive campaigns check a
+block of outer arrows against every inner arrow at once, at most
+`_CHUNK_PAIRS` pairs per chunk, while each law's two sides still come from
+separate routes. Boolean products are float32 matrix products tested for
+non-zero (`_bool_matmul`): with 0/1 entries a sum of non-negative terms is
+positive exactly when one term is, whatever the order and rounding.
 
 On finite discrete instances, continuity and measurability are automatic, so
 the machine-checkable content is purely algebraic: identity and
@@ -75,6 +78,31 @@ class FinSet:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("size must be >= 1")
+
+
+# Cases (arrow pairs, arrows, trials or families) one chunk of a campaign
+# holds. A chunk of 7x7 lifted arrows then takes 0.38 MiB of float32
+# products, under the 0.47 MiB tables `check_monad_laws(4)` must hold anyway.
+_CHUNK_PAIRS = 2048
+# Inner-axis cells per row that `_bool_matmul` casts at once. The monad
+# products at base size 4 run 15 rows against 32,767 inner cells: cast whole
+# they take 3.75 MiB, in blocks of 1,024 they take 0.12 MiB.
+_INNER_BLOCK = 1 << 10
+
+
+def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for boolean stacks, as float32 products tested for non-zero.
+
+    Exact: the entries are 0/1, so a sum of non-negative terms is positive
+    exactly when one term is, in any order and with any rounding. The inner
+    axis goes through in blocks of `_INNER_BLOCK`, so no cast operand grows
+    past that many cells per row.
+    """
+    out = np.matmul(a[..., :_INNER_BLOCK], b[..., :_INNER_BLOCK, :], dtype=np.float32) > 0
+    for lo in range(_INNER_BLOCK, a.shape[-1], _INNER_BLOCK):
+        hi = lo + _INNER_BLOCK
+        out |= np.matmul(a[..., lo:hi], b[..., lo:hi, :], dtype=np.float32) > 0
+    return out
 
 
 def _members(codes, width: int) -> np.ndarray:
@@ -170,7 +198,9 @@ def compose(phi: FiniteCorrespondence, psi: FiniteCorrespondence) -> FiniteCorre
         raise ValueError(
             f"endpoint mismatch: {phi.target} (target) vs {psi.source} (source)"
         )
-    return FiniteCorrespondence(phi.source, psi.target, phi.matrix @ psi.matrix)
+    return FiniteCorrespondence(
+        phi.source, psi.target, _bool_matmul(phi.matrix, psi.matrix)
+    )
 
 
 def unit_object() -> FinSet:
@@ -221,12 +251,12 @@ def vietoris_map(
         raise ValueError("empty fiber encountered; hyperspace lift needs nonempty images")
     if variant not in ("singleton", "downset"):
         raise ValueError(f"unknown variant {variant!r}")
-    images = _subsets(phi.source.size) @ phi.matrix  # direct image of each subset
+    images = _bool_matmul(_subsets(phi.source.size), phi.matrix)  # direct images
     if variant == "singleton":
         lift = _one_hot(images)
     else:
         # A subset lies inside the image when none of its members lies outside.
-        lift = ~(~images @ _subsets(phi.target.size).T)
+        lift = ~_bool_matmul(~images, _subsets(phi.target.size).T)
     return FiniteCorrespondence(hyperspace(phi.source), hyperspace(phi.target), lift)
 
 
@@ -285,9 +315,11 @@ def _all_correspondences(
     return FiniteCorrespondence(source, target, rows[np.stack(digits, axis=-1)])
 
 
-def _stack(source: FinSet, target: FinSet, arrows: list) -> FiniteCorrespondence:
-    matrices = np.reshape([a.matrix for a in arrows], (-1, source.size, target.size))
-    return FiniteCorrespondence(source, target, matrices)
+def _outer_blocks(outer: int, inner: int) -> list[slice]:
+    """Slices of `outer` arrows, each meeting all `inner` arrows (or arrow
+    tuples) in at most `_CHUNK_PAIRS` pairs, or one outer arrow at least."""
+    step = max(1, _CHUNK_PAIRS // inner)
+    return [slice(lo, lo + step) for lo in range(0, outer, step)]
 
 
 def _differs(lhs: FiniteCorrespondence, rhs: FiniteCorrespondence, axis=(-2, -1)):
@@ -309,6 +341,8 @@ def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
     """
     if len(sizes) != 4:
         raise ValueError("need four object sizes for an associativity chain")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     objs = [FinSet(f"X{i}", s) for i, s in enumerate(sizes)]
 
     def arrow_count(a: FinSet, b: FinSet) -> int:
@@ -322,8 +356,8 @@ def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
 
     # Unit laws on every arrow X0 -> X1, in chunks to keep arrays small.
     every = range(arrow_count(a, b))
-    for lo in range(0, len(every), 4096):
-        arrows = _all_correspondences(a, b, positions=every[lo : lo + 4096])
+    for lo in range(0, len(every), _CHUNK_PAIRS):
+        arrows = _all_correspondences(a, b, positions=every[lo : lo + _CHUNK_PAIRS])
         bad = _differs(compose(identity(a), arrows), arrows) | _differs(
             compose(arrows, identity(b)), arrows
         )
@@ -341,27 +375,37 @@ def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
         # inner composite, shared by every phi.
         inner = compose(psis[:, None], thetas[None])
         assoc_trials = 0
-        for i in range(len(phis.matrix)):
-            lhs = compose(compose(phis[i], psis)[:, None], thetas[None])
-            bad = _differs(lhs, compose(phis[i], inner))
+        pairs = len(psis.matrix) * len(thetas.matrix)
+        for block in _outer_blocks(len(phis.matrix), pairs):
+            outer = phis[block]
+            left = compose(outer[:, None], psis[None])
+            lhs = compose(left[:, :, None], thetas[None, None])
+            bad = _differs(lhs, compose(outer[:, None, None], inner[None]))
             assoc_trials += bad.size
-            for j, k in zip(*np.nonzero(bad)):
+            for i, j, k in zip(*np.nonzero(bad)):
                 counterexamples.append(
-                    _witness("associativity", phis[i], psis[j], thetas[k])
+                    _witness("associativity", outer[i], psis[j], thetas[k])
                 )
     else:
-        drawn = [
-            [random_correspondence(rng, objs[i], objs[i + 1]) for i in range(3)]
-            for _ in range(trials)
-        ]
-        phis, psis, thetas = (
-            _stack(objs[i], objs[i + 1], [t[i] for t in drawn]) for i in range(3)
-        )
-        lhs = compose(compose(phis, psis), thetas)
-        bad = _differs(lhs, compose(phis, compose(psis, thetas)))
-        assoc_trials = bad.size
-        for t in np.flatnonzero(bad):
-            counterexamples.append(_witness("associativity", *drawn[t]))
+        # Each trial's row of codes is the three arrows' fibers, drawn in the
+        # order `random_correspondence` would draw them one arrow at a time.
+        highs = np.repeat([1 << o.size for o in objs[1:]], sizes[:3])
+        cuts = np.cumsum(sizes[:3])[:-1]
+        assoc_trials = 0
+        for lo in range(0, trials, _CHUNK_PAIRS):
+            count = min(_CHUNK_PAIRS, trials - lo)
+            codes = rng.integers(0, highs, size=(count, len(highs)))
+            phis, psis, thetas = (
+                FiniteCorrespondence(src, tgt, _members(part, tgt.size))
+                for src, tgt, part in zip(objs, objs[1:], np.split(codes, cuts, axis=1))
+            )
+            lhs = compose(compose(phis, psis), thetas)
+            bad = _differs(lhs, compose(phis, compose(psis, thetas)))
+            assoc_trials += bad.size
+            for t in np.flatnonzero(bad):
+                counterexamples.append(
+                    _witness("associativity", phis[t], psis[t], thetas[t])
+                )
 
     return {
         "law": "category_axioms",
@@ -379,6 +423,10 @@ def check_tensor_laws(max_size: int, trials: int, seed: int) -> dict:
     sizes up to `max_size`; unitor and associator identities are exact index
     bookkeeping and are checked on random instances.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     counterexamples: list[dict] = []
 
@@ -441,6 +489,8 @@ def check_functor_laws(max_size: int = 3) -> dict:
     Exhaustive over all nonempty-fiber correspondences between sets of sizes
     up to `max_size`.
     """
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     counterexamples: list[dict] = []
     id_checks = 0
     comp_checks = 0
@@ -452,14 +502,15 @@ def check_functor_laws(max_size: int = 3) -> dict:
     for a, b, c in itertools.product(range(1, max_size + 1), repeat=3):
         x, y, z = FinSet("X", a), FinSet("Y", b), FinSet("Z", c)
         psis = _all_correspondences(y, z, nonempty=True)
-        lifted_psis = vietoris_map(psis)
         phis = _all_correspondences(x, y, nonempty=True)
-        for i in range(len(phis.matrix)):
-            lhs = vietoris_map(compose(phis[i], psis))
-            bad = _differs(lhs, compose(vietoris_map(phis[i]), lifted_psis))
+        lifted_psis, lifted_phis = vietoris_map(psis), vietoris_map(phis)
+        for block in _outer_blocks(len(phis.matrix), len(psis.matrix)):
+            outer = phis[block]
+            lhs = vietoris_map(compose(outer[:, None], psis[None]))
+            bad = _differs(lhs, compose(lifted_phis[block, None], lifted_psis[None]))
             comp_checks += bad.size
-            for j in np.flatnonzero(bad):
-                witness = _witness("T(psi.phi)=T(psi).T(phi)", phis[i], psis[j])
+            for i, j in zip(*np.nonzero(bad)):
+                witness = _witness("T(psi.phi)=T(psi).T(phi)", outer[i], psis[j])
                 counterexamples.append({**witness, "sizes": [a, b, c]})
     return {
         "law": "functor_laws",
@@ -495,7 +546,7 @@ def check_monad_laws(base_size: int) -> dict:
         counterexamples.append({"law": "unit_right"})
 
     # Associativity on families of double-hyperspace elements: family f has
-    # the sizes[f] member indices of `flat` from starts[f] on.
+    # the next sizes[f] member indices of `flat`.
     k = hyperspace(kx).size
     if base_size <= 2:
         family_of, flat = np.nonzero(_subsets(k))  # every family, by index
@@ -506,19 +557,19 @@ def check_monad_laws(base_size: int) -> dict:
             pairs = np.column_stack(np.triu_indices(k, 1)).ravel()
             flat = np.concatenate([flat, pairs, np.arange(k)])
             sizes = np.concatenate([sizes, np.full(len(pairs) // 2, 2), [k]])
-    starts = np.cumsum(sizes) - sizes
-    assoc_checks = 0
-    for lo in range(0, len(sizes), 4096):  # chunks keep temporaries small
-        chunk = slice(lo, lo + 4096)
-        members = flat[starts[lo] : starts[lo] + sizes[chunk].sum()]
-        at = starts[chunk] - starts[lo]
+    assoc_checks = offset = 0
+    for lo in range(0, len(sizes), _CHUNK_PAIRS):
+        counts = sizes[lo : lo + _CHUNK_PAIRS]
+        at = np.cumsum(counts) - counts  # each family's start within the chunk
+        members = flat[offset : offset + counts.sum()]
+        offset += len(members)
         assoc_checks += len(at)
         # T(mu) sends a family to the set of its members' unions; mu unions that.
         lhs = mu.matrix[_codes(np.logical_or.reduceat(mu.matrix[members], at)) - 1]
         # mu at the hyperspace object merges the family first; mu finishes.
         rhs = mu.matrix[_codes(np.logical_or.reduceat(_subsets(kx.size)[members], at)) - 1]
-        for f in lo + np.flatnonzero((lhs != rhs).any(axis=1)):
-            family = flat[starts[f] : starts[f] + sizes[f]].tolist()
+        for f in np.flatnonzero((lhs != rhs).any(axis=1)):
+            family = members[at[f] : at[f] + counts[f]].tolist()
             counterexamples.append({"law": "associativity", "family": family})
 
     return {
@@ -555,9 +606,9 @@ def downset_divergence_report(base_size: int) -> dict:
     arrows = _all_correspondences(x, x, nonempty=True)
     lifted = vietoris_map(arrows, variant="downset")
     comp_checks = comp_failures = 0
-    for i in range(len(arrows.matrix)):
-        lhs = vietoris_map(compose(arrows[i], arrows), variant="downset")
-        bad = _differs(lhs, compose(lifted[i], lifted))
+    for block in _outer_blocks(len(arrows.matrix), len(arrows.matrix)):
+        lhs = vietoris_map(compose(arrows[block, None], arrows[None]), variant="downset")
+        bad = _differs(lhs, compose(lifted[block, None], lifted[None]))
         comp_checks += bad.size
         comp_failures += int(bad.sum())
 

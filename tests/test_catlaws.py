@@ -1,5 +1,7 @@
 """Correspondence algebra: category axioms, tensor, hyperspace monad."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,10 @@ class TestCategoryAxioms:
         rep = check_category_axioms([2, 2, 2, 2], trials=0, seed=0)
         assert set(rep) >= {"law", "instance_sizes", "trials", "counterexamples"}
 
+    def test_negative_trials_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            check_category_axioms([4, 4, 4, 4], trials=-3, seed=0)
+
     def test_too_many_unit_law_arrows_refused(self):
         # 32^5 arrows X0 -> X1: refused before any arrow is built.
         with pytest.raises(ValueError, match="too many"):
@@ -106,6 +112,14 @@ class TestTensor:
             lhs = tensor(compose(phi1, psi1), compose(phi2, psi2))
             rhs = compose(tensor(phi1, phi2), tensor(psi1, psi2))
             assert lhs.fibers == rhs.fibers
+
+    @pytest.mark.parametrize(
+        "max_size, trials, name",
+        [(4, -1, "trials"), (0, 5, "max_size"), (-2, 5, "max_size")],
+    )
+    def test_bad_arguments_refused(self, max_size, trials, name):
+        with pytest.raises(ValueError, match=name):
+            check_tensor_laws(max_size, trials=trials, seed=0)
 
     def test_campaign(self):
         rep = check_tensor_laws(3, trials=60, seed=4)
@@ -202,8 +216,10 @@ class TestMonadLaws:
             return FiniteCorrespondence(mu.source, mu.target, m)
 
         monkeypatch.setattr(catlaws, "vietoris_multiplication", wrong)
-        counts = [len(check_monad_laws(n)["counterexamples"]) for n in (2, 3, 4)]
-        assert counts == [4, 90, 234]
+        found = [check_monad_laws(n)["counterexamples"] for n in (2, 3, 4)]
+        assert [len(c) for c in found] == [4, 90, 234]
+        # The last witnesses sit in later chunks of the family loop.
+        assert [c[-1].get("family") for c in found] == [[1], [23, 24], [10920]]
 
     def test_size_bounds(self):
         with pytest.raises(ValueError):
@@ -227,6 +243,11 @@ class TestFunctorLaws:
             for b in (1, 2)
             for c in (1, 2)
         )
+
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_max_size_below_one_refused(self, max_size):
+        with pytest.raises(ValueError, match="max_size"):
+            check_functor_laws(max_size)
 
 
 class TestDownsetDivergence:
@@ -272,6 +293,31 @@ class TestRepresentation:
             FiniteCorrespondence(FinSet("X", 2), FinSet("Y", 3), np.zeros((3, 2), bool))
 
 
+class TestMemory:
+    """Campaigns hold one chunk at a time, so their traced peaks stay small
+    whatever the number of pairs or trials."""
+
+    @pytest.mark.parametrize(
+        "campaign, args",
+        [
+            (check_monad_laws, (4,)),
+            (check_functor_laws, (3,)),
+            (downset_divergence_report, (3,)),
+            (check_category_axioms, ([4, 4, 4, 4], 20_000, 0)),
+        ],
+        ids=["monad_laws", "functor_laws", "downset", "category_axioms"],
+    )
+    def test_traced_peak_under_2_mib(self, campaign, args):
+        campaign(*args)  # warm-up: cached subset tables and numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            campaign(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak / 2**20
+
+
 def _drop_last_target(correct):
     """compose, then drop the last target element from every fiber holding another."""
 
@@ -311,3 +357,30 @@ class TestCampaignsHaveForce:
 
     def test_downset_composition(self):
         assert downset_divergence_report(2)["composition_failures"] == 55
+
+    # At the sizes below the batches split into several chunks, so these pin
+    # that the chunking neither skips nor reorders a case.
+
+    def test_functor_laws_across_chunks(self):
+        rep = check_functor_laws(3)
+        assert len(rep["counterexamples"]) == 128_816
+        first, last = rep["counterexamples"][0], rep["counterexamples"][-1]
+        assert (first["fibers"], first["sizes"]) == ([[1], [3]], [1, 1, 2])
+        assert (last["fibers"], last["sizes"]) == ([[7, 7, 7], [7, 7, 7]], [3, 3, 3])
+
+    def test_downset_composition_across_chunks(self):
+        assert downset_divergence_report(3)["composition_failures"] == 103_599
+
+    def test_randomized_category_axioms(self):
+        rep = check_category_axioms([4, 4, 4, 4], trials=500, seed=1)
+        assert len(rep["counterexamples"]) == 59_147
+        assert rep["counterexamples"][0] == {"law": "unit", "fibers": [0, 0, 0, 9]}
+
+    def test_randomized_associativity_across_chunks(self):
+        rep = check_category_axioms([4, 4, 4, 4], trials=5000, seed=2)
+        assoc = [
+            c["fibers"] for c in rep["counterexamples"] if c["law"] == "associativity"
+        ]
+        assert len(assoc) == 1711
+        assert assoc[0] == [[15, 3, 14, 0], [8, 4, 3, 10], [4, 8, 4, 2]]
+        assert assoc[-1] == [[7, 10, 10, 4], [7, 13, 10, 9], [14, 9, 4, 15]]

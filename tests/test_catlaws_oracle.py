@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcp.catlaws import (
+    _INNER_BLOCK,
     FiniteCorrespondence,
+    _bool_matmul,
     FinSet,
     compose,
     hyperspace,
@@ -168,3 +170,59 @@ def test_stacks_match_one_arrow_at_a_time(data):
     for k in range(len(stack.matrix)):
         assert composed[k] == compose(stack[k], psi)
         assert products[k] == tensor(stack[k], psi)
+
+
+# Inner lengths at and around the product's block edges, and the longest
+# inner axis a campaign takes (the monad laws' 2^15 - 1).
+EDGE_LENGTHS = [1, _INNER_BLOCK - 1, _INNER_BLOCK, _INNER_BLOCK + 1, 32_767]
+
+
+@st.composite
+def boolean_operands(draw):
+    """Two broadcastable boolean stacks: (..., m, k) and (..., k, n).
+
+    Stack axes of size 1 and missing leading axes broadcast; the inner length
+    k sits at and around the product's block edges or is small. Rows and
+    columns may be all False (empty fibers) or all True.
+    """
+    stack = draw(st.lists(st.integers(1, 3), max_size=2))
+    a_stack = [draw(st.sampled_from([1, d])) for d in stack]
+    b_stack = [draw(st.sampled_from([1, d])) for d in stack]
+    b_stack = b_stack[draw(st.integers(0, len(b_stack))) :]  # drop leading axes
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = draw(st.sampled_from(EDGE_LENGTHS) | st.integers(1, 9))
+    # At density k^-1/2 an entry of the product has about one witness.
+    density = draw(st.sampled_from([0.0, k**-0.5, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((*a_stack, m, k)) < density
+    b = rng.random((*b_stack, k, n)) < density
+    if draw(st.booleans()):
+        # Keep one inner index, at a block edge or anywhere, as the only
+        # possible witness, so a block the product skips shows.
+        edges = [i for i in (0, _INNER_BLOCK - 1, _INNER_BLOCK, k - 1) if i < k]
+        keep = np.arange(k) == draw(st.sampled_from(edges) | st.integers(0, k - 1))
+        a &= keep
+        b &= keep[:, None]
+    if draw(st.booleans()):
+        a[..., 0, :] = False  # an empty fiber on each side
+        b[..., 0, :] = False
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(boolean_operands())
+def test_float32_product_is_the_boolean_product(operands):
+    a, b = operands
+    got = _bool_matmul(a, b)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, np.matmul(a, b))
+
+
+@pytest.mark.parametrize("k", EDGE_LENGTHS)
+def test_float32_product_sees_a_lone_witness_at_every_block_edge(k):
+    """Row r of `a` holds only inner index edges[r], so a @ a.T is the
+    identity exactly when no block skips or clips an edge."""
+    edges = {i for lo in range(0, k, _INNER_BLOCK) for i in (lo - 1, lo, lo + 1)}
+    edges = sorted(i for i in edges | {k - 1} if 0 <= i < k)
+    a = np.arange(k) == np.array(edges)[:, None]
+    np.testing.assert_array_equal(_bool_matmul(a, a.T), np.eye(len(edges), dtype=bool))
