@@ -73,14 +73,14 @@ def _sample_alpha(rng: np.random.Generator, avoid: Sequence[float]) -> float:
     raise RuntimeError("could not sample a level away from the avoided set")
 
 
-def wilson_lower_bound(hits: int, trials: int, z: float = Z_99) -> float:
-    """Wilson score interval, lower endpoint."""
+def wilson_lower_bound(hits: int, trials: int) -> float:
+    """Wilson score interval at z = Z_99, lower endpoint."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = hits / trials
-    denom = 1.0 + z * z / trials
-    center = phat + z * z / (2 * trials)
-    half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
+    denom = 1.0 + Z_99 * Z_99 / trials
+    center = phat + Z_99 * Z_99 / (2 * trials)
+    half = Z_99 * math.sqrt(phat * (1 - phat) / trials + Z_99 * Z_99 / (4 * trials * trials))
     return (center - half) / denom
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_catlaws_oracle import random_correspondence
 
 from gridcp import catlaws
 from gridcp.catlaws import (
@@ -17,7 +18,6 @@ from gridcp.catlaws import (
     downset_divergence_report,
     hyperspace,
     identity,
-    random_correspondence,
     tensor,
     unit_object,
     vietoris_map,
@@ -244,8 +244,12 @@ class TestFunctorLaws:
             for c in (1, 2)
         )
 
-    @pytest.mark.parametrize("max_size", [0, -1])
-    def test_max_size_below_one_refused(self, max_size):
+    @pytest.mark.parametrize("max_size", [0, -1, 4])
+    def test_max_size_outside_one_to_three_refused(self, max_size, monkeypatch):
+        def no_arrows(*args, **kwargs):
+            raise AssertionError("an arrow was built before the refusal")
+
+        monkeypatch.setattr(catlaws, "_all_correspondences", no_arrows)
         with pytest.raises(ValueError, match="max_size"):
             check_functor_laws(max_size)
 

@@ -4,17 +4,27 @@ The functions prefixed `bitmask_` are the earlier bit-loop forms of compose,
 tensor and the hyperspace constructions, kept here as an oracle: they build
 every fiber as an integer code (bit y set when y is in the fiber), one
 element at a time. Hyperspace element i is the subset with code i + 1.
+`random_correspondence` is the earlier one-draw-per-fiber arrow source, the
+oracle for the campaigns' `_draw`; `itertools.product` is the oracle for
+their `_sweep`.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcp import catlaws
 from gridcp.catlaws import (
     _INNER_BLOCK,
     FiniteCorrespondence,
+    _all_correspondences,
     _bool_matmul,
+    _draw,
+    _failures,
+    _sweep,
     FinSet,
     compose,
     hyperspace,
@@ -23,6 +33,15 @@ from gridcp.catlaws import (
     vietoris_multiplication,
     vietoris_unit,
 )
+
+
+def random_correspondence(
+    rng: np.random.Generator, source: FinSet, target: FinSet, nonempty: bool = False
+) -> FiniteCorrespondence:
+    """One arrow, drawn with one `rng.integers` call per fiber."""
+    lo = 1 if nonempty else 0
+    fibers = [int(rng.integers(lo, 1 << target.size)) for _ in range(source.size)]
+    return FiniteCorrespondence.from_fibers(source, target, fibers)
 
 
 def _image(phi: FiniteCorrespondence, subset_mask: int) -> int:
@@ -226,3 +245,69 @@ def test_float32_product_sees_a_lone_witness_at_every_block_edge(k):
     edges = sorted(i for i in edges | {k - 1} if 0 <= i < k)
     a = np.arange(k) == np.array(edges)[:, None]
     np.testing.assert_array_equal(_bool_matmul(a, a.T), np.eye(len(edges), dtype=bool))
+
+
+SEEDS = st.integers(0, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SIZES, SIZES), min_size=1, max_size=5), st.integers(1, 5), SEEDS)
+def test_draw_is_random_correspondence_arrow_after_arrow(sizes, count, seed):
+    """Row t of the draw holds the arrows that drawing trial t's arrows one
+    after another would give, and the stream goes on where it would."""
+    homs = [(FinSet(f"S{i}", s), FinSet(f"T{i}", t)) for i, (s, t) in enumerate(sizes)]
+    drawn, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacks = _draw(drawn, homs, count)
+    for t in range(count):
+        for stack, (source, target) in zip(stacks, homs):
+            assert stack[t] == random_correspondence(oracle, source, target)
+    assert drawn.integers(0, 2**32) == oracle.integers(0, 2**32)
+
+
+@pytest.mark.parametrize("max_size", [3, 4])
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_tensor_trials_draw_what_scalar_draws_gave(max_size, seed):
+    """A tensor trial's six sizes in one call, then its five arrows in one
+    draw: the stream of six scalar size draws and five arrow-by-arrow ones."""
+    drawn, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        sizes = drawn.integers(1, max_size + 1, 6).tolist()
+        assert sizes == [int(oracle.integers(1, max_size + 1)) for _ in range(6)]
+        a1, b1, c1, a2, b2, c2 = (FinSet(f"X{i}", n) for i, n in enumerate(sizes))
+        homs = [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (a2, a2)]
+        for stack, (source, target) in zip(_draw(drawn, homs, 1), homs):
+            assert stack[0] == random_correspondence(oracle, source, target)
+    assert drawn.integers(0, 2**32) == oracle.integers(0, 2**32)
+
+
+def _everything(*stacks: FiniteCorrespondence) -> np.ndarray:
+    """A law that fails on every tuple, so `_failures` lists them all."""
+    return np.ones(np.broadcast_shapes(*(s.matrix.shape[:-2] for s in stacks)), dtype=bool)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize(
+    "sizes, nonempty",
+    [
+        ([(3, 1)], False),
+        ([(1, 2), (2, 1), (1, 1)], False),
+        ([(2, 2), (2, 1)], True),
+        ([(1, 2), (2, 2), (2, 1), (1, 2)], False),
+        ([(2, 2), (2, 2), (2, 1)], False),
+    ],
+)
+def test_sweep_visits_every_tuple_once_first_arrow_slowest(chunk, sizes, nonempty, monkeypatch):
+    monkeypatch.setattr(catlaws, "_CHUNK_PAIRS", chunk)
+    homs = [(FinSet(f"S{i}", s), FinSet(f"T{i}", t)) for i, (s, t) in enumerate(sizes)]
+    inner = [_all_correspondences(s, t, nonempty) for s, t in homs[1:]]
+    tuples_per_outer = int(np.prod([len(s.matrix) for s in inner]))
+    visited = []
+    for arrows, bad in _sweep(_everything, *homs[0], *inner, nonempty=nonempty):
+        assert bad.size <= max(chunk, tuples_per_outer)
+        visited += [tuple(a.fibers for a in arrows) for arrows in _failures(arrows, bad)]
+    lo = 1 if nonempty else 0
+    every_arrow = [
+        list(itertools.product(range(lo, 1 << t.size), repeat=s.size)) for s, t in homs
+    ]
+    assert visited == list(itertools.product(*every_arrow))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gridcp import imprecise
 from gridcp.fullcp import TieLevelError, Transducer, check_level
 from gridcp.grid import Grid, Region, Sample, UniverseMismatchError, make_uniform_grid
 from gridcp.imprecise import (
@@ -377,6 +378,50 @@ class TestFunctorMonotone:
         if any(abs(alpha - v) < 1e-9 for v in list(vals_big) + vals_small):
             return
         assert check_functor_monotone(cs_small, cs_big, alpha)
+
+    @staticmethod
+    def dominated_pair(size: int, seed: int):
+        """A contour on `size` points and one it dominates, sharing the peak."""
+        rng = np.random.default_rng(seed)
+        v_big = rng.uniform(0, 1, size)
+        peak = int(rng.integers(0, size))
+        v_big[peak] = 1.0
+        v_small = v_big * rng.uniform(0, 1, size)
+        v_small[peak] = 1.0
+        grid = make_uniform_grid([(0, 1)], [size])
+        return PossibilityContour(grid, v_small), PossibilityContour(grid, v_big)
+
+    @pytest.mark.parametrize("size", [13, 14, 15, 16])
+    def test_large_grid_goes_through_the_closed_form(self, size, monkeypatch):
+        """Above 12 points both regions come from `ihdr_contour`, and they
+        agree with the enumeration, which still runs at 16 points."""
+        small, big = self.dominated_pair(size, seed=size)
+        alpha = 0.5
+        assert alpha not in small.values.tolist() + big.values.tolist()
+        routes = []
+
+        def spy(route):
+            def traced(a, c):
+                routes.append(route.__name__)
+                return route(a, c)
+
+            return traced
+
+        monkeypatch.setattr(imprecise, "ihdr_contour", spy(ihdr_contour))
+        monkeypatch.setattr(imprecise, "ihdr_bruteforce", spy(ihdr_bruteforce))
+        assert check_functor_monotone(small, big, alpha)
+        assert routes == ["ihdr_contour", "ihdr_contour"]
+        for c in (small, big):
+            assert ihdr_contour(alpha, c) == ihdr_bruteforce(alpha, c)
+
+    @pytest.mark.parametrize("which", ["small", "big"])
+    def test_large_grid_refuses_a_level_on_either_value_set(self, which):
+        small, big = self.dominated_pair(14, seed=3)
+        own = small if which == "small" else big
+        other = big if which == "small" else small
+        alpha = next(v for v in own.values.tolist() if v not in other.values.tolist())
+        with pytest.raises(TieLevelError, match="value set"):
+            check_functor_monotone(small, big, alpha)
 
     def test_three_chain_composition(self):
         rng = np.random.default_rng(21)
