@@ -1,8 +1,9 @@
 """Finite-scale checker for the algebra of set-valued maps.
 
-Objects are finite sets {0..size-1}; an arrow (a correspondence) is a
-read-only boolean matrix whose row x is the fiber of x, as in Rel. So
-composition is the boolean matrix product
+An object is a finite set {0..n-1}, named by its size n. An arrow (a
+correspondence) is only its read-only boolean matrix, whose row x is the
+fiber of x, as in Rel; its source and target are the sizes of the matrix's
+last two axes. So composition is the boolean matrix product
 
     (psi . phi)[x, z] = any over y of phi[x, y] and psi[y, z],
 
@@ -23,7 +24,8 @@ On finite discrete instances, continuity and measurability are automatic, so
 the machine-checkable content is purely algebraic: identity and
 associativity laws, the monoidal product with product fibers, and the
 hyperspace (nonempty-subsets) construction with singleton unit and union
-multiplication.
+multiplication. `hyperspace(n)` is the size 2^n - 1 of the hyperspace of
+an n-element set.
 
 The hyperspace functor comes in two variants:
 
@@ -53,13 +55,11 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "FinSet",
     "FiniteCorrespondence",
     "hyperspace",
     "identity",
     "compose",
     "tensor",
-    "unit_object",
     "vietoris_map",
     "vietoris_unit",
     "vietoris_multiplication",
@@ -69,18 +69,6 @@ __all__ = [
     "check_monad_laws",
     "downset_divergence_report",
 ]
-
-
-@dataclass(frozen=True)
-class FinSet:
-    """A finite set with elements 0..size-1."""
-
-    label: str
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
 
 
 # Cases (arrow pairs, arrows, trials or families) one chunk of a campaign
@@ -142,33 +130,36 @@ def _one_hot(images: np.ndarray) -> np.ndarray:
 class FiniteCorrespondence:
     """A set-valued map: matrix[x, y] is True when y is in the fiber of x.
 
-    Leading axes of `matrix`, if any, index a stack of arrows with these
-    endpoints. The matrix is stored read-only: a boolean array passed in is
-    frozen in place rather than copied, since stacks run to megabytes.
+    The last two axes of `matrix` are the source and target sizes; leading
+    axes, if any, index a stack of arrows with these endpoints. The matrix
+    is stored read-only: a boolean array passed in is frozen in place rather
+    than copied, since stacks run to megabytes.
     """
 
-    source: FinSet
-    target: FinSet
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=bool)
-        if m.ndim < 2 or m.shape[-2:] != (self.source.size, self.target.size):
-            raise ValueError(
-                f"matrix shape {m.shape} does not end in "
-                f"({self.source.size}, {self.target.size})"
-            )
+        if m.ndim < 2 or 0 in m.shape[-2:]:
+            raise ValueError(f"matrix shape {m.shape} does not end in two nonempty endpoints")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    @property
+    def source(self) -> int:
+        return self.matrix.shape[-2]
+
+    @property
+    def target(self) -> int:
+        return self.matrix.shape[-1]
+
     @classmethod
-    def from_fibers(
-        cls, source: FinSet, target: FinSet, fibers: Sequence[int]
-    ) -> FiniteCorrespondence:
-        """Build one arrow from its fiber codes (bit y set when y is in the fiber)."""
-        if any(not 0 <= f < 1 << target.size for f in fibers):
+    def from_fibers(cls, target: int, fibers: Sequence[int]) -> FiniteCorrespondence:
+        """One arrow from its fiber codes (bit y set when y is in the fiber),
+        one per source element."""
+        if any(not 0 <= f < 1 << target for f in fibers):
             raise ValueError("fiber contains elements outside the target")
-        return cls(source, target, _members(fibers, target.size))
+        return cls(_members(fibers, target))
 
     @property
     def fibers(self) -> tuple[int, ...]:
@@ -179,39 +170,25 @@ class FiniteCorrespondence:
 
     def __getitem__(self, key) -> FiniteCorrespondence:
         """Index the stack axes: one arrow, or a sub-stack."""
-        return FiniteCorrespondence(self.source, self.target, self.matrix[key])
+        return FiniteCorrespondence(self.matrix[key])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteCorrespondence):
             return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and np.array_equal(self.matrix, other.matrix)
-        )
+        return np.array_equal(self.matrix, other.matrix)
 
 
-def identity(x: FinSet) -> FiniteCorrespondence:
-    return FiniteCorrespondence(x, x, np.eye(x.size, dtype=bool))
+def identity(n: int) -> FiniteCorrespondence:
+    return FiniteCorrespondence(np.eye(n, dtype=bool))
 
 
 def compose(phi: FiniteCorrespondence, psi: FiniteCorrespondence) -> FiniteCorrespondence:
     """psi after phi: the boolean matrix product, broadcast over stack axes."""
     if phi.target != psi.source:
         raise ValueError(
-            f"endpoint mismatch: {phi.target} (target) vs {psi.source} (source)"
+            f"endpoint mismatch: target size {phi.target} vs source size {psi.source}"
         )
-    return FiniteCorrespondence(
-        phi.source, psi.target, _bool_matmul(phi.matrix, psi.matrix)
-    )
-
-
-def unit_object() -> FinSet:
-    return FinSet("I", 1)
-
-
-def _product(a: FinSet, b: FinSet) -> FinSet:
-    return FinSet(f"({a.label}*{b.label})", a.size * b.size)
+    return FiniteCorrespondence(_bool_matmul(phi.matrix, psi.matrix))
 
 
 def tensor(
@@ -223,11 +200,9 @@ def tensor(
     as in `compose`. Pairs (x, y) are indexed x * |Y| + y, so re-bracketing
     a triple product is the identity on indices and the associator is strict.
     """
-    src, tgt = _product(phi.source, psi.source), _product(phi.target, psi.target)
     blocks = phi.matrix[..., :, None, :, None] & psi.matrix[..., None, :, None, :]
-    return FiniteCorrespondence(
-        src, tgt, blocks.reshape(blocks.shape[:-4] + (src.size, tgt.size))
-    )
+    sizes = (phi.source * psi.source, phi.target * psi.target)
+    return FiniteCorrespondence(blocks.reshape(blocks.shape[:-4] + sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +210,10 @@ def tensor(
 # ---------------------------------------------------------------------------
 
 
-def hyperspace(x: FinSet) -> FinSet:
-    """The nonempty subsets of x: element i is the subset with code i+1."""
-    return FinSet(f"K({x.label})", (1 << x.size) - 1)
+def hyperspace(n: int) -> int:
+    """Size of the set of nonempty subsets of {0..n-1}: element i is the
+    subset with code i+1."""
+    return (1 << n) - 1
 
 
 def vietoris_map(
@@ -254,32 +230,29 @@ def vietoris_map(
         raise ValueError("empty fiber encountered; hyperspace lift needs nonempty images")
     if variant not in ("singleton", "downset"):
         raise ValueError(f"unknown variant {variant!r}")
-    images = _bool_matmul(_subsets(phi.source.size), phi.matrix)  # direct images
+    images = _bool_matmul(_subsets(phi.source), phi.matrix)  # direct images
     if variant == "singleton":
         lift = _one_hot(images)
     else:
         # A subset lies inside the image when none of its members lies outside.
-        lift = ~_bool_matmul(~images, _subsets(phi.target.size).T)
-    return FiniteCorrespondence(hyperspace(phi.source), hyperspace(phi.target), lift)
+        lift = ~_bool_matmul(~images, _subsets(phi.target).T)
+    return FiniteCorrespondence(lift)
 
 
-def vietoris_unit(x: FinSet) -> FiniteCorrespondence:
+def vietoris_unit(n: int) -> FiniteCorrespondence:
     """x maps to the singleton fiber containing the subset {x}."""
-    members = _subsets(x.size)
-    return FiniteCorrespondence(
-        x, hyperspace(x), members.T & (members.sum(axis=1) == 1)
-    )
+    members = _subsets(n)
+    return FiniteCorrespondence(members.T & (members.sum(axis=1) == 1))
 
 
-def vietoris_multiplication(x: FinSet) -> FiniteCorrespondence:
+def vietoris_multiplication(n: int) -> FiniteCorrespondence:
     """A family of subsets maps to the singleton fiber holding its union.
 
     The source is the hyperspace of the hyperspace, so this table has
     2^(2^n - 1) - 1 rows; callers cap the base size.
     """
-    kx = hyperspace(x)
-    unions = _subsets(kx.size) @ _subsets(x.size)
-    return FiniteCorrespondence(hyperspace(kx), kx, _one_hot(unions))
+    unions = _subsets(hyperspace(n)) @ _subsets(n)
+    return FiniteCorrespondence(_one_hot(unions))
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +260,25 @@ def vietoris_multiplication(x: FinSet) -> FiniteCorrespondence:
 # ---------------------------------------------------------------------------
 
 
-def _arrow_count(source: FinSet, target: FinSet, nonempty: bool = False) -> int:
-    return ((1 << target.size) - nonempty) ** source.size
+def _arrow_count(source: int, target: int, nonempty: bool = False) -> int:
+    return ((1 << target) - nonempty) ** source
 
 
 def _all_correspondences(
-    source: FinSet, target: FinSet, nonempty: bool = False, positions: range | None = None
+    source: int, target: int, nonempty: bool = False, positions: range | None = None
 ) -> FiniteCorrespondence:
     """Every arrow, or those at `positions`, as one stack.
 
     Arrows are enumerated with the first fiber varying slowest.
     """
-    rows = _subsets(target.size)
+    rows = _subsets(target)
     if not nonempty:
-        rows = np.vstack([np.zeros((1, target.size), dtype=bool), rows])
-    shape = (len(rows),) * source.size
+        rows = np.vstack([np.zeros((1, target), dtype=bool), rows])
+    shape = (len(rows),) * source
     if positions is None:
         positions = range(_arrow_count(source, target, nonempty))
     digits = np.unravel_index(np.arange(positions.start, positions.stop), shape)
-    return FiniteCorrespondence(source, target, rows[np.stack(digits, axis=-1)])
+    return FiniteCorrespondence(rows[np.stack(digits, axis=-1)])
 
 
 def _differs(lhs: FiniteCorrespondence, rhs: FiniteCorrespondence, axis=(-2, -1)):
@@ -337,7 +310,7 @@ def _lift_composition(phi, psi, variant: str, t_psi: FiniteCorrespondence):
     return _differs(lhs, compose(vietoris_map(phi, variant), t_psi))
 
 
-def _sweep(law, source: FinSet, target: FinSet, *inner: FiniteCorrespondence, nonempty=False):
+def _sweep(law, source: int, target: int, *inner: FiniteCorrespondence, nonempty=False):
     """Check `law` on every tuple of an outer arrow source -> target (fibers
     nonempty if asked) and one arrow of each `inner` stack.
 
@@ -362,13 +335,12 @@ def _draw(rng: np.random.Generator, homs, count: int) -> list[FiniteCorresponden
     on axis 0. One `rng.integers(0, highs, size=(count, fibers))` call draws
     every fiber code, row t holding trial t's arrows in `homs` order: the
     codes that one draw per fiber, in that order, would give."""
-    highs = np.repeat([1 << t.size for _, t in homs], [s.size for s, _ in homs])
+    highs = np.repeat([1 << t for _, t in homs], [s for s, _ in homs])
     codes = rng.integers(0, highs, size=(count, len(highs)))
-    rows = _members(codes, max(t.size for _, t in homs))
-    stops = itertools.accumulate(s.size for s, _ in homs)
+    rows = _members(codes, max(t for _, t in homs))
+    stops = itertools.accumulate(s for s, _ in homs)
     return [
-        FiniteCorrespondence(s, t, rows[:, stop - s.size : stop, : t.size])
-        for (s, t), stop in zip(homs, stops)
+        FiniteCorrespondence(rows[:, stop - s : stop, :t]) for (s, t), stop in zip(homs, stops)
     ]
 
 
@@ -377,7 +349,7 @@ def _failures(arrows: Sequence[FiniteCorrespondence], bad: np.ndarray):
     each stack, broadcast to the verdict's shape, names its arrow there."""
     full = [np.broadcast_to(a.matrix, bad.shape + a.matrix.shape[-2:]) for a in arrows]
     for idx in zip(*np.nonzero(bad)):
-        yield [FiniteCorrespondence(a.source, a.target, m[idx]) for a, m in zip(arrows, full)]
+        yield [FiniteCorrespondence(m[idx]) for m in full]
 
 
 def _witness(law: str, *arrows: FiniteCorrespondence) -> dict:
@@ -387,17 +359,19 @@ def _witness(law: str, *arrows: FiniteCorrespondence) -> dict:
 def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
     """Verify associativity and both unit laws on a 4-object chain.
 
-    `sizes` gives the chain X -> Y -> Z -> W. The unit laws are checked on
-    every arrow X -> Y, so that count may not pass 100,000. Associativity is
-    exhaustive when the triple count is at most a million (all sizes <= 2
-    always qualifies); otherwise `trials` random triples are drawn.
+    `sizes` gives the chain X -> Y -> Z -> W, each in 1..63 so that every
+    fiber code fits an int64. The unit laws are checked on every arrow
+    X -> Y, so that count may not pass 100,000. Associativity is exhaustive
+    when the triple count is at most a million (all sizes <= 2 always
+    qualifies); otherwise `trials` random triples are drawn.
     """
     if len(sizes) != 4:
         raise ValueError("need four object sizes for an associativity chain")
+    if any(not 1 <= s <= 63 for s in sizes):
+        raise ValueError(f"sizes must each be in 1..63, got {list(sizes)}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    objs = [FinSet(f"X{i}", s) for i, s in enumerate(sizes)]
-    homs = list(zip(objs, objs[1:]))
+    homs = list(zip(sizes, sizes[1:]))
     units = _arrow_count(*homs[0])
     if units > 100_000:
         raise ValueError(f"{units} arrows X0 -> X1 are too many to sweep")
@@ -436,31 +410,30 @@ def check_tensor_laws(max_size: int, trials: int, seed: int) -> dict:
     """Monoidal structure: bifunctoriality, unitors, strict associator.
 
     Bifunctoriality is exhaustive over 2-element objects and randomized at
-    sizes up to `max_size`; unitor and associator identities are exact index
-    bookkeeping and are checked on random instances.
+    sizes up to `max_size`, at most 8: the associator's fiber table has
+    max_size^3 x max_size^3 cells. Unitor and associator identities are
+    exact index bookkeeping and are checked on random instances.
     """
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size}")
+    if not 1 <= max_size <= 8:
+        raise ValueError(f"max_size must be in 1..8, got {max_size}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     counterexamples: list[dict] = []
 
     # Exhaustive core at 2-element objects: (phi1, psi1, phi2, psi2).
-    two = [FinSet(f"T{i}", 2) for i in range(3)]
-    phis, psis = _all_correspondences(two[0], two[1]), _all_correspondences(two[1], two[2])
+    twos = _all_correspondences(2, 2)
     exhaustive_count = 0
-    for arrows, bad in _sweep(_bifunctoriality, two[0], two[1], psis, phis, psis):
+    for arrows, bad in _sweep(_bifunctoriality, 2, 2, twos, twos, twos):
         exhaustive_count += bad.size
         for quad in _failures(arrows, bad):
             counterexamples.append(_witness("bifunctoriality", *quad))
 
     # Randomized campaign at sizes up to max_size, one trial at a time.
-    id_unit = identity(unit_object())
+    id_unit = identity(1)
     for _ in range(trials):
         szs = rng.integers(1, max_size + 1, 6).tolist()
-        a1, b1, c1 = (FinSet(f"A{i}", szs[i]) for i in range(3))
-        a2, b2, c2 = (FinSet(f"B{i}", szs[3 + i]) for i in range(3))
+        a1, b1, c1, a2, b2, c2 = szs
         homs = [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (a2, a2)]
         phi1, psi1, phi2, psi2, rho = (stack[0] for stack in _draw(rng, homs, 1))
         if _bifunctoriality(phi1, psi1, phi2, psi2):
@@ -468,7 +441,7 @@ def check_tensor_laws(max_size: int, trials: int, seed: int) -> dict:
         # id (x) id = id on the product.
         prod_id = tensor(identity(a1), identity(a2))
         if _differs(prod_id, identity(prod_id.source)):
-            counterexamples.append({"law": "tensor_identity", "sizes": [a1.size, a2.size]})
+            counterexamples.append({"law": "tensor_identity", "sizes": [a1, a2]})
         # Tensoring with the unit is the identity on fiber tables.
         if _differs(tensor(phi1, id_unit), phi1) or _differs(tensor(id_unit, phi1), phi1):
             counterexamples.append({"law": "unitor", "fibers": list(phi1.fibers)})
@@ -498,14 +471,12 @@ def check_functor_laws(max_size: int = 3) -> dict:
     counterexamples: list[dict] = []
     comp_checks = 0
     for n in range(1, max_size + 1):
-        x = FinSet(f"X{n}", n)
-        if vietoris_map(identity(x)) != identity(hyperspace(x)):
+        if vietoris_map(identity(n)) != identity(hyperspace(n)):
             counterexamples.append({"law": "T(id)=id", "size": n})
     for a, b, c in itertools.product(range(1, max_size + 1), repeat=3):
-        x, y, z = FinSet("X", a), FinSet("Y", b), FinSet("Z", c)
-        psis = _all_correspondences(y, z, nonempty=True)
+        psis = _all_correspondences(b, c, nonempty=True)
         law = functools.partial(_lift_composition, variant="singleton", t_psi=vietoris_map(psis))
-        for arrows, bad in _sweep(law, x, y, psis, nonempty=True):
+        for arrows, bad in _sweep(law, a, b, psis, nonempty=True):
             comp_checks += bad.size
             for pair in _failures(arrows, bad):
                 witness = _witness("T(psi.phi)=T(psi).T(phi)", *pair)
@@ -530,14 +501,13 @@ def check_monad_laws(base_size: int) -> dict:
     """
     if not 1 <= base_size <= 4:
         raise ValueError("base_size must be in 1..4")
-    x = FinSet("X", base_size)
-    kx = hyperspace(x)
-    mu = vietoris_multiplication(x)
+    kx = hyperspace(base_size)
+    mu = vietoris_multiplication(base_size)
     id_k = identity(kx)
     counterexamples: list[dict] = []
 
     # Left unit: mu . T(eta) = id on the hyperspace.
-    if compose(vietoris_map(vietoris_unit(x)), mu) != id_k:
+    if compose(vietoris_map(vietoris_unit(base_size)), mu) != id_k:
         counterexamples.append({"law": "unit_left"})
     # Right unit: mu . eta_{T(X)} = id on the hyperspace.
     if compose(vietoris_unit(kx), mu) != id_k:
@@ -545,7 +515,7 @@ def check_monad_laws(base_size: int) -> dict:
 
     # Associativity on families of double-hyperspace elements: family f has
     # the next sizes[f] member indices of `flat`.
-    k = hyperspace(kx).size
+    k = hyperspace(kx)
     if base_size <= 2:
         family_of, flat = np.nonzero(_subsets(k))  # every family, by index
         sizes = np.bincount(family_of)
@@ -565,7 +535,7 @@ def check_monad_laws(base_size: int) -> dict:
         # T(mu) sends a family to the set of its members' unions; mu unions that.
         lhs = mu.matrix[_codes(np.logical_or.reduceat(mu.matrix[members], at)) - 1]
         # mu at the hyperspace object merges the family first; mu finishes.
-        rhs = mu.matrix[_codes(np.logical_or.reduceat(_subsets(kx.size)[members], at)) - 1]
+        rhs = mu.matrix[_codes(np.logical_or.reduceat(_subsets(kx)[members], at)) - 1]
         for f in np.flatnonzero((lhs != rhs).any(axis=1)):
             family = members[at[f] : at[f] + counts[f]].tolist()
             counterexamples.append({"law": "associativity", "family": family})
@@ -575,8 +545,8 @@ def check_monad_laws(base_size: int) -> dict:
         "variant": "singleton",
         "instance_sizes": [base_size],
         "trials": {
-            "unit_left": kx.size,
-            "unit_right": kx.size,
+            "unit_left": kx,
+            "unit_right": kx,
             "associativity": assoc_checks,
         },
         "counterexamples": counterexamples,
@@ -594,22 +564,21 @@ def downset_divergence_report(base_size: int) -> dict:
     """
     if not 1 <= base_size <= 3:
         raise ValueError("base_size must be in 1..3 for the down-set variant")
-    x = FinSet("X", base_size)
-    kx = hyperspace(x)
+    kx = hyperspace(base_size)
     id_k = identity(kx)
-    mu = vietoris_multiplication(x)
-    eta = vietoris_unit(x)
+    mu = vietoris_multiplication(base_size)
+    eta = vietoris_unit(base_size)
 
     # Composition law, exhaustive over nonempty-fiber arrows X -> X.
-    arrows = _all_correspondences(x, x, nonempty=True)
+    arrows = _all_correspondences(base_size, base_size, nonempty=True)
     lifted = vietoris_map(arrows, variant="downset")
     law = functools.partial(_lift_composition, variant="downset", t_psi=lifted)
     comp_checks = comp_failures = 0
-    for _, bad in _sweep(law, x, x, arrows, nonempty=True):
+    for _, bad in _sweep(law, base_size, base_size, arrows, nonempty=True):
         comp_checks += bad.size
         comp_failures += int(bad.sum())
 
-    t_id = vietoris_map(identity(x), variant="downset")
+    t_id = vietoris_map(identity(base_size), variant="downset")
     left_unit = compose(vietoris_map(eta, variant="downset"), mu)
     right_unit = compose(vietoris_unit(kx), mu)
 

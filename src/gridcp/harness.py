@@ -57,18 +57,20 @@ RNG_ALGORITHM = "philox4x64 keyed by SeedSequence(seed, trial_index)"
 # One-sided 99% normal quantile, used for the Wilson lower confidence bound.
 Z_99 = 2.3263478740408408
 
-_ALPHA_GAP = 1e-9
-
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
 
 
 def _sample_alpha(rng: np.random.Generator, avoid: Sequence[float]) -> float:
-    """Uniform level in (0.02, 0.98), resampled off every avoided value."""
+    """Uniform level in (0.02, 0.98), redrawn while it equals an avoided value.
+
+    Levels are compared exactly downstream (`check_level`, `ihdr_contour`),
+    so only equality needs a redraw.
+    """
     for _ in range(10_000):
         alpha = float(rng.uniform(0.02, 0.98))
-        if all(abs(alpha - v) > _ALPHA_GAP for v in avoid):
+        if alpha not in avoid:
             return alpha
     raise RuntimeError("could not sample a level away from the avoided set")
 

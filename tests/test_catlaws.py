@@ -9,7 +9,6 @@ from test_catlaws_oracle import random_correspondence
 from gridcp import catlaws
 from gridcp.catlaws import (
     FiniteCorrespondence,
-    FinSet,
     check_category_axioms,
     check_functor_laws,
     check_monad_laws,
@@ -19,7 +18,6 @@ from gridcp.catlaws import (
     hyperspace,
     identity,
     tensor,
-    unit_object,
     vietoris_map,
     vietoris_multiplication,
     vietoris_unit,
@@ -29,7 +27,7 @@ from gridcp.catlaws import (
 class TestCompose:
     def test_identity_laws_random(self):
         rng = np.random.default_rng(0)
-        x, y = FinSet("X", 4), FinSet("Y", 3)
+        x, y = 4, 3
         for _ in range(25):
             phi = random_correspondence(rng, x, y)
             assert compose(identity(x), phi) == phi
@@ -37,20 +35,18 @@ class TestCompose:
 
     def test_hand_union(self):
         # phi(0) = {0,1}; psi(0) = {1}, psi(1) = {0}: composite fiber {0,1}.
-        x, y = FinSet("X", 1), FinSet("Y", 2)
-        phi = FiniteCorrespondence.from_fibers(x, y, (0b11,))
-        psi = FiniteCorrespondence.from_fibers(y, y, (0b10, 0b01))
+        phi = FiniteCorrespondence.from_fibers(2, (0b11,))
+        psi = FiniteCorrespondence.from_fibers(2, (0b10, 0b01))
         assert compose(phi, psi).fibers == (0b11,)
 
     def test_endpoint_mismatch(self):
-        phi = identity(FinSet("X", 2))
-        psi = identity(FinSet("Y", 3))
-        with pytest.raises(ValueError, match="endpoint"):
+        phi = identity(2)
+        psi = identity(3)
+        with pytest.raises(ValueError, match="target size 2 vs source size 3"):
             compose(phi, psi)
 
     def test_empty_fibers_compose(self):
-        x = FinSet("X", 2)
-        phi = FiniteCorrespondence.from_fibers(x, x, (0, 0b11))
+        phi = FiniteCorrespondence.from_fibers(2, (0, 0b11))
         assert compose(phi, phi).fibers == (0, 0b11)
 
 
@@ -80,6 +76,19 @@ class TestCategoryAxioms:
         with pytest.raises(ValueError, match="trials"):
             check_category_axioms([4, 4, 4, 4], trials=-3, seed=0)
 
+    @pytest.mark.parametrize(
+        "sizes", [[2, 2, -1, 2], [0, 1, 1, 1], [1, 1, 1, 64], [1, 1, 1, 70]]
+    )
+    def test_sizes_outside_one_to_63_refused(self, sizes):
+        with pytest.raises(ValueError, match="sizes"):
+            check_category_axioms(sizes, trials=5, seed=0)
+
+    def test_size_63_is_drawn(self):
+        # The largest size whose fiber codes fit an int64.
+        rep = check_category_axioms([1, 1, 1, 63], trials=5, seed=0)
+        assert rep["trials"] == {"unit": 2, "associativity": 5}
+        assert rep["counterexamples"] == []
+
     def test_too_many_unit_law_arrows_refused(self):
         # 32^5 arrows X0 -> X1: refused before any arrow is built.
         with pytest.raises(ValueError, match="too many"):
@@ -88,14 +97,12 @@ class TestCategoryAxioms:
 
 class TestTensor:
     def test_id_tensor_id_is_product_id(self):
-        a, b = FinSet("A", 2), FinSet("B", 3)
-        prod = tensor(identity(a), identity(b))
-        assert prod.fibers == identity(FinSet("_", 6)).fibers
+        assert tensor(identity(2), identity(3)) == identity(6)
 
     def test_unit_object_is_strict(self):
         rng = np.random.default_rng(2)
-        phi = random_correspondence(rng, FinSet("A", 3), FinSet("B", 4))
-        iu = identity(unit_object())
+        phi = random_correspondence(rng, 3, 4)
+        iu = identity(1)
         assert tensor(phi, iu).fibers == phi.fibers
         assert tensor(iu, phi).fibers == phi.fibers
 
@@ -103,8 +110,7 @@ class TestTensor:
         rng = np.random.default_rng(3)
         for _ in range(50):
             sizes = rng.integers(1, 5, 6)
-            a1, b1, c1 = (FinSet(f"a{i}", int(sizes[i])) for i in range(3))
-            a2, b2, c2 = (FinSet(f"b{i}", int(sizes[3 + i])) for i in range(3))
+            a1, b1, c1, a2, b2, c2 = sizes.tolist()
             phi1 = random_correspondence(rng, a1, b1)
             psi1 = random_correspondence(rng, b1, c1)
             phi2 = random_correspondence(rng, a2, b2)
@@ -115,7 +121,7 @@ class TestTensor:
 
     @pytest.mark.parametrize(
         "max_size, trials, name",
-        [(4, -1, "trials"), (0, 5, "max_size"), (-2, 5, "max_size")],
+        [(4, -1, "trials"), (0, 5, "max_size"), (-2, 5, "max_size"), (9, 5, "max_size")],
     )
     def test_bad_arguments_refused(self, max_size, trials, name):
         with pytest.raises(ValueError, match=name):
@@ -129,60 +135,54 @@ class TestTensor:
 
 class TestVietorisMap:
     def test_identity_lifts_to_identity(self):
-        x = FinSet("X", 3)
-        assert vietoris_map(identity(x)) == identity(hyperspace(x))
+        assert vietoris_map(identity(3)) == identity(hyperspace(3))
 
     def test_hyperspace_of_three_points(self):
-        assert hyperspace(FinSet("X", 3)) == FinSet("K(X)", 7)
+        assert hyperspace(3) == 7
 
     def test_swap_example(self):
         # phi swaps the two base points: the lift swaps the singletons and
         # fixes the doubleton.
-        x = FinSet("X", 2)
-        phi = FiniteCorrespondence.from_fibers(x, x, (0b10, 0b01))
+        phi = FiniteCorrespondence.from_fibers(2, (0b10, 0b01))
         t = vietoris_map(phi)
         assert t.fibers == (0b010, 0b001, 0b100)
 
     def test_functoriality_random(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
-            a, b, c = (int(v) for v in rng.integers(1, 4, 3))
-            x, y, z = FinSet("X", a), FinSet("Y", b), FinSet("Z", c)
-            phi = random_correspondence(rng, x, y, nonempty=True)
-            psi = random_correspondence(rng, y, z, nonempty=True)
+            a, b, c = rng.integers(1, 4, 3).tolist()
+            phi = random_correspondence(rng, a, b, nonempty=True)
+            psi = random_correspondence(rng, b, c, nonempty=True)
             lhs = vietoris_map(compose(phi, psi))
             rhs = compose(vietoris_map(phi), vietoris_map(psi))
             assert lhs.fibers == rhs.fibers
 
     def test_empty_fiber_rejected(self):
-        x = FinSet("X", 2)
-        phi = FiniteCorrespondence.from_fibers(x, x, (0, 0b11))
+        phi = FiniteCorrespondence.from_fibers(2, (0, 0b11))
         with pytest.raises(ValueError, match="empty fiber"):
             vietoris_map(phi)
 
     def test_downset_variant_fiber_is_downset(self):
-        x = FinSet("X", 2)
-        phi = identity(x)
-        t = vietoris_map(phi, variant="downset")
+        t = vietoris_map(identity(2), variant="downset")
         # The doubleton maps to all three nonempty subsets of itself.
         assert t.fibers[2] == 0b111
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
-            vietoris_map(identity(FinSet("X", 2)), variant="closure")
+            vietoris_map(identity(2), variant="closure")
 
 
 class TestMonadPieces:
     # Hyperspace element i is the subset with code i + 1.
 
     def test_unit_fiber_is_singleton_of_singleton(self):
-        eta = vietoris_unit(FinSet("X", 3))
+        eta = vietoris_unit(3)
         for i in range(3):
             assert eta.fibers[i] == 1 << ((1 << i) - 1)
 
     def test_multiplication_unions_the_family(self):
         # nu({{0},{0,1}}) = {0,1}
-        mu = vietoris_multiplication(FinSet("X", 2))
+        mu = vietoris_multiplication(2)
         fam = (1 << (0b01 - 1)) | (1 << (0b11 - 1))
         assert mu.fibers[fam - 1] == 1 << (0b11 - 1)
 
@@ -208,12 +208,11 @@ class TestMonadLaws:
         the bitmask implementation reported under the same fault."""
         correct = catlaws.vietoris_multiplication
 
-        def wrong(x):
-            mu = correct(x)
-            m = mu.matrix.copy()
+        def wrong(n):
+            m = correct(n).matrix.copy()
             for k in range(0, len(m) - 1, 7):
                 m[[k, k + 1]] = m[[k + 1, k]]
-            return FiniteCorrespondence(mu.source, mu.target, m)
+            return FiniteCorrespondence(m)
 
         monkeypatch.setattr(catlaws, "vietoris_multiplication", wrong)
         found = [check_monad_laws(n)["counterexamples"] for n in (2, 3, 4)]
@@ -278,23 +277,34 @@ class TestDownsetDivergence:
 
 class TestRepresentation:
     def test_matrix_is_read_only(self):
-        phi = identity(FinSet("X", 3))
+        phi = identity(3)
         with pytest.raises(ValueError):
             phi.matrix[0, 1] = True
 
     def test_caller_array_is_frozen(self):
         m = np.eye(2, dtype=bool)
-        FiniteCorrespondence(FinSet("X", 2), FinSet("X", 2), m)
+        FiniteCorrespondence(m)
         with pytest.raises(ValueError):
             m[0, 1] = True
 
     def test_fiber_outside_target_rejected(self):
         with pytest.raises(ValueError, match="outside the target"):
-            FiniteCorrespondence.from_fibers(FinSet("X", 1), FinSet("Y", 2), (0b100,))
+            FiniteCorrespondence.from_fibers(2, (0b100,))
 
     def test_wrong_shape_rejected(self):
+        # Fewer than two axes, or an empty endpoint (no fibers, or a target
+        # of size 0): objects have at least one element.
+        for shape in [(3,), (0, 2), (2, 0), (4, 0, 2)]:
+            with pytest.raises(ValueError, match="shape"):
+                FiniteCorrespondence(np.zeros(shape, bool))
         with pytest.raises(ValueError, match="shape"):
-            FiniteCorrespondence(FinSet("X", 2), FinSet("Y", 3), np.zeros((3, 2), bool))
+            FiniteCorrespondence.from_fibers(2, ())
+
+    def test_endpoints_are_the_last_two_axes(self):
+        stack = FiniteCorrespondence(np.zeros((5, 2, 3), bool))
+        assert (stack.source, stack.target) == (2, 3)
+        assert stack[0] == FiniteCorrespondence(np.zeros((2, 3), bool))
+        assert stack[0] != FiniteCorrespondence(np.zeros((3, 2), bool))
 
 
 class TestMemory:
@@ -329,7 +339,7 @@ def _drop_last_target(correct):
         out = correct(phi, psi)
         m = out.matrix.copy()
         m[..., -1] &= ~m[..., :-1].any(axis=-1)
-        return FiniteCorrespondence(out.source, out.target, m)
+        return FiniteCorrespondence(m)
 
     return wrong
 

@@ -25,7 +25,6 @@ from gridcp.catlaws import (
     _draw,
     _failures,
     _sweep,
-    FinSet,
     compose,
     hyperspace,
     tensor,
@@ -36,17 +35,17 @@ from gridcp.catlaws import (
 
 
 def random_correspondence(
-    rng: np.random.Generator, source: FinSet, target: FinSet, nonempty: bool = False
+    rng: np.random.Generator, source: int, target: int, nonempty: bool = False
 ) -> FiniteCorrespondence:
     """One arrow, drawn with one `rng.integers` call per fiber."""
     lo = 1 if nonempty else 0
-    fibers = [int(rng.integers(lo, 1 << target.size)) for _ in range(source.size)]
-    return FiniteCorrespondence.from_fibers(source, target, fibers)
+    fibers = [int(rng.integers(lo, 1 << target)) for _ in range(source)]
+    return FiniteCorrespondence.from_fibers(target, fibers)
 
 
 def _image(phi: FiniteCorrespondence, subset_mask: int) -> int:
     out = 0
-    for x in range(phi.source.size):
+    for x in range(phi.source):
         if (subset_mask >> x) & 1:
             out |= phi.fibers[x]
     return out
@@ -54,30 +53,24 @@ def _image(phi: FiniteCorrespondence, subset_mask: int) -> int:
 
 def bitmask_compose(phi, psi):
     return FiniteCorrespondence.from_fibers(
-        phi.source, psi.target, tuple(_image(psi, f) for f in phi.fibers)
+        psi.target, tuple(_image(psi, f) for f in phi.fibers)
     )
 
 
 def bitmask_tensor(phi, psi):
-    src = FinSet(
-        f"({phi.source.label}*{psi.source.label})", phi.source.size * psi.source.size
-    )
-    tgt = FinSet(
-        f"({phi.target.label}*{psi.target.label})", phi.target.size * psi.target.size
-    )
-    n2, m2 = psi.source.size, psi.target.size
+    n2, m2 = psi.source, psi.target
     fibers = []
-    for idx in range(src.size):
+    for idx in range(phi.source * n2):
         x, y = divmod(idx, n2)
         fx, fy = phi.fibers[x], psi.fibers[y]
         mask = 0
-        for u in range(phi.target.size):
+        for u in range(phi.target):
             if (fx >> u) & 1:
                 for v in range(m2):
                     if (fy >> v) & 1:
                         mask |= 1 << (u * m2 + v)
         fibers.append(mask)
-    return FiniteCorrespondence.from_fibers(src, tgt, tuple(fibers))
+    return FiniteCorrespondence.from_fibers(phi.target * m2, tuple(fibers))
 
 
 def _nonempty_submasks(mask):
@@ -88,9 +81,8 @@ def _nonempty_submasks(mask):
 
 
 def bitmask_vietoris_map(phi, variant="singleton"):
-    kx, ky = hyperspace(phi.source), hyperspace(phi.target)
     fibers = []
-    for idx in range(kx.size):
+    for idx in range(hyperspace(phi.source)):
         img = _image(phi, idx + 1)
         if variant == "singleton":
             fibers.append(1 << (img - 1))
@@ -99,48 +91,47 @@ def bitmask_vietoris_map(phi, variant="singleton"):
             for s in _nonempty_submasks(img):
                 mask |= 1 << (s - 1)
             fibers.append(mask)
-    return FiniteCorrespondence.from_fibers(kx, ky, tuple(fibers))
+    return FiniteCorrespondence.from_fibers(hyperspace(phi.target), tuple(fibers))
 
 
-def bitmask_vietoris_unit(x):
+def bitmask_vietoris_unit(n):
     return FiniteCorrespondence.from_fibers(
-        x, hyperspace(x), tuple(1 << ((1 << i) - 1) for i in range(x.size))
+        hyperspace(n), tuple(1 << ((1 << i) - 1) for i in range(n))
     )
 
 
-def bitmask_vietoris_multiplication(x):
-    kx = hyperspace(x)
-    kkx = hyperspace(kx)
+def bitmask_vietoris_multiplication(n):
+    kx = hyperspace(n)
     fibers = []
-    for idx in range(kkx.size):
+    for idx in range(hyperspace(kx)):
         fam = idx + 1
         union = 0
-        for i in range(kx.size):
+        for i in range(kx):
             if (fam >> i) & 1:
                 union |= i + 1
         fibers.append(1 << (union - 1))
-    return FiniteCorrespondence.from_fibers(kkx, kx, tuple(fibers))
+    return FiniteCorrespondence.from_fibers(kx, tuple(fibers))
 
 
 SIZES = st.integers(1, 4)
 
 
-def arrows(source: FinSet, target: FinSet, nonempty: bool = False):
-    codes = st.integers(1 if nonempty else 0, (1 << target.size) - 1)
-    return st.lists(codes, min_size=source.size, max_size=source.size).map(
-        lambda fibers: FiniteCorrespondence.from_fibers(source, target, tuple(fibers))
+def arrows(source: int, target: int, nonempty: bool = False):
+    codes = st.integers(1 if nonempty else 0, (1 << target) - 1)
+    return st.lists(codes, min_size=source, max_size=source).map(
+        lambda fibers: FiniteCorrespondence.from_fibers(target, tuple(fibers))
     )
 
 
 @st.composite
 def composable(draw, nonempty=False):
-    x, y, z = (FinSet(label, draw(SIZES)) for label in "XYZ")
+    x, y, z = (draw(SIZES) for _ in range(3))
     return draw(arrows(x, y, nonempty)), draw(arrows(y, z, nonempty))
 
 
 @st.composite
 def any_arrow(draw, nonempty=False):
-    return draw(arrows(FinSet("X", draw(SIZES)), FinSet("Y", draw(SIZES)), nonempty))
+    return draw(arrows(draw(SIZES), draw(SIZES), nonempty))
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,9 +157,8 @@ def test_vietoris_map_matches_bitmask(phi, variant):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_unit_and_multiplication_match_bitmask(n):
-    x = FinSet("X", n)
-    assert vietoris_unit(x) == bitmask_vietoris_unit(x)
-    assert vietoris_multiplication(x) == bitmask_vietoris_multiplication(x)
+    assert vietoris_unit(n) == bitmask_vietoris_unit(n)
+    assert vietoris_multiplication(n) == bitmask_vietoris_multiplication(n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,9 +167,7 @@ def test_stacks_match_one_arrow_at_a_time(data):
     """The campaigns lean on broadcasting: a stack acts arrow by arrow."""
     phi, psi = data.draw(composable(nonempty=True))
     others = data.draw(st.lists(arrows(phi.source, phi.target, True), min_size=1, max_size=5))
-    stack = FiniteCorrespondence(
-        phi.source, phi.target, np.array([a.matrix for a in [phi, *others]])
-    )
+    stack = FiniteCorrespondence(np.array([a.matrix for a in [phi, *others]]))
     composed = compose(stack, psi)
     products = tensor(stack, psi)
     for variant in ("singleton", "downset"):
@@ -252,10 +240,9 @@ SEEDS = st.integers(0, 2**63 - 1)
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(SIZES, SIZES), min_size=1, max_size=5), st.integers(1, 5), SEEDS)
-def test_draw_is_random_correspondence_arrow_after_arrow(sizes, count, seed):
+def test_draw_is_random_correspondence_arrow_after_arrow(homs, count, seed):
     """Row t of the draw holds the arrows that drawing trial t's arrows one
     after another would give, and the stream goes on where it would."""
-    homs = [(FinSet(f"S{i}", s), FinSet(f"T{i}", t)) for i, (s, t) in enumerate(sizes)]
     drawn, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
     stacks = _draw(drawn, homs, count)
     for t in range(count):
@@ -274,7 +261,7 @@ def test_tensor_trials_draw_what_scalar_draws_gave(max_size, seed):
     for _ in range(3):
         sizes = drawn.integers(1, max_size + 1, 6).tolist()
         assert sizes == [int(oracle.integers(1, max_size + 1)) for _ in range(6)]
-        a1, b1, c1, a2, b2, c2 = (FinSet(f"X{i}", n) for i, n in enumerate(sizes))
+        a1, b1, c1, a2, b2, c2 = sizes
         homs = [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (a2, a2)]
         for stack, (source, target) in zip(_draw(drawn, homs, 1), homs):
             assert stack[0] == random_correspondence(oracle, source, target)
@@ -299,15 +286,14 @@ def _everything(*stacks: FiniteCorrespondence) -> np.ndarray:
 )
 def test_sweep_visits_every_tuple_once_first_arrow_slowest(chunk, sizes, nonempty, monkeypatch):
     monkeypatch.setattr(catlaws, "_CHUNK_PAIRS", chunk)
-    homs = [(FinSet(f"S{i}", s), FinSet(f"T{i}", t)) for i, (s, t) in enumerate(sizes)]
-    inner = [_all_correspondences(s, t, nonempty) for s, t in homs[1:]]
+    inner = [_all_correspondences(s, t, nonempty) for s, t in sizes[1:]]
     tuples_per_outer = int(np.prod([len(s.matrix) for s in inner]))
     visited = []
-    for arrows, bad in _sweep(_everything, *homs[0], *inner, nonempty=nonempty):
+    for arrows, bad in _sweep(_everything, *sizes[0], *inner, nonempty=nonempty):
         assert bad.size <= max(chunk, tuples_per_outer)
         visited += [tuple(a.fibers for a in arrows) for arrows in _failures(arrows, bad)]
     lo = 1 if nonempty else 0
     every_arrow = [
-        list(itertools.product(range(lo, 1 << t.size), repeat=s.size)) for s, t in homs
+        list(itertools.product(range(lo, 1 << t), repeat=s)) for s, t in sizes
     ]
     assert visited == list(itertools.product(*every_arrow))

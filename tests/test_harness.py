@@ -168,6 +168,20 @@ class TestMapTrials:
         assert type(out["odd"]) is int
 
 
+class TestSampleAlpha:
+    def test_redraws_only_an_avoided_value(self):
+        """Levels are compared exactly, so a draw 1e-12 off an avoided level
+        is kept."""
+        level = 3 / 7
+        draws = iter([level, level + 1e-12])
+
+        class StubRng:
+            def uniform(self, lo, hi):
+                return next(draws)
+
+        assert harness._sample_alpha(StubRng(), (1 / 7, level)) == level + 1e-12
+
+
 class TestCoverage:
     def test_small_gaussian_run(self):
         cfg = ExperimentConfig(
