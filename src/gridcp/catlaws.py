@@ -14,7 +14,10 @@ predicate on arrow stacks, and every campaign feeds it from one of two
 sources. A sweep (`_sweep`) checks every tuple of arrows: stack k goes on
 broadcast axis k, the first arrow varies slowest, and the outer arrows are
 built a block of at most `_CHUNK_PAIRS` tuples at a time. A draw (`_draw`)
-turns rows of random fiber codes into aligned stacks. Each law's two sides
+turns rows of random fiber codes into aligned stacks. The tensor trials
+draw their sizes too, so `_draw_tensor_trials` zero-pads each trial's
+arrows to the largest size, at the low indices so that each object's last
+element stays last, and stacks a chunk of trials. Each law's two sides
 still come from separate routes. Boolean products are float32 matrix
 products tested for non-zero (`_bool_matmul`): with 0/1 entries a sum of
 non-negative terms is positive exactly when one term is, whatever the order
@@ -79,6 +82,15 @@ _CHUNK_PAIRS = 2048
 # products at base size 4 run 15 rows against 32,767 inner cells: cast whole
 # they take 3.75 MiB, in blocks of 1,024 they take 0.12 MiB.
 _INNER_BLOCK = 1 << 10
+# Associator-table cells (max_size^6 per trial) one chunk of randomized
+# tensor trials holds: 32 trials at max_size 4, whose padded products then
+# peak at 0.4 MiB, no higher than the exhaustive core. Chunks of 2^18 cells
+# ran no faster and doubled that peak.
+_CHUNK_CELLS = 1 << 17
+# A tensor trial draws six sizes (a1, b1, c1, a2, b2, c2), then five arrows
+# phi1: a1 -> b1, psi1: b1 -> c1, phi2: a2 -> b2, psi2: b2 -> c2 and
+# rho: a2 -> a2, whose (source, target) sit at these positions.
+_TENSOR_HOMS = ((0, 1), (1, 2), (3, 4), (4, 5), (3, 3))
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,8 +134,20 @@ def _subsets(n: int) -> np.ndarray:
 
 
 def _one_hot(images: np.ndarray) -> np.ndarray:
-    """Singleton fibers: row r holds only the index of the subset images[r]."""
-    return _codes(images)[..., None] == np.arange(1, 1 << images.shape[-1])
+    """Singleton fibers: row r holds only the index of the subset images[r]
+    (nothing, for an empty images[r]). Set by index, so no temporary as wide
+    as the hyperspace is built."""
+    codes = _codes(images).ravel()
+    rows = np.zeros((len(codes), (1 << images.shape[-1]) - 1), dtype=bool)
+    hit = np.flatnonzero(codes)
+    rows[hit, codes[hit] - 1] = True
+    return rows.reshape(images.shape[:-1] + rows.shape[-1:])
+
+
+def _check_code_width(target: int) -> None:
+    """Fiber codes are int64, so a target holds at most 63 elements."""
+    if not 0 <= target <= 63:
+        raise ValueError(f"target size {target} is outside 0..63, the range of int64 fiber codes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +181,7 @@ class FiniteCorrespondence:
     def from_fibers(cls, target: int, fibers: Sequence[int]) -> FiniteCorrespondence:
         """One arrow from its fiber codes (bit y set when y is in the fiber),
         one per source element."""
+        _check_code_width(target)
         if any(not 0 <= f < 1 << target for f in fibers):
             raise ValueError("fiber contains elements outside the target")
         return cls(_members(fibers, target))
@@ -166,6 +191,7 @@ class FiniteCorrespondence:
         """Fiber codes of a single arrow, as reports name it."""
         if self.matrix.ndim != 2:
             raise ValueError("a stack of arrows has no single fiber table; index it")
+        _check_code_width(self.target)
         return tuple(_codes(self.matrix).tolist())
 
     def __getitem__(self, key) -> FiniteCorrespondence:
@@ -241,18 +267,23 @@ def vietoris_map(
 
 def vietoris_unit(n: int) -> FiniteCorrespondence:
     """x maps to the singleton fiber containing the subset {x}."""
-    members = _subsets(n)
-    return FiniteCorrespondence(members.T & (members.sum(axis=1) == 1))
+    return FiniteCorrespondence(_one_hot(np.eye(n, dtype=bool)))
 
 
 def vietoris_multiplication(n: int) -> FiniteCorrespondence:
     """A family of subsets maps to the singleton fiber holding its union.
 
     The source is the hyperspace of the hyperspace, so this table has
-    2^(2^n - 1) - 1 rows; callers cap the base size.
+    2^(2^n - 1) - 1 rows; callers cap the base size. The rows are built
+    `_CHUNK_PAIRS` families at a time, so no membership table of the whole
+    double hyperspace is held.
     """
-    unions = _subsets(hyperspace(n)) @ _subsets(n)
-    return FiniteCorrespondence(_one_hot(unions))
+    kx = hyperspace(n)
+    mu = np.empty((hyperspace(kx), kx), dtype=bool)
+    for lo in range(0, len(mu), _CHUNK_PAIRS):
+        families = _members(np.arange(lo, min(lo + _CHUNK_PAIRS, len(mu))) + 1, kx)
+        mu[lo : lo + len(families)] = _one_hot(families @ _subsets(n))
+    return FiniteCorrespondence(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +375,45 @@ def _draw(rng: np.random.Generator, homs, count: int) -> list[FiniteCorresponden
     ]
 
 
+def _draw_tensor_trials(rng: np.random.Generator, max_size: int, count: int):
+    """`count` tensor trials, drawn one after another: a trial's six sizes in
+    one `rng.integers` call, then its arrows' fiber codes in another, the
+    codes `_draw` would give for the trial's `_TENSOR_HOMS`.
+
+    Returns the (count, 6) sizes and the five arrows as (count, max_size,
+    max_size) stacks, zero-padded at the low indices: source element x of an
+    s -> t arrow is row max_size - s + x, target element y is column
+    max_size - t + y. So each endpoint's last element stays last.
+    """
+    sizes, codes = [], []
+    for _ in range(count):
+        szs = rng.integers(1, max_size + 1, 6).tolist()
+        highs = [1 << szs[j] for i, j in _TENSOR_HOMS for _ in range(szs[i])]
+        codes.append(rng.integers(0, np.array(highs)))
+        sizes.append(szs)
+    sizes = np.array(sizes)
+    sources = sizes[:, [i for i, _ in _TENSOR_HOMS]].ravel()
+    targets = sizes[:, [j for _, j in _TENSOR_HOMS]].ravel()
+    arrow = np.repeat(np.arange(len(sources)), sources)  # each code's arrow
+    first = np.cumsum(sources) - sources  # each arrow's first code
+    rows = np.arange(len(arrow)) - first[arrow] + max_size - sources[arrow]
+    padded = np.zeros((len(sources), max_size), dtype=np.int64)
+    padded[arrow, rows] = np.concatenate(codes) << max_size - targets[arrow]
+    stacks = _members(padded.reshape(count, len(_TENSOR_HOMS), max_size), max_size)
+    return sizes, [FiniteCorrespondence(stacks[:, k]) for k in range(len(_TENSOR_HOMS))]
+
+
+def _padded_identity(real: np.ndarray) -> FiniteCorrespondence:
+    """Per row of `real`, the identity on the elements it marks: a padded
+    object's identity, zero on its padding."""
+    return FiniteCorrespondence(np.eye(real.shape[-1], dtype=bool) & real[..., None])
+
+
+def _unpad(stack: FiniteCorrespondence, t: int, source: int, target: int):
+    """Arrow t of a stack padded at the low indices, at its own size."""
+    return FiniteCorrespondence(stack.matrix[t, -source:, -target:])
+
+
 def _failures(arrows: Sequence[FiniteCorrespondence], bad: np.ndarray):
     """The arrow tuples a law failed on, in C order of its verdict `bad`:
     each stack, broadcast to the verdict's shape, names its arrow there."""
@@ -429,27 +499,42 @@ def check_tensor_laws(max_size: int, trials: int, seed: int) -> dict:
         for quad in _failures(arrows, bad):
             counterexamples.append(_witness("bifunctoriality", *quad))
 
-    # Randomized campaign at sizes up to max_size, one trial at a time.
+    # Randomized campaign at sizes up to max_size, a chunk of trials at a
+    # time, padded to max_size (`_draw_tensor_trials`). Zero padding commutes
+    # with the boolean and Kronecker products, up to a relabelling that both
+    # sides of a law share, so each law compares padded stacks exactly. Only
+    # id (x) id = id needs the padding masks: a padded identity is not the
+    # identity on the padded set.
     id_unit = identity(1)
-    for _ in range(trials):
-        szs = rng.integers(1, max_size + 1, 6).tolist()
-        a1, b1, c1, a2, b2, c2 = szs
-        homs = [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (a2, a2)]
-        phi1, psi1, phi2, psi2, rho = (stack[0] for stack in _draw(rng, homs, 1))
-        if _bifunctoriality(phi1, psi1, phi2, psi2):
-            counterexamples.append(_witness("bifunctoriality", phi1, psi1, phi2, psi2))
-        # id (x) id = id on the product.
-        prod_id = tensor(identity(a1), identity(a2))
-        if _differs(prod_id, identity(prod_id.source)):
-            counterexamples.append({"law": "tensor_identity", "sizes": [a1, a2]})
-        # Tensoring with the unit is the identity on fiber tables.
-        if _differs(tensor(phi1, id_unit), phi1) or _differs(tensor(id_unit, phi1), phi1):
-            counterexamples.append({"law": "unitor", "fibers": list(phi1.fibers)})
-        # Strict associator: re-bracketing leaves the fiber table unchanged.
-        lhs = tensor(tensor(phi1, rho), phi2)
-        rhs = tensor(phi1, tensor(rho, phi2))
-        if _differs(lhs, rhs):
-            counterexamples.append({"law": "associator", "sizes": szs})
+    per_chunk = min(_CHUNK_PAIRS, max(1, _CHUNK_CELLS // max_size**6))
+    for lo in range(0, trials, per_chunk):
+        count = min(per_chunk, trials - lo)
+        sizes, arrows = _draw_tensor_trials(rng, max_size, count)
+        phi1, psi1, phi2, psi2, rho = arrows
+        real1, real2 = (np.arange(max_size) >= max_size - sizes[:, [k]] for k in (0, 3))
+        on_product = (real1[:, :, None] & real2[:, None, :]).reshape(count, -1)
+        prod_id = tensor(_padded_identity(real1), _padded_identity(real2))
+        verdicts = np.column_stack(
+            [
+                _bifunctoriality(phi1, psi1, phi2, psi2),
+                _differs(prod_id, _padded_identity(on_product)),
+                # Tensoring with the unit is the identity on fiber tables.
+                _differs(tensor(phi1, id_unit), phi1) | _differs(tensor(id_unit, phi1), phi1),
+                # Strict associator: re-bracketing leaves the fiber table unchanged.
+                _differs(tensor(tensor(phi1, rho), phi2), tensor(phi1, tensor(rho, phi2))),
+            ]
+        )
+        for t, law in zip(*np.nonzero(verdicts)):  # trial by trial, laws in order
+            szs = sizes[t].tolist()
+            unpadded = [_unpad(a, t, szs[i], szs[j]) for a, (i, j) in zip(arrows, _TENSOR_HOMS)]
+            if law == 0:
+                counterexamples.append(_witness("bifunctoriality", *unpadded[:4]))
+            elif law == 1:
+                counterexamples.append({"law": "tensor_identity", "sizes": [szs[0], szs[3]]})
+            elif law == 2:
+                counterexamples.append({"law": "unitor", "fibers": list(unpadded[0].fibers)})
+            else:
+                counterexamples.append({"law": "associator", "sizes": szs})
 
     return {
         "law": "tensor_laws",
@@ -520,7 +605,9 @@ def check_monad_laws(base_size: int) -> dict:
         family_of, flat = np.nonzero(_subsets(k))  # every family, by index
         sizes = np.bincount(family_of)
     else:
-        flat, sizes = np.arange(k), np.ones(k, dtype=np.intp)
+        # int32 keeps the two 32,767-entry arrays at base size 4 under the
+        # peak the unit laws reach.
+        flat, sizes = np.arange(k, dtype=np.int32), np.ones(k, dtype=np.int32)
         if base_size == 3:  # every pair, then the whole double hyperspace
             pairs = np.column_stack(np.triu_indices(k, 1)).ravel()
             flat = np.concatenate([flat, pairs, np.arange(k)])
@@ -535,7 +622,7 @@ def check_monad_laws(base_size: int) -> dict:
         # T(mu) sends a family to the set of its members' unions; mu unions that.
         lhs = mu.matrix[_codes(np.logical_or.reduceat(mu.matrix[members], at)) - 1]
         # mu at the hyperspace object merges the family first; mu finishes.
-        rhs = mu.matrix[_codes(np.logical_or.reduceat(_subsets(kx)[members], at)) - 1]
+        rhs = mu.matrix[_codes(np.logical_or.reduceat(_members(members + 1, kx), at)) - 1]
         for f in np.flatnonzero((lhs != rhs).any(axis=1)):
             family = members[at[f] : at[f] + counts[f]].tolist()
             counterexamples.append({"law": "associativity", "family": family})

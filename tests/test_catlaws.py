@@ -1,10 +1,11 @@
 """Correspondence algebra: category axioms, tensor, hyperspace monad."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
-from test_catlaws_oracle import random_correspondence
+from test_catlaws_oracle import add_last_target, drop_last_target, random_correspondence
 
 from gridcp import catlaws
 from gridcp.catlaws import (
@@ -291,6 +292,24 @@ class TestRepresentation:
         with pytest.raises(ValueError, match="outside the target"):
             FiniteCorrespondence.from_fibers(2, (0b100,))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FiniteCorrespondence.from_fibers(70, [1]),
+            lambda: FiniteCorrespondence.from_fibers(70, [1 << 65]),
+            lambda: FiniteCorrespondence.from_fibers(-1, [0]),
+            lambda: FiniteCorrespondence(np.zeros((1, 64), bool)).fibers,
+        ],
+        ids=["70_small_code", "70_big_code", "negative", "fibers_of_64"],
+    )
+    def test_target_past_int64_codes_refused(self, make):
+        with pytest.raises(ValueError, match=r"target size (70|-1|64)\b"):
+            make()
+
+    def test_target_of_63_round_trips(self):
+        fibers = (1 << 62, 0, (1 << 63) - 1)
+        assert FiniteCorrespondence.from_fibers(63, fibers).fibers == fibers
+
     def test_wrong_shape_rejected(self):
         # Fewer than two axes, or an empty endpoint (no fibers, or a target
         # of size 0): objects have at least one element.
@@ -305,6 +324,19 @@ class TestRepresentation:
         assert (stack.source, stack.target) == (2, 3)
         assert stack[0] == FiniteCorrespondence(np.zeros((2, 3), bool))
         assert stack[0] != FiniteCorrespondence(np.zeros((3, 2), bool))
+
+
+def _traced_peak(campaign, args) -> int:
+    """Traced peak bytes of one call, after a warm-up call (numpy's lazy
+    set-up), counting the subset tables the call caches."""
+    campaign(*args)
+    catlaws._subsets.cache_clear()
+    tracemalloc.start()
+    try:
+        campaign(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMemory:
@@ -322,38 +354,38 @@ class TestMemory:
         ids=["monad_laws", "functor_laws", "downset", "category_axioms"],
     )
     def test_traced_peak_under_2_mib(self, campaign, args):
-        campaign(*args)  # warm-up: cached subset tables and numpy's lazy set-up
-        tracemalloc.start()
-        try:
-            campaign(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(campaign, args)
         assert peak <= 2 * 2**20, peak / 2**20
 
-
-def _drop_last_target(correct):
-    """compose, then drop the last target element from every fiber holding another."""
-
-    def wrong(phi, psi):
-        out = correct(phi, psi)
-        m = out.matrix.copy()
-        m[..., -1] &= ~m[..., :-1].any(axis=-1)
-        return FiniteCorrespondence(m)
-
-    return wrong
+    @pytest.mark.parametrize(
+        "campaign, args, mib",
+        [
+            (check_tensor_laws, (4, 2000, 0), 1.0),
+            (check_tensor_laws, (8, 40, 0), 1.0),
+            (check_monad_laws, (4,), 1.1),
+        ],
+        ids=["tensor_laws_4", "tensor_laws_8", "monad_laws_4"],
+    )
+    def test_traced_peak_at_most(self, campaign, args, mib):
+        """Padded tensor trials go a chunk of about 2^17 associator cells at
+        a time (one trial at max_size 8). The monad laws at base size 4 hold
+        the 32,767-row multiplication table and one 15 x 32,767 lift, but no
+        membership table of the double hyperspace."""
+        peak = _traced_peak(campaign, args)
+        assert peak <= mib * 2**20, peak / 2**20
 
 
 class TestCampaignsHaveForce:
-    """A wrong composition must show up in every batched campaign.
+    """A wrong composition (or product) must show up in every batched campaign.
 
-    The counts are those the bitmask implementation reported under the same
-    fault, so they also pin that the batches enumerate every case once.
+    The counts are those the bitmask implementation (for the randomized tensor
+    trials, the one-trial-at-a-time loop) reported under the same fault, so
+    they also pin that the batches enumerate every case once.
     """
 
     @pytest.fixture(autouse=True)
     def wrong_compose(self, monkeypatch):
-        monkeypatch.setattr(catlaws, "compose", _drop_last_target(catlaws.compose))
+        monkeypatch.setattr(catlaws, "compose", drop_last_target(catlaws.compose))
 
     def test_category_axioms(self):
         rep = check_category_axioms([2, 2, 2, 2], trials=0, seed=0)
@@ -398,3 +430,43 @@ class TestCampaignsHaveForce:
         assert len(assoc) == 1711
         assert assoc[0] == [[15, 3, 14, 0], [8, 4, 3, 10], [4, 8, 4, 2]]
         assert assoc[-1] == [[7, 10, 10, 4], [7, 13, 10, 9], [14, 9, 4, 15]]
+
+    # The randomized tensor trials, after the exhaustive core's witnesses.
+    # A fault on the last target element must keep its force however the
+    # trials are batched.
+
+    @staticmethod
+    def _randomized_tensor_witnesses():
+        exhaustive = check_tensor_laws(4, trials=0, seed=9)["counterexamples"]
+        return check_tensor_laws(4, trials=500, seed=9)["counterexamples"][len(exhaustive) :]
+
+    def test_randomized_bifunctoriality(self):
+        found = self._randomized_tensor_witnesses()
+        assert Counter(c["law"] for c in found) == {"bifunctoriality": 164}
+        assert found[0]["fibers"] == [[10, 12], [10, 11, 14, 14], [1, 1], [5]]
+        assert found[-1]["fibers"] == [[0, 1, 0], [3], [0, 0, 1], [1, 1]]
+
+    @pytest.mark.parametrize(
+        "fault, laws, first, last",
+        [
+            (
+                drop_last_target,
+                {"bifunctoriality": 95, "unitor": 221, "associator": 252},
+                {"law": "bifunctoriality", "fibers": [[10, 12], [10, 11, 14, 14], [1, 1], [5]]},
+                {"law": "unitor", "fibers": [6]},
+            ),
+            (
+                add_last_target,
+                {"bifunctoriality": 109, "tensor_identity": 471, "unitor": 179, "associator": 191},
+                {"law": "tensor_identity", "sizes": [2, 2]},
+                {"law": "associator", "sizes": [3, 1, 2, 3, 2, 2]},
+            ),
+        ],
+        ids=["drop_last_target", "add_last_target"],
+    )
+    def test_randomized_tensor_laws(self, fault, laws, first, last, monkeypatch):
+        monkeypatch.setattr(catlaws, "compose", compose)  # only the product is wrong
+        monkeypatch.setattr(catlaws, "tensor", fault(tensor))
+        found = self._randomized_tensor_witnesses()
+        assert Counter(c["law"] for c in found) == laws
+        assert (found[0], found[-1]) == (first, last)

@@ -6,10 +6,14 @@ every fiber as an integer code (bit y set when y is in the fiber), one
 element at a time. Hyperspace element i is the subset with code i + 1.
 `random_correspondence` is the earlier one-draw-per-fiber arrow source, the
 oracle for the campaigns' `_draw`; `itertools.product` is the oracle for
-their `_sweep`.
+their `_sweep`. `tensor_laws_trial_by_trial` is the earlier randomized loop
+of `check_tensor_laws`, one unpadded trial at a time, the oracle for its
+padded chunks. `drop_last_target` and `add_last_target` are the faults the
+force tests inject into `compose` and `tensor`.
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -23,8 +27,10 @@ from gridcp.catlaws import (
     _all_correspondences,
     _bool_matmul,
     _draw,
+    _draw_tensor_trials,
     _failures,
     _sweep,
+    check_tensor_laws,
     compose,
     hyperspace,
     tensor,
@@ -41,6 +47,64 @@ def random_correspondence(
     lo = 1 if nonempty else 0
     fibers = [int(rng.integers(lo, 1 << target)) for _ in range(source)]
     return FiniteCorrespondence.from_fibers(target, fibers)
+
+
+def drop_last_target(correct):
+    """`correct` (compose or tensor), then drop the last target element from
+    every fiber holding another."""
+
+    def wrong(phi, psi):
+        out = correct(phi, psi)
+        m = out.matrix.copy()
+        m[..., -1] &= ~m[..., :-1].any(axis=-1)
+        return FiniteCorrespondence(m)
+
+    return wrong
+
+
+def add_last_target(correct):
+    """`correct` (compose or tensor), then add the last target element to every
+    singleton fiber."""
+
+    def wrong(phi, psi):
+        out = correct(phi, psi)
+        m = out.matrix.copy()
+        m[..., -1] |= m.sum(axis=-1) == 1
+        return FiniteCorrespondence(m)
+
+    return wrong
+
+
+def tensor_laws_trial_by_trial(max_size: int, trials: int, seed: int) -> dict:
+    """`check_tensor_laws`' report with its randomized trials checked one at
+    a time, each on its own unpadded arrows. Compose and tensor are looked
+    up on `catlaws`, so a fault patched in there reaches this loop too."""
+    rep = check_tensor_laws(max_size, 0, seed)  # the exhaustive core draws nothing
+    counterexamples = rep["counterexamples"]
+    rng = np.random.default_rng(seed)
+    id_unit = catlaws.identity(1)
+    for _ in range(trials):
+        szs = rng.integers(1, max_size + 1, 6).tolist()
+        a1, b1, c1, a2, b2, c2 = szs
+        homs = [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (a2, a2)]
+        phi1, psi1, phi2, psi2, rho = (stack[0] for stack in _draw(rng, homs, 1))
+        if catlaws._bifunctoriality(phi1, psi1, phi2, psi2):
+            counterexamples.append(catlaws._witness("bifunctoriality", phi1, psi1, phi2, psi2))
+        # id (x) id = id on the product.
+        prod_id = catlaws.tensor(catlaws.identity(a1), catlaws.identity(a2))
+        if catlaws._differs(prod_id, catlaws.identity(prod_id.source)):
+            counterexamples.append({"law": "tensor_identity", "sizes": [a1, a2]})
+        # Tensoring with the unit is the identity on fiber tables.
+        left, right = catlaws.tensor(phi1, id_unit), catlaws.tensor(id_unit, phi1)
+        if catlaws._differs(left, phi1) or catlaws._differs(right, phi1):
+            counterexamples.append({"law": "unitor", "fibers": list(phi1.fibers)})
+        # Strict associator: re-bracketing leaves the fiber table unchanged.
+        lhs = catlaws.tensor(catlaws.tensor(phi1, rho), phi2)
+        rhs = catlaws.tensor(phi1, catlaws.tensor(rho, phi2))
+        if catlaws._differs(lhs, rhs):
+            counterexamples.append({"law": "associator", "sizes": szs})
+    rep["trials"]["randomized"] = trials
+    return rep
 
 
 def _image(phi: FiniteCorrespondence, subset_mask: int) -> int:
@@ -251,21 +315,88 @@ def test_draw_is_random_correspondence_arrow_after_arrow(homs, count, seed):
     assert drawn.integers(0, 2**32) == oracle.integers(0, 2**32)
 
 
-@pytest.mark.parametrize("max_size", [3, 4])
+@pytest.mark.parametrize("max_size", [1, 3, 4, 8])
 @settings(max_examples=100, deadline=None)
-@given(seed=SEEDS)
-def test_tensor_trials_draw_what_scalar_draws_gave(max_size, seed):
-    """A tensor trial's six sizes in one call, then its five arrows in one
-    draw: the stream of six scalar size draws and five arrow-by-arrow ones."""
+@given(seed=SEEDS, count=st.integers(1, 4))
+def test_tensor_trials_draw_what_scalar_draws_gave(max_size, seed, count):
+    """A chunk of tensor trials, each its six sizes in one call and then its
+    five arrows in one draw: the stream of six scalar size draws and five
+    arrow-by-arrow ones per trial, each arrow zero-padded at the low indices."""
     drawn, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        sizes = drawn.integers(1, max_size + 1, 6).tolist()
-        assert sizes == [int(oracle.integers(1, max_size + 1)) for _ in range(6)]
-        a1, b1, c1, a2, b2, c2 = sizes
+    sizes, stacks = _draw_tensor_trials(drawn, max_size, count)
+    assert sizes.shape == (count, 6)
+    for t in range(count):
+        szs = [int(oracle.integers(1, max_size + 1)) for _ in range(6)]
+        assert sizes[t].tolist() == szs
+        a1, b1, c1, a2, b2, c2 = szs
         homs = [(a1, b1), (b1, c1), (a2, b2), (b2, c2), (a2, a2)]
-        for stack, (source, target) in zip(_draw(drawn, homs, 1), homs):
-            assert stack[0] == random_correspondence(oracle, source, target)
+        for stack, (source, target) in zip(stacks, homs):
+            padded = np.zeros((max_size, max_size), dtype=bool)
+            padded[max_size - source :, max_size - target :] = random_correspondence(
+                oracle, source, target
+            ).matrix
+            np.testing.assert_array_equal(stack.matrix[t], padded)
     assert drawn.integers(0, 2**32) == oracle.integers(0, 2**32)
+
+
+# Faults patched into catlaws for the stacked-against-trial-by-trial tests.
+FAULTS = {
+    "none": {},
+    "compose_drops_last": {"compose": drop_last_target},
+    "tensor_drops_last": {"tensor": drop_last_target},
+    "tensor_adds_last": {"tensor": add_last_target},
+}
+
+
+def _faulty_randomized_campaign(mp: pytest.MonkeyPatch, fault: str) -> None:
+    """Patch `fault` in, and skip the exhaustive core: both reports share its
+    code, and under a fault its tens of thousands of witnesses would take
+    most of the time."""
+    mp.setattr(catlaws, "_sweep", lambda *args, **kwargs: iter(()))
+    for name, wrong in FAULTS[fault].items():
+        mp.setattr(catlaws, name, wrong(getattr(catlaws, name)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=SEEDS,
+    max_size=st.integers(1, 8),
+    trials=st.integers(0, 12),
+    fault=st.sampled_from(sorted(FAULTS)),
+)
+def test_padded_chunks_report_what_trial_by_trial_did(seed, max_size, trials, fault):
+    with pytest.MonkeyPatch.context() as mp:
+        _faulty_randomized_campaign(mp, fault)
+        stacked = json.dumps(check_tensor_laws(max_size, trials, seed))
+        assert stacked == json.dumps(tensor_laws_trial_by_trial(max_size, trials, seed))
+
+
+@pytest.mark.parametrize("beyond", [-1, 0, 1])
+@pytest.mark.parametrize("per_chunk", [1, 7, "default"])
+@pytest.mark.parametrize("max_size", [3, 4])
+def test_padded_chunks_across_chunk_edges(max_size, per_chunk, beyond, monkeypatch):
+    """Trial counts one below, at and one above the second chunk edge, with
+    chunks of 1, 7 and the default 2^17 cells' worth of trials: under a fault
+    that every law sees, no trial or witness is skipped, repeated or
+    reordered."""
+    if per_chunk == "default":
+        per_chunk = {3: 179, 4: 32}[max_size]
+    else:
+        monkeypatch.setattr(catlaws, "_CHUNK_CELLS", per_chunk * max_size**6)
+    _faulty_randomized_campaign(monkeypatch, "tensor_adds_last")
+    counts = []
+    draw = catlaws._draw_tensor_trials
+
+    def counted_draw(rng, m, count):
+        counts.append(count)
+        return draw(rng, m, count)
+
+    monkeypatch.setattr(catlaws, "_draw_tensor_trials", counted_draw)
+    trials = 2 * per_chunk + beyond
+    stacked = check_tensor_laws(max_size, trials, seed=5)
+    full, rest = divmod(trials, per_chunk)
+    assert counts == [per_chunk] * full + ([rest] if rest else [])
+    assert json.dumps(stacked) == json.dumps(tensor_laws_trial_by_trial(max_size, trials, 5))
 
 
 def _everything(*stacks: FiniteCorrespondence) -> np.ndarray:
