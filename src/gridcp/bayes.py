@@ -278,9 +278,12 @@ def _expectations_of_inverse_posterior(cp: CredalPrior) -> np.ndarray:
     """
     lik = cp.likelihood_table
     marg = lower_marginal(cp)
+    # Two (n_theta, n_y) tables in all, each computed and summed in place.
     with np.errstate(divide="ignore", invalid="ignore"):
-        post = lik * cp.upper_density[:, None] / marg
-        terms = lik * cp.dy / post
+        post = lik * cp.upper_density[:, None]
+        post /= marg
+        terms = lik * cp.dy
+        terms /= post
     reachable = lik != 0.0
     undefined = reachable & (marg <= 0.0)
     infinite = reachable & ~undefined & (post <= 0.0)
@@ -291,7 +294,8 @@ def _expectations_of_inverse_posterior(cp: CredalPrior) -> np.ndarray:
             "lower-envelope marginal likelihood vanishes on reachable "
             "data; the inverse-posterior expectation is undefined"
         )
-    out = np.cumsum(np.where(reachable & ~stops, terms, 0.0), axis=1)[:, -1]
+    terms[~reachable | stops] = 0.0
+    out = np.cumsum(terms, axis=1, out=terms)[:, -1]
     out[stops.any(axis=1)] = math.inf
     return out
 

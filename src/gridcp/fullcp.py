@@ -41,7 +41,7 @@ __all__ = [
     "Transducer",
     "TieLevelError",
     "transducer",
-    "transducers",
+    "numerators_at",
     "levels",
     "next_level",
     "check_level",
@@ -172,16 +172,20 @@ def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     return t
 
 
-def transducers(points: np.ndarray, psi: ScoreFn, universe: Grid) -> list[Transducer]:
-    """`transducer` of each sample in a (T, n, d) stack of finite points,
-    from one call of the score kernel."""
+def numerators_at(points: np.ndarray, idxs, psi: ScoreFn, universe: Grid) -> np.ndarray:
+    """`transducer(Sample(points[t]), psi, universe).nums[idxs[t]]` for each
+    sample of a (T, n, d) stack of finite points, from one call of the score
+    kernel that computes only those T rows, with `transducer`'s checks."""
     count, n, d = points.shape
     if d != universe.dim:
         raise ValueError(f"dimension mismatch: sample d={d}, grid d={universe.dim}")
-    tables = psi.loo_tables(points, universe.points)
-    if tables.shape != (count, universe.size, n + 1):
+    tables = psi.loo_tables(points, universe.points, np.reshape(idxs, (count, 1)))
+    if tables.shape != (count, 1, n + 1):
         raise ValueError("score kernel returned a malformed table")
-    return [Transducer(universe=universe, nums=nums, n=n) for nums in _rank_counts(tables)]
+    nums = _rank_counts(tables[:, 0])
+    if n < 1 or not ((1 <= nums) & (nums <= n + 1)).all():
+        raise ValueError("numerators must lie in 1..n+1, with n >= 1")
+    return nums
 
 
 def superlevel_region(t: Transducer, alpha: float) -> Region:

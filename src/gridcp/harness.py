@@ -12,30 +12,22 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import bayes, catlaws
-from .fullcp import check_level, kappa, levels, superlevel_region, transducer, transducers
+from .config import EXPERIMENTS, ExperimentConfig, _SCENARIOS, _extra
+from .fullcp import check_level, kappa, levels, numerators_at, transducer
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
-    _BRUTE_LIMIT,
     PossibilityContour,
     check_functor_monotone,
     cred,
     ihdr_bruteforce,
     ihdr_contour,
 )
-from .scores import (
-    EmbeddingNet,
-    MeanAbsDistance,
-    PrototypeEmbedding,
-    ScoreFn,
-    _per_block,
-)
+from .scores import EmbeddingNet, MeanAbsDistance, PrototypeEmbedding, ScoreFn, _per_block
 
 __all__ = [
     "ExperimentConfig",
@@ -86,204 +78,6 @@ def wilson_lower_bound(hits: int, trials: int) -> float:
     return (center - half) / denom
 
 
-# How each coverage scenario draws `count` scalar observations.
-_SCENARIOS: dict[str, Callable[[np.random.Generator, int], np.ndarray]] = {
-    "iid_gaussian": lambda rng, count: rng.standard_normal(count),
-    "iid_uniform": lambda rng, count: rng.uniform(-3.0, 3.0, count),
-    # A latent center, drawn first, then iid around it: exchangeable, not iid.
-    "exchangeable_mixture": lambda rng, count: (
-        rng.standard_normal() * 2.0 + rng.standard_normal(count)
-    ),
-}
-# The score kinds a config may name: the scores that need no fitted model.
-_SCORE_KINDS = ("mean_abs_distance", "prototype_embedding")
-# The extras keys each experiment reads, with their defaults; no other key is
-# accepted. Without score_params, prototype_embedding embeds by the identity.
-_EXTRAS = {
-    "coverage": {"score_params": None},
-    "diagram": {"score_families": _SCORE_KINDS, "brute_trials": 100, "brute_grid_limit": 12},
-    "eposterior": {"theta_count": 101, "y_count": 101},
-}
-# The config keys that only coverage reads; another experiment refuses them.
-_COVERAGE_KEYS = ("alpha", "n", "grid", "score", "scenario")
-
-# The range of each integer extra. Below 4 parameter values the violating
-# eposterior family's upper envelope integrates below 1. The brute-checked
-# diagram grids have 6 to brute_grid_limit points, and above _BRUTE_LIMIT
-# points the subset-enumeration oracle refuses a grid.
-_COUNT_RANGES = {
-    "brute_trials": (0, math.inf),
-    "brute_grid_limit": (6, _BRUTE_LIMIT),
-    "theta_count": (4, math.inf),
-    "y_count": (1, math.inf),
-}
-# Most cells (80 MB of floats) of the table a config may ask for: coverage
-# scores an (n+1) x grid points table per trial, and eposterior builds a
-# theta_count x y_count likelihood table.
-_MAX_TABLE_CELLS = 10**7
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    seed: int = 0
-    trials: int = 100
-    alpha: float = 0.13
-    n: int = 20
-    grid_bounds: tuple[tuple[float, float], ...] = ((-6.0, 6.0),)
-    grid_counts: tuple[int, ...] = (201,)
-    score: str = "mean_abs_distance"
-    scenario: str = "iid_gaussian"
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # A tuple, not the dict: an unhashable name is unknown, not a TypeError.
-        names = tuple(EXPERIMENTS)
-        if self.experiment not in names:
-            raise ValueError(f"unknown experiment {self.experiment!r}; pick one of {names}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        # An extras key is read by one experiment only, so no check needs to
-        # know which experiment it is.
-        for key, value in _json_object(self.extras, _EXTRAS.get(self.experiment, {})).items():
-            least, most = _COUNT_RANGES.get(key, (None, None))
-            if least is not None and (type(value) is not int or not least <= value <= most):
-                raise ValueError(
-                    f"extras.{key} must be an integer in [{least}, {most}], got {value!r}"
-                )
-        families = self.extras.get("score_families", _SCORE_KINDS)
-        if not (
-            isinstance(families, (list, tuple))
-            and families
-            and all(f in _SCORE_KINDS for f in families)
-        ):
-            raise ValueError(
-                f"extras.score_families must be a nonempty list of {_SCORE_KINDS}, "
-                f"got {families!r}"
-            )
-        if self.experiment == "coverage":
-            check_level(self.alpha, self.n)
-            scenarios = tuple(_SCENARIOS)  # a tuple, as for names above
-            if self.scenario not in scenarios:
-                raise ValueError(
-                    f"unknown scenario {self.scenario!r}; pick one of {scenarios}"
-                )
-            if len(self.grid_bounds) != 1:
-                raise ValueError(
-                    f"{self.experiment} draws scalar observations; the grid must "
-                    f"be 1-D, got {len(self.grid_bounds)} bounds"
-                )
-            _check_cells((self.n + 1) * math.prod(self.grid_counts), "(n + 1) x grid points")
-            # Build the grid and score here, so that a bad one is a config
-            # error; run_coverage reuses both.
-            _ = self.universe, self.psi
-        if self.experiment == "eposterior":
-            cells = _extra(self, "theta_count") * _extra(self, "y_count")
-            _check_cells(cells, "extras.theta_count x extras.y_count")
-
-    @cached_property
-    def universe(self) -> Grid:
-        """The grid a coverage run scores, built once per config."""
-        return make_uniform_grid(self.grid_bounds, self.grid_counts)
-
-    @cached_property
-    def psi(self) -> ScoreFn:
-        """The score a coverage run ranks by, built once per config."""
-        return _score_for(self)
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> ExperimentConfig:
-        """Parse a JSON config object; a malformed one raises ValueError.
-
-        Only the keys present are converted: every default is the field's own.
-        """
-        _json_object(obj, ("experiment", *_CONVERT))
-        misplaced = [key for key in _COVERAGE_KEYS if key in obj]
-        if misplaced and obj.get("experiment") != "coverage":
-            raise ValueError(f"config key {misplaced[0]!r} is read by coverage only")
-        fields = _convert(obj, _CONVERT)
-        grid = _convert(fields.pop("grid", {}), _GRID_CONVERT, "grid.")
-        fields.update((f"grid_{key}", value) for key, value in grid.items())
-        return ExperimentConfig(experiment=obj["experiment"], **fields)
-
-
-def _check_cells(cells: int, what: str) -> None:
-    """Refuse a table of more than _MAX_TABLE_CELLS cells, before it is built."""
-    if cells > _MAX_TABLE_CELLS:
-        raise ValueError(f"{what} = {cells} cells exceeds the limit of {_MAX_TABLE_CELLS}")
-
-
-def _convert(obj: dict, converters: dict, prefix: str = "") -> dict:
-    """Each key of `obj` that has a converter, converted.
-
-    Any failure to convert is a ValueError that names the field.
-    """
-    out = {}
-    for key, convert in converters.items():
-        if key in obj:
-            try:
-                out[key] = convert(obj[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"config field {prefix}{key}: {exc}") from None
-    return out
-
-
-def _json_object(value, keys: Sequence[str] | None = None) -> dict:
-    """`value` if it is a JSON object with no key outside `keys` (when given)."""
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {json.dumps(value)}")
-    unknown = sorted(set(value) - set(keys)) if keys is not None else []
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}; allowed keys: {tuple(keys)}")
-    return value
-
-
-def _extra(cfg: ExperimentConfig, key: str):
-    """cfg.extras[key], or its default from _EXTRAS."""
-    return cfg.extras.get(key, _EXTRAS[cfg.experiment][key])
-
-
-def _score_kind(value) -> str:
-    """A score is given as its kind, or as an object {"kind": ...}."""
-    if isinstance(value, dict):
-        value = _json_object(value, ("kind",)).get("kind", "mean_abs_distance")
-    return value
-
-
-def _integer(value) -> int:
-    """A JSON integer; a bool is not one."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return value
-
-
-def _number(value) -> float:
-    """A JSON number (integer or float), as a float; a bool is not one."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
-    return float(value)
-
-
-# How each config key converts to the field of the same name. The grid object
-# holds "bounds" and "counts", which set grid_bounds and grid_counts.
-_GRID_CONVERT = {
-    "bounds": lambda bs: tuple(tuple(_number(v) for v in b) for b in bs),
-    "counts": lambda cs: tuple(_integer(c) for c in cs),
-}
-_CONVERT = {
-    "seed": _integer,
-    "trials": _integer,
-    "alpha": _number,
-    "n": _integer,
-    "grid": lambda g: _json_object(g, tuple(_GRID_CONVERT)),
-    "score": _score_kind,
-    "scenario": lambda s: s,
-    "extras": _json_object,
-}
-
-
 def _header(cfg: ExperimentConfig) -> dict:
     return {"experiment": cfg.experiment, "seed": cfg.seed, "rng": RNG_ALGORITHM}
 
@@ -315,36 +109,6 @@ def _map_trials(
 # ---------------------------------------------------------------------------
 
 
-def _score_for(cfg: ExperimentConfig) -> ScoreFn:
-    """The score cfg names, with extras.score_params {"weights", "biases"}
-    as the embedding layers of a prototype_embedding."""
-    if cfg.score not in _SCORE_KINDS:
-        raise ValueError(f"unknown score kind {cfg.score!r}; pick one of {_SCORE_KINDS}")
-    params = _extra(cfg, "score_params")
-    dim = len(cfg.grid_bounds)
-    if cfg.score == "mean_abs_distance":
-        if params is not None:
-            raise ValueError("extras.score_params: mean_abs_distance takes no parameters")
-        return MeanAbsDistance()
-    if params is None:
-        return PrototypeEmbedding(EmbeddingNet.identity(dim))
-    try:
-        params = _json_object(params, ("weights", "biases"))
-        nested = [params["weights"], params["biases"]]
-        while nested:  # numpy would read a JSON bool as 0.0 or 1.0
-            value = nested.pop()
-            if isinstance(value, bool):
-                raise TypeError("weights and biases must be JSON numbers, not booleans")
-            if isinstance(value, list):
-                nested.extend(value)
-        net = EmbeddingNet.from_weights(params["weights"], params["biases"])
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"extras.score_params: {exc!r}") from None
-    if net.in_dim != dim:
-        raise ValueError(f"extras.score_params takes {net.in_dim}-D points; the grid is {dim}-D")
-    return PrototypeEmbedding(net)
-
-
 def run_coverage(cfg: ExperimentConfig) -> dict:
     """Monte-Carlo check of the marginal coverage guarantee.
 
@@ -354,9 +118,10 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     """
     universe, psi, draw, n = cfg.universe, cfg.psi, _SCENARIOS[cfg.scenario], cfg.n
     check_level(cfg.alpha, n)
-    # Trials are drawn into a chunk of one kernel block's worth of samples;
-    # the chunk's last trial snaps and scores them all with one kernel call.
-    chunk = _per_block(universe.size * n)
+    # Trials are drawn into a chunk of one kernel block's worth of partial-sum
+    # terms, n x (n + 1) per sample; the chunk's last trial snaps them and
+    # scores each sample at its test point only, with one kernel call.
+    chunk = _per_block(n * (n + 1))
     draws = np.empty((chunk, n + 1))
 
     def one_trial(rng: np.random.Generator, t: int) -> dict:
@@ -365,11 +130,9 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
         if k < chunk - 1 and t < cfg.trials - 1:
             return {}
         idxs = universe.nearest_indices(draws[: k + 1].reshape(-1, 1)).reshape(k + 1, n + 1)
-        regions = [
-            superlevel_region(tr, cfg.alpha)
-            for tr in transducers(universe.points[idxs[:, :n]], psi, universe)
-        ]
-        return {"hits": sum(i in r for i, r in zip(idxs[:, n].tolist(), regions))}
+        nums = numerators_at(universe.points[idxs[:, :n]], idxs[:, n], psi, universe)
+        # a hit is membership in superlevel_region: pi > alpha on stored doubles
+        return {"hits": int(np.count_nonzero(nums / (n + 1) > cfg.alpha))}
 
     hits = _map_trials(one_trial, cfg)["hits"]
     coverage, target = hits / cfg.trials, 1.0 - cfg.alpha
@@ -578,9 +341,14 @@ def _eposterior_families(theta_count: int, y_count: int):
     y_grid = bayes.midpoint_grid(0.0, 1.0, y_count)
     thetas = theta_grid.points[:, :1]
     ys = y_grid.points[:, 0]
-    w = np.exp(-0.5 * ((ys - thetas) / 0.15) ** 2)
-    # Each row exactly proper under the grid quadrature.
-    lik = w / (w.sum(axis=1, keepdims=True) * y_grid.spacing[0])
+    # exp(-0.5 * ((ys - thetas) / 0.15)^2), each row exactly proper under the
+    # grid quadrature, computed in one table.
+    lik = np.subtract(ys, thetas)
+    lik /= 0.15
+    np.multiply(lik, lik, out=lik)
+    lik *= -0.5
+    np.exp(lik, out=lik)
+    lik /= lik.sum(axis=1, keepdims=True) * y_grid.spacing[0]
 
     conforming = bayes.CredalPrior(
         theta_grid=theta_grid,
@@ -694,15 +462,15 @@ def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
     return {**_header(cfg), "trials": cfg.trials, **counts, "pass": ok}
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], dict]] = {
-    "coverage": run_coverage,
-    "diagram": run_diagram,
-    "bayes_triangle": run_bayes_triangle,
-    "monad_laws": run_monad_laws,
-    "category_axioms": run_category_axioms,
-    "eposterior": run_eposterior,
-    "ihdr_oracle": run_ihdr_oracle,
-}
+EXPERIMENTS.update(
+    coverage=run_coverage,
+    diagram=run_diagram,
+    bayes_triangle=run_bayes_triangle,
+    monad_laws=run_monad_laws,
+    category_axioms=run_category_axioms,
+    eposterior=run_eposterior,
+    ihdr_oracle=run_ihdr_oracle,
+)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -82,7 +82,7 @@ def _partial_sums(points: np.ndarray) -> np.ndarray:
 def _held_out_diff(sums, cand, train, n: int) -> np.ndarray:
     """(sums + candidate) / n - train of one coordinate, in one contiguous
     (samples, candidates, n) temporary."""
-    diff = np.add(sums[:, None], cand[None, :, None])
+    diff = np.add(sums[:, None], cand[:, :, None])
     np.divide(diff, n, out=diff)
     return np.subtract(diff, train[:, None], out=diff)
 
@@ -104,9 +104,19 @@ def _per_block(cells: int) -> int:
     return max(1, _BLOCK_CELLS // max(cells, 1))
 
 
-def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable = np.asarray):
+def _check_rows(rows, T: int) -> np.ndarray:
+    """`rows` as the (T, k) integer array that picks each sample's rows."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or len(rows) != T or rows.dtype.kind not in "iu":
+        raise ValueError(f"rows must be a ({T}, k) integer array, got {rows.dtype} {rows.shape}")
+    return rows
+
+
+def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable = np.asarray,
+               rows=None):
     """Leave-one-out tables of a score finish(|prototype - embedding|^2), one
-    per sample of a (T, n, d) stack: a (T, G, n+1) array.
+    per sample of a (T, n, d) stack: a (T, G, n+1) array, or with `rows`, a
+    (T, k) index array, the (T, k, n+1) stack of rows rows[t] of table t.
 
     The prototype is the mean embedding of the other n points: for column
     i < n, the training points without i plus the candidate; for column n,
@@ -117,23 +127,28 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
 
     Each sample's points are embedded in a call of their own and the
     candidates in one call, because a network's output rows can depend on
-    how many rows one call maps.
+    how many rows one call maps; `rows` then picks embedded candidates, so
+    each cell is the full table's cell, bit for bit.
     """
     T, n, d = points.shape
     train = np.array([embed(p) for p in points])  # (T, n, m)
     cand = embed(np.asarray(candidates, dtype=float).reshape(-1, d))  # (G, m)
-    G, m = cand.shape
+    # coordinate-major candidates: (m, 1, G), shared by every sample, or each
+    # sample's own, (m, T, k)
+    cand_k = cand.T[:, None] if rows is None else cand[_check_rows(rows, T)].transpose(2, 0, 1)
+    m, _, K = cand_k.shape
     sums = _partial_sums(train)
-    out = np.empty((T, G, n + 1))
+    out = np.empty((T, K, n + 1))
     # columns 0..n-1: held-out training point i against the other n points,
     # one block of whole samples, or of one sample's candidates, at a time,
     # and in a block one coordinate's contiguous plane at a time
-    train_k, sums_k, cand_k = train.transpose(2, 0, 1), sums.transpose(2, 0, 1), cand.T
-    samples, step = _per_block(G * n), _per_block(n)
+    train_k, sums_k = train.transpose(2, 0, 1), sums.transpose(2, 0, 1)
+    samples, step = _per_block(K * n), _per_block(n)
     for t in range(0, T, samples):
-        for lo in range(0, G, step):
+        for lo in range(0, K, step):
             ts, cs = slice(t, t + samples), slice(lo, lo + step)
-            planes = (_held_out_diff(sums_k[k, ts], cand_k[k, cs], train_k[k, ts], n) for k in range(m))
+            own = slice(None) if rows is None else ts
+            planes = (_held_out_diff(sums_k[k, ts], cand_k[k, own, cs], train_k[k, ts], n) for k in range(m))
             out[ts, cs, :n] = _sum_of_squares(planes, finish)
     # column n: the candidate against the training sample
     means = _fsum_mean(train)
@@ -155,8 +170,10 @@ class ScoreFn:
         """
         return self.loo_tables(y_n.points[None], candidates)[0]
 
-    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """`loo_matrix` of each sample in a (T, n, d) stack, as a (T, G, n+1) array."""
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray, rows=None) -> np.ndarray:
+        """`loo_matrix` of each sample in a (T, n, d) stack, as a (T, G, n+1)
+        array; with `rows`, a (T, k) integer array, only rows rows[t] of
+        table t, as a (T, k, n+1) array."""
         raise NotImplementedError
 
 
@@ -166,8 +183,8 @@ class MeanAbsDistance(ScoreFn):
 
     kind: str = "mean_abs_distance"
 
-    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        return _loo_table(points, candidates, np.sqrt)
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray, rows=None) -> np.ndarray:
+        return _loo_table(points, candidates, np.sqrt, rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +242,8 @@ class PrototypeEmbedding(ScoreFn):
     net: EmbeddingNet
     kind: str = "prototype_embedding"
 
-    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        return _loo_table(points, candidates, np.negative, self.net.apply)
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray, rows=None) -> np.ndarray:
+        return _loo_table(points, candidates, np.negative, self.net.apply, rows)
 
 
 @dataclass(frozen=True)
@@ -251,14 +268,26 @@ class NegPredictiveDensity(ScoreFn):
     def density(self, y):
         return gaussian_pdf(y, self.mean, self.sd)
 
-    def loo_tables(self, points: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    def loo_tables(self, points: np.ndarray, candidates: np.ndarray, rows=None) -> np.ndarray:
         cand = np.asarray(candidates, dtype=float)
         T, n, d = points.shape
         if d != 1 or cand.shape[1:] not in ((), (1,)):
             raise ValueError(f"{self.kind} scores 1-D points; got a {d}-D sample and "
                              f"candidate points of shape {cand.shape[1:]}")
-        cand = cand.reshape(-1)
-        out = np.empty((T, cand.shape[0], n + 1))
+        scores = -self.density(cand.reshape(-1))
+        scores = scores[None] if rows is None else scores[_check_rows(rows, T)]  # (1 or T, K)
+        out = np.empty((T, scores.shape[1], n + 1))
         out[:, :, :n] = -self.density(points[:, None, :, 0])  # constant across candidates
-        out[:, :, n] = -self.density(cand)
+        out[:, :, n] = scores
         return out
+
+
+def _score_bound(psi: ScoreFn, points: np.ndarray) -> float:
+    """m * (4 max|e|)^2, e the m-wide embedding of `points` under a mean
+    distance or prototype score: finite when no score of a sample and
+    candidate drawn from `points` can overflow, each being at most
+    m * (2 max|e|)^2 in size."""
+    embed = psi.net.apply if isinstance(psi, PrototypeEmbedding) else np.asarray
+    with np.errstate(all="ignore"):
+        e = np.abs(embed(points))
+        return float(e.shape[1] * (4.0 * e.max()) ** 2)

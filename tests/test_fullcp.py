@@ -22,9 +22,9 @@ from gridcp.fullcp import (
     kappa,
     levels,
     next_level,
+    numerators_at,
     superlevel_region,
     transducer,
-    transducers,
 )
 from gridcp import scores as scores_module
 from gridcp.grid import Grid, Sample, make_uniform_grid
@@ -120,40 +120,69 @@ _STACK_GRIDS = {
 }
 
 
-class TestStackedTransducers:
-    """One kernel call over a stack of samples gives each sample's own table
-    and counts, bit for bit, wherever the blocks fall."""
+class Malformed(MeanAbsDistance):
+    """A score whose kernel drops the candidate column."""
+
+    def loo_tables(self, points, candidates, rows=None):
+        return super().loo_tables(points, candidates, rows)[:, :, :-1]
+
+
+class Unranked(MeanAbsDistance):
+    """A score whose candidate scores are NaN, so no score ranks at or above
+    the candidate's: every numerator is 0."""
+
+    def loo_tables(self, points, candidates, rows=None):
+        out = super().loo_tables(points, candidates, rows)
+        out[..., -1] = np.nan
+        return out
+
+
+class TestNumeratorsAt:
+    """One kernel call over a stack of samples gives each sample's numerator
+    at its own test point, bit for bit the single-sample transducer's,
+    wherever the blocks fall."""
 
     @pytest.mark.parametrize("cells", [1, 37, 1 << 20], ids=["cells1", "cells37", "large"])
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("score", ["mean_abs_distance", "prototype_embedding"])
-    def test_each_slice_is_the_single_sample_transducer(self, monkeypatch, score, d, n, cells):
+    def test_each_numerator_is_the_single_sample_transducers(self, monkeypatch, score, d, n, cells):
         grid = _STACK_GRIDS[d]
         psi = MeanAbsDistance() if score == "mean_abs_distance" else PrototypeEmbedding(
             _two_layer_net(d)
         )
-        points = grid.points[np.random.default_rng(n).integers(0, grid.size, (5, n))]
+        rng = np.random.default_rng(n)
+        points = grid.points[rng.integers(0, grid.size, (5, n))]
+        tests = rng.integers(0, grid.size, 5)
         if score == "prototype_embedding" and n == 1:
             # The net maps 5 rows in one call to other bits than 5 one-row
-            # calls, so embedding the stack at once would fail this test.
+            # calls, so embedding the stack, or the 5 test points, at once
+            # would fail this test.
             net = psi.net
             whole = net.apply(points.reshape(-1, d))
             assert not np.array_equal(whole, np.concatenate([net.apply(p) for p in points]))
         monkeypatch.setattr(scores_module, "_BLOCK_CELLS", cells)
         tables = psi.loo_tables(points, grid.points)
-        stacked = transducers(points, psi, grid)
-        assert tables.shape == (5, grid.size, n + 1) and len(stacked) == 5
+        nums = numerators_at(points, tests, psi, grid)
+        assert tables.shape == (5, grid.size, n + 1) and nums.shape == (5,)
         for t, points_t in enumerate(points):
             y_n = Sample(points_t)
             assert tables[t].tobytes() == psi.loo_matrix(y_n, grid.points).tobytes()
-            single = transducer(y_n, psi, grid)
-            assert stacked[t].nums.tobytes() == single.nums.tobytes()
-            assert stacked[t].n == n and stacked[t].universe is grid
+            assert nums[t] == transducer(y_n, psi, grid).nums[tests[t]]
 
     def test_refuses_a_stack_of_another_dimension(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            transducers(np.zeros((2, 3, 2)), MeanAbsDistance(), _STACK_GRIDS[1])
+            numerators_at(np.zeros((2, 3, 2)), [0, 1], MeanAbsDistance(), _STACK_GRIDS[1])
+
+    @pytest.mark.parametrize(
+        "psi, match", [(Malformed(), "malformed"), (Unranked(), "must lie in 1..n")]
+    )
+    def test_refuses_what_transducer_refuses(self, psi, match):
+        grid = _STACK_GRIDS[1]
+        with pytest.raises(ValueError, match=match):
+            transducer(Sample(grid.points[[0, 3]]), psi, grid)
+        with pytest.raises(ValueError, match=match):
+            numerators_at(grid.points[[[0, 3], [1, 1]]], [2, 5], psi, grid)
 
 
 # Two grids per dimension, and the scores of that dimension (the predictive
@@ -214,10 +243,6 @@ class TestTransducerMemo:
         assert y_n._memo is None and kernel_calls == []
 
     def test_a_malformed_table_leaves_no_entry(self):
-        class Malformed(MeanAbsDistance):
-            def loo_tables(self, points, candidates):
-                return super().loo_tables(points, candidates)[:, :, :-1]
-
         y_n = Sample.of([0.0, 1.0])
         with pytest.raises(ValueError, match="malformed"):
             transducer(y_n, Malformed(), example_grid())

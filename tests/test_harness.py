@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcp import bayes, cli, harness
+from gridcp import bayes, cli, config, harness
 from gridcp import scores as scores_module
 from gridcp.fullcp import TieLevelError, check_level, kappa, transducer
 from gridcp.grid import Sample, make_uniform_grid
@@ -28,6 +29,7 @@ from gridcp.harness import (
 )
 from gridcp.imprecise import cred
 from gridcp.scores import MeanAbsDistance, PrototypeEmbedding
+from test_fullcp import Malformed, Unranked
 
 
 class TestWilson:
@@ -242,13 +244,13 @@ class TestCoverage:
 
     def test_grid_and_score_are_built_once(self, monkeypatch):
         built = []
-        build = harness.make_uniform_grid
+        build = config.make_uniform_grid
 
         def counting(bounds, counts):
             built.append(counts)
             return build(bounds, counts)
 
-        monkeypatch.setattr(harness, "make_uniform_grid", counting)
+        monkeypatch.setattr(config, "make_uniform_grid", counting)
         cfg = ExperimentConfig(experiment="coverage", trials=5, n=4, grid_counts=(41,))
         assert run_coverage(cfg)["trials"] == 5
         assert built == [(41,)]
@@ -325,9 +327,28 @@ class TestCoverageChunks:
     def test_partial_last_chunk(self, monkeypatch, chunk):
         # 10 trials in chunks of 3 or 4 leave a short last chunk.
         cfg = ExperimentConfig(experiment="coverage", seed=8, trials=10, n=6, grid_counts=(31,))
-        monkeypatch.setattr(scores_module, "_BLOCK_CELLS", chunk * 31 * 6)
-        assert scores_module._per_block(31 * 6) == chunk
+        monkeypatch.setattr(scores_module, "_BLOCK_CELLS", chunk * 6 * 7)
+        assert scores_module._per_block(6 * 7) == chunk
         assert run_coverage(cfg)["hits"] == _coverage_hits_by_trial(cfg)
+
+    def test_acceptance_shape_scores_one_row_per_trial(self, kernel_calls):
+        # One kernel call per chunk, each scoring its samples at their test
+        # points only: no (T, G, n+1) table of a chunk is built.
+        cfg = ExperimentConfig(experiment="coverage", seed=0, trials=2000, n=20, grid_counts=(201,))
+        run_coverage(cfg)
+        chunk = scores_module._per_block(20 * 21)
+        assert 1 < chunk < 2000
+        assert len(kernel_calls) == math.ceil(2000 / chunk)
+        assert kernel_calls.shapes == [(min(chunk, 2000 - lo), 1, 21) for lo in range(0, 2000, chunk)]
+
+    @pytest.mark.parametrize(
+        "psi, match", [(Malformed(), "malformed"), (Unranked(), "must lie in 1..n")]
+    )
+    def test_refuses_what_transducer_refuses(self, monkeypatch, psi, match):
+        monkeypatch.setattr(config, "_score_for", lambda cfg: psi)
+        cfg = ExperimentConfig(experiment="coverage", trials=5, n=4, grid_counts=(41,))
+        with pytest.raises(ValueError, match=match):
+            run_coverage(cfg)
 
     def test_acceptance_shape_stays_in_small_chunks(self):
         # All 2,000 trials of the acceptance shape stacked at once would take
@@ -703,6 +724,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "cfg, named",
+        [
+            (
+                {"trials": 5, "score": "prototype_embedding",
+                 "extras": {"score_params": {"weights": [[[1e308]]], "biases": [[0.0]]}}},
+                "extras.score_params",
+            ),
+            ({"trials": 50, "grid": {"bounds": [[-1e200, 1e200]], "counts": [201]}}, "grid"),
+            (
+                {"trials": 50, "grid": {"bounds": [[-1e200, 1e200]], "counts": [201]},
+                 "score": "prototype_embedding",
+                 "extras": {"score_params": {"weights": [[[1e200]]], "biases": [[0.0]]}}},
+                "extras.score_params",
+            ),
+        ],
+        ids=["embedding_overflows", "squares_overflow", "embedded_squares_overflow"],
+    )
+    def test_overflowing_scores_exit_two(self, tmp_path, capsys, cfg, named):
+        # Unrefused, the first dies in fsum with a traceback, and the others
+        # score every point inf, so every trial hits and the run passes.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli.main(["coverage", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid") and named in err
+
+    def test_scores_just_inside_the_bound_run(self, tmp_path):
+        # m * (4 * 1e150)^2 = 1.6e301 is finite; every score is too.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"bounds": [[-1e150, 1e150]], "counts": [201]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["coverage", "--config", str(cfg_path), "--trials", "20"]) == 0
 
     @pytest.mark.parametrize("theta_count", [1, 2, 3, 4])
     def test_eposterior_needs_four_parameter_values(self, tmp_path, capsys, theta_count):

@@ -323,6 +323,84 @@ def test_wide_embedding_adds_coordinates_in_order():
     assert table.tobytes() == _one_shot_table(points, candidates, in_order, net.apply).tobytes()
 
 
+_ROWS_GRIDS = {
+    1: make_uniform_grid([(-2.0, 2.0)], [7]),
+    2: make_uniform_grid([(-2.0, 2.0), (-1.0, 1.0)], [3, 4]),
+}
+
+
+@st.composite
+def rows_cases(draw):
+    """(score, stack of samples, grid, rows, _BLOCK_CELLS or None) over every
+    shipped score, d = 1 and 2, and block sizes at the edges of the blocks
+    of the row-picking call."""
+    kind = draw(st.sampled_from(["mean_abs", "identity", "two_layer", "neg_density"]))
+    d = 1 if kind == "neg_density" else draw(st.sampled_from([1, 2]))
+    grid, n = _ROWS_GRIDS[d], draw(st.integers(1, 5))
+    T, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = {
+        "mean_abs": lambda: MeanAbsDistance(),
+        "identity": lambda: PrototypeEmbedding(EmbeddingNet.identity(d)),
+        "two_layer": lambda: PrototypeEmbedding(EmbeddingNet.from_weights(
+            [rng.standard_normal((4, d)), rng.standard_normal((3, 4))],
+            [rng.standard_normal(4), rng.standard_normal(3)],
+        )),
+        "neg_density": lambda: NegPredictiveDensity(mean=0.3, sd=1.2),
+    }[kind]()
+    points = grid.points[rng.integers(0, grid.size, (T, n))]
+    # a small grid, so rows repeat within a sample and across samples
+    rows = np.array(draw(st.lists(
+        st.lists(st.integers(0, grid.size - 1), min_size=k, max_size=k), min_size=T, max_size=T
+    )))
+    cells = draw(st.sampled_from([None, 1, n, k * n - 1, k * n, k * n + 1, 2 * k * n, T * k * n]))
+    return psi, points, grid, rows, cells
+
+
+class TestRowsArePickedFromTheFullTable:
+    """`loo_tables` with `rows` gives rows rows[t] of table t, bit for bit."""
+
+    @given(rows_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_full_tables(self, case):
+        psi, points, grid, rows, cells = case
+        with pytest.MonkeyPatch.context() as mp:
+            if cells is not None:
+                mp.setattr(scores_module, "_BLOCK_CELLS", max(cells, 1))
+            picked = psi.loo_tables(points, grid.points, rows)
+            full = psi.loo_tables(points, grid.points)
+        T, n, _ = points.shape
+        assert picked.shape == (T, rows.shape[1], n + 1)
+        for t in range(T):
+            assert picked[t].tobytes() == full[t, rows[t]].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_row_is_not_embedded_alone(self, d):
+        # A net maps one row alone to other bits than the same row among
+        # others, so the kernel must pick rows after embedding every
+        # candidate, never embed the picked ones.
+        grid, rng = _ROWS_GRIDS[d], np.random.default_rng(3)
+        net = EmbeddingNet.from_weights(
+            [rng.standard_normal((8, d)), rng.standard_normal((3, 8))],
+            [rng.standard_normal(8), rng.standard_normal(3)],
+        )
+        alone = [net.apply(grid.points[i : i + 1])[0] for i in range(grid.size)]
+        assert not np.array_equal(np.array(alone), net.apply(grid.points))
+        points, psi = grid.points[[[1]]], PrototypeEmbedding(net)
+        full = psi.loo_tables(points, grid.points)
+        for i in range(grid.size):
+            picked = psi.loo_tables(points, grid.points, [[i]])
+            assert picked.tobytes() == full[:, [i]].tobytes(), i
+
+    @pytest.mark.parametrize(
+        "rows", [[[0]], [[0], [1], [2]], [0, 1], [[0.0], [1.0]]], ids=["few", "many", "1d", "float"]
+    )
+    @pytest.mark.parametrize("psi", [MeanAbsDistance(), NegPredictiveDensity(mean=0.0, sd=1.0)])
+    def test_refuses_rows_of_another_shape(self, psi, rows):
+        with pytest.raises(ValueError, match=r"rows must be a \(2, k\) integer array"):
+            psi.loo_tables(np.zeros((2, 3, 1)), _ROWS_GRIDS[1].points, np.array(rows))
+
+
 class TestKernelMemory:
     @pytest.mark.parametrize("kind", ["mean_abs", "prototype"])
     def test_peak_stays_near_the_table(self, kind):
