@@ -58,6 +58,9 @@ _COUNT_RANGES = {
     "theta_count": (4, math.inf),
     "y_count": (1, math.inf),
 }
+# Streams of each diagram score family: family f draws trial t from stream
+# f * _FAMILY_STREAMS + t, so more trials would reuse the next family's.
+_FAMILY_STREAMS = 1_000_003
 # Most cells (80 MB of floats) of the table a config may ask for: a coverage
 # trial's full table is (n+1) x grid points, and eposterior builds a
 # theta_count x y_count likelihood table.
@@ -86,6 +89,11 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.experiment == "diagram" and self.trials > _FAMILY_STREAMS:
+            raise ValueError(
+                f"trials must be at most {_FAMILY_STREAMS} for diagram, whose score "
+                f"families draw from disjoint streams; got {self.trials}"
+            )
         # An extras key is read by one experiment only, so no check needs to
         # know which experiment it is.
         for key, value in _json_object(self.extras, _EXTRAS.get(self.experiment, {})).items():

@@ -1,9 +1,11 @@
 """Experiment orchestration: coverage, diagram, triangle, and law campaigns.
 
-Every experiment is driven by an `ExperimentConfig`, draws each trial from
-its own generator (philox4x64 keyed by SeedSequence(seed, trial_index)), and
-produces a plain dict report that `emit` writes deterministically: the same
-seed yields byte-identical files.
+Every experiment is driven by an `ExperimentConfig` and produces a plain dict
+report that `emit` writes deterministically: the same seed yields
+byte-identical files. Trial stream i of a run is philox4x64 with counter 0
+and key SeedSequence((seed, i)).generate_state(2, uint64). The keys are
+derived in bulk and one generator is reset to each in turn, which gives the
+streams of a fresh Generator(Philox(SeedSequence((seed, i)))), bit for bit.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ import csv
 import io
 import json
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import bayes, catlaws
-from .config import EXPERIMENTS, ExperimentConfig, _SCENARIOS, _extra
+from .config import EXPERIMENTS, ExperimentConfig, _FAMILY_STREAMS, _SCENARIOS, _extra
 from .fullcp import check_level, kappa, levels, numerators_at, transducer
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
@@ -50,10 +52,6 @@ RNG_ALGORITHM = "philox4x64 keyed by SeedSequence(seed, trial_index)"
 Z_99 = 2.3263478740408408
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
-
-
 def _sample_alpha(rng: np.random.Generator, avoid: Sequence[float]) -> float:
     """Uniform level in (0.02, 0.98), redrawn while it equals an avoided value.
 
@@ -82,20 +80,74 @@ def _header(cfg: ExperimentConfig) -> dict:
     return {"experiment": cfg.experiment, "seed": cfg.seed, "rng": RNG_ALGORITHM}
 
 
+_MASK32 = 0xFFFFFFFF
+# Trials keyed at once: bounds the keys' memory, whatever cfg.trials is.
+_STREAM_CHUNK = 256
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a nonnegative int, low first."""
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(v: np.ndarray, k: int, init: int = 0x43B0D7E5, mult: int = 0x931E8875):
+    """Row j of v through numpy's SeedSequence hashmix, as its call k + j."""
+    c = [init * pow(mult, j, 1 << 32) & _MASK32 for j in range(k, k + len(v) + 1)]
+    c = np.array(c, np.uint32)[:, None]
+    v = (v ^ c[:-1]) * c[1:]
+    return v ^ (v >> 16)
+
+
+def _philox_keys(seed: int, lo: int, count: int) -> np.ndarray:
+    """Row i - lo is SeedSequence((seed, i)).generate_state(2, np.uint64),
+    for i in lo..lo + count - 1, which lie in one block of 2**32 and so
+    differ only in their lowest word. numpy's hash constants do not depend
+    on the data, so each step on its 4-word pool runs on the whole chunk at
+    once."""
+    words = _words(seed) + _words(lo)
+    entropy = np.array(words + [0] * (4 - len(words)), np.uint32)[:, None].repeat(count, 1)
+    entropy[len(_words(seed))] += np.arange(count, dtype=np.uint32)
+    entropy[:4] = _hashmix(entropy[:4], 0)  # the pool; then each word mixes into it
+    k = 4
+    for src in range(len(entropy)):
+        dst = [d for d in range(4) if d != src]
+        mixed = entropy[dst] * 0xCA01F9DD
+        mixed -= _hashmix(entropy[[src] * len(dst)], k) * 0x4973F715
+        entropy[dst] = mixed ^ (mixed >> 16)
+        k += len(dst)
+    state = _hashmix(entropy[:4], 0, 0x8B51F9DD, 0x58F38DED).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
+
+
+def _trial_streams(seed: int, start: int, count: int) -> Iterator[np.random.Generator]:
+    """One Generator, reset for each trial start..start+count-1 to a fresh
+    Philox's state (counter 0, empty buffers) keyed by `_philox_keys`."""
+    rng = np.random.Generator(bitgen := np.random.Philox(0))
+    state = bitgen.state
+    lo, end = start, start + count
+    while lo < end:
+        hi = min(lo + _STREAM_CHUNK, end, (lo | _MASK32) + 1)
+        for state["state"]["key"] in _philox_keys(seed, lo, hi - lo):
+            bitgen.state = state
+            yield rng
+        lo = hi
+
+
 def _map_trials(
     one_trial: Callable[[np.random.Generator, int], dict], cfg: ExperimentConfig, stream: int = 0
 ) -> dict:
     """The one trial loop: run cfg.trials trials and total what they return.
 
-    Trial t calls one_trial(rng, t), with rng keyed by (cfg.seed, stream + t).
-    A trial returns counts (a bool counts 0 or 1) and optionally the
-    "witness" of a failed check. The result sums each count under its key
-    and gathers the witnesses as "counterexamples".
+    Trial t calls one_trial(rng, t), with rng the stream of (cfg.seed,
+    stream + t): one Generator reset for every trial, so a trial must use rng
+    within the call and not keep it. A trial returns counts (a bool counts 0
+    or 1) and optionally the "witness" of a failed check. The result sums
+    each count under its key and gathers the witnesses as "counterexamples".
     """
     totals: dict = {}
     counterexamples = []
-    for t in range(cfg.trials):
-        outcome = one_trial(_trial_rng(cfg.seed, stream + t), t)
+    for t, rng in enumerate(_trial_streams(cfg.seed, stream, cfg.trials)):
+        outcome = one_trial(rng, t)
         witness = outcome.pop("witness", None)
         if witness:
             counterexamples.append(witness)
@@ -233,7 +285,7 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
                 },
             }
 
-        counts = _map_trials(one_trial, cfg, stream=fam_idx * 1_000_003)
+        counts = _map_trials(one_trial, cfg, stream=fam_idx * _FAMILY_STREAMS)
         results.append({"score_family": family, "trials": cfg.trials, **counts})
     all_pass = all(
         r["equal"] == r["trials"] and r["brute_equal"] == r["brute_checked"]

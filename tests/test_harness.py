@@ -1,6 +1,7 @@
 """Experiment orchestration: determinism, coverage behavior, CLI contract."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,24 @@ class TestScoreConfig:
             ExperimentConfig.from_json_obj(self.config(score, extras))
 
 
+def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The oracle for a trial's stream: a fresh generator keyed by
+    SeedSequence((seed, trial))."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial))))
+
+
+def _draws(rng: np.random.Generator) -> list:
+    return [
+        rng.integers(0, 10, 3, dtype=np.uint32).tolist(),
+        rng.uniform(-1.0, 1.0, 2).tolist(),
+        rng.standard_normal(3).tolist(),
+    ]
+
+
+# Indices and seeds next to where an int's uint32 words change in number.
+_WORD_EDGES = [0, 2**32, 2**64]
+
+
 class TestMapTrials:
     def test_streams_sums_and_witnesses(self):
         cfg = ExperimentConfig(experiment="ihdr_oracle", seed=3, trials=4)
@@ -160,7 +180,7 @@ class TestMapTrials:
             }
 
         out = harness._map_trials(one_trial, cfg, stream=10)
-        draws = [int(harness._trial_rng(3, 10 + t).integers(1 << 62)) for t in range(4)]
+        draws = [int(_trial_rng(3, 10 + t).integers(1 << 62)) for t in range(4)]
         assert out == {
             "odd": 2,
             "t": 6,
@@ -168,6 +188,47 @@ class TestMapTrials:
             "counterexamples": [{"t": 2}, {"t": 3}],
         }
         assert type(out["odd"]) is int
+
+    @pytest.mark.parametrize("stream", [7, 2**32 - 3])
+    def test_no_state_leaks_between_trials(self, monkeypatch, stream):
+        # Each trial leaves a half-used uint32 word and a partly read Philox
+        # buffer behind; the next trial's draws are still a fresh stream's.
+        # Chunks of 2 and the 2**32 block edge make keys come from several calls.
+        monkeypatch.setattr(harness, "_STREAM_CHUNK", 2)
+        cfg = ExperimentConfig(experiment="ihdr_oracle", seed=11, trials=7)
+
+        def one_trial(rng, t):
+            assert _draws(rng) == _draws(_trial_rng(11, stream + t))
+            while not (state := rng.bit_generator.state)["has_uint32"] or state["buffer_pos"] == 4:
+                rng.integers(2**32, dtype=np.uint32)
+            return {"checked": 1}
+
+        assert harness._map_trials(one_trial, cfg, stream=stream)["checked"] == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130 - 1) | st.sampled_from(_WORD_EDGES).map(lambda e: max(e - 1, 0)),
+        edge=st.sampled_from(_WORD_EDGES),
+        offset=st.integers(-40, 40),
+        count=st.integers(1, 80),
+    )
+    def test_keys_are_seed_sequence_keys(self, seed, edge, offset, count):
+        start = max(edge + offset, 0)
+        for i, rng in enumerate(harness._trial_streams(seed, start, count), start):
+            key = np.random.SeedSequence((seed, i)).generate_state(2, np.uint64)
+            assert rng.bit_generator.state["state"]["key"].tolist() == key.tolist()
+
+    def test_memory_does_not_grow_with_trials(self):
+        start = 2**32 - 5
+        tracemalloc.start()
+        try:
+            streams = harness._trial_streams(5, start, 2**40)
+            for i, rng in enumerate(itertools.islice(streams, 10_000), start):
+                assert rng.integers(1 << 62) == _trial_rng(5, i).integers(1 << 62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
 
 
 class TestSampleAlpha:
@@ -281,7 +342,7 @@ def _coverage_hits_by_trial(cfg: ExperimentConfig) -> int:
     universe, psi, draw = cfg.universe, cfg.psi, harness._SCENARIOS[cfg.scenario]
     hits = 0
     for t in range(cfg.trials):
-        raw = draw(harness._trial_rng(cfg.seed, t), cfg.n + 1)
+        raw = draw(_trial_rng(cfg.seed, t), cfg.n + 1)
         idxs = [universe.nearest_index(v) for v in raw]
         y_n = Sample(universe.points[idxs[: cfg.n]])
         hits += idxs[cfg.n] in kappa(cfg.alpha, y_n, psi, universe)
@@ -788,6 +849,14 @@ class TestCli:
         cfg_path.write_text("[1, 2]")
         assert cli.main(["coverage", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_diagram_trials_past_the_family_streams_exit_two(self, capsys):
+        # Family f draws trial t from stream f * 1_000_003 + t: one trial more
+        # and family 0 would check family 1's first instance again.
+        assert ExperimentConfig(experiment="diagram", trials=1_000_003).trials == 1_000_003
+        assert cli.main(["diagram", "--trials", "1000004"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trials") and "1000003" in err
 
     def test_missing_config_file_exit_two(self):
         assert cli.main(["coverage", "--config", "/nonexistent.json"]) == 2
