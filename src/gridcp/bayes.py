@@ -33,12 +33,12 @@ quadratures on the supplied grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fullcp import check_level, kappa, transducer
-from .grid import Grid, Region, Sample
+from .grid import Grid, Region, Sample, _check_interval
 from .imprecise import cred, ihdr_contour
 from .scores import NegPredictiveDensity, gaussian_pdf
 
@@ -184,9 +184,10 @@ def midpoint_grid(lo: float, hi: float, count: int) -> Grid:
     if lo >= hi:
         raise ValueError("need lo < hi")
     lo, hi = float(lo), float(hi)
+    _check_interval(lo, hi)
     width = (hi - lo) / count
     axis = tuple(lo + (i + 0.5) * width for i in range(count))
-    return Grid(axes=(axis,), bounds=((lo, hi),), spacing=(width,))
+    return Grid(axes=(axis,), spacing=(width,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +197,8 @@ class CredalPrior:
     parameter theta_i. The y-grid supplies the data-side quadrature.
 
     The envelopes and the table are stored as read-only float arrays; an
-    array passed in is frozen in place.
+    array passed in is frozen in place. `lower_integral` is the lower
+    envelope's integral, fsum(lower) * dtheta.
     """
 
     theta_grid: Grid
@@ -204,6 +206,7 @@ class CredalPrior:
     lower_density: np.ndarray
     upper_density: np.ndarray
     likelihood_table: np.ndarray
+    lower_integral: float = field(init=False)
 
     def __post_init__(self):
         nt = self.theta_grid.size
@@ -236,6 +239,7 @@ class CredalPrior:
         for name, arr in fields.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "lower_integral", low_int)
 
     @property
     def dtheta(self) -> float:
@@ -318,7 +322,6 @@ def check_eposterior(cp: CredalPrior) -> tuple[bool, float]:
         raise ValueError(
             f"likelihood row {i} is not a proper density (sum*dy={row_sums[i]})"
         )
-    low_int = math.fsum(cp.lower_density.tolist()) * cp.dtheta
-    condition = bool((low_int <= cp.upper_density).all())
+    condition = bool((cp.lower_integral <= cp.upper_density).all())
     expectations = _expectations_of_inverse_posterior(cp)
     return condition, float(np.max(expectations))

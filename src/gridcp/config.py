@@ -61,9 +61,9 @@ _COUNT_RANGES = {
 # Streams of each diagram score family: family f draws trial t from stream
 # f * _FAMILY_STREAMS + t, so more trials would reuse the next family's.
 _FAMILY_STREAMS = 1_000_003
-# Most cells (80 MB of floats) of the table a config may ask for: a coverage
-# trial's full table is (n+1) x grid points, and eposterior builds a
-# theta_count x y_count likelihood table.
+# Size limit on configs, in cells: (n+1) x grid points for coverage, and
+# theta_count x y_count for eposterior, whose likelihood table of that many
+# floats is 80 MB.
 _MAX_TABLE_CELLS = 10**7
 
 

@@ -14,11 +14,10 @@ which always counts the candidate itself, so pi takes values in
 super-level set {c : pi(c) > alpha}.
 
 Plausibility values are stored as integer numerators over n+1 so that
-membership of confidence levels in the attainable value set, and the
-next-attainable-level function, are exact. Region membership comparisons
-happen on the derived doubles, with no epsilon: the indicator structure is
-discontinuous by design and fuzzing it would silently change the
-transducer.
+membership of confidence levels in the attainable value set is exact.
+Region membership comparisons happen on the derived doubles, with no
+epsilon: the indicator structure is discontinuous by design and fuzzing it
+would silently change the transducer.
 
 Confidence levels that sit exactly on an attainable value are refused by
 `check_level`, the ranking route's one refusal (the contour route,
@@ -43,7 +42,6 @@ __all__ = [
     "transducer",
     "numerators_at",
     "levels",
-    "next_level",
     "check_level",
     "kappa",
     "superlevel_region",
@@ -72,17 +70,10 @@ def levels(n: int) -> tuple[float, ...]:
 
 
 def _near(alpha: float, n: int) -> list[float]:
-    """Levels k/(n+1), k next to alpha*(n+1): any equal to alpha and the next above."""
+    """Levels k/(n+1), k next to alpha*(n+1): any that equals alpha is among them."""
     m = _denominator(n)
     k = math.floor(alpha * m) if math.isfinite(alpha * m) else 0
     return [j / m for j in range(max(k - 1, 0), min(k + 2, m) + 1)]
-
-
-def next_level(alpha: float, n: int) -> float:
-    """The smallest attainable level strictly above alpha."""
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return next(lv for lv in _near(alpha, n) if lv > alpha)
 
 
 def check_level(alpha: float, n: int) -> None:
@@ -136,15 +127,25 @@ class Transducer:
     def is_consonant(self) -> bool:
         return self.max_num == self.n + 1
 
-    def to_csv(self) -> str:
-        """Columns: grid_index, one coordinate column per dimension, k, pi_value."""
-        return self.universe.csv_table(k=self.nums.tolist(), pi_value=self.values.tolist())
 
+def _ranks(score_tables, d: int, universe: Grid, shape: tuple[int, ...]) -> np.ndarray:
+    """#{i : T_i >= T_{n+1}} per row of the leave-one-out tables that
+    `score_tables()` returns: the plausibility numerators.
 
-def _rank_counts(tables: np.ndarray) -> np.ndarray:
-    """#{i : T_i >= T_{n+1}} per row of a leave-one-out table, or of a stack
-    of them: the plausibility numerators."""
-    return np.sum(tables >= tables[..., -1:], axis=-1)
+    Checks the sample dimension d against the grid's before the kernel runs,
+    then that the tables have `shape`, whose last axis is n + 1, and that
+    every numerator lies in 1..n+1. A count of n + 1 comparisons is at most
+    n + 1, so only the lower end is compared: a NaN candidate score counts 0.
+    """
+    if d != universe.dim:
+        raise ValueError(f"dimension mismatch: sample d={d}, grid d={universe.dim}")
+    tables = score_tables()
+    if tables.shape != shape:
+        raise ValueError("score kernel returned a malformed table")
+    nums = np.sum(tables >= tables[..., -1:], axis=-1)
+    if shape[-1] < 2 or nums.min(initial=1) < 1:
+        raise ValueError("numerators must lie in 1..n+1, with n >= 1")
+    return nums
 
 
 def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
@@ -159,15 +160,11 @@ def transducer(y_n: Sample, psi: ScoreFn, universe: Grid) -> Transducer:
     memo = y_n._memo
     if memo is not None and memo[0] is psi and memo[1].universe is universe:
         return memo[1]
-    if y_n.dim != universe.dim:
-        raise ValueError(
-            f"dimension mismatch: sample d={y_n.dim}, grid d={universe.dim}"
-        )
-    T = psi.loo_matrix(y_n, universe.points)
     n = y_n.n
-    if T.shape != (universe.size, n + 1):
-        raise ValueError("score kernel returned a malformed table")
-    t = Transducer(universe=universe, nums=_rank_counts(T), n=n)
+    nums = _ranks(
+        lambda: psi.loo_matrix(y_n, universe.points), y_n.dim, universe, (universe.size, n + 1)
+    )
+    t = Transducer(universe=universe, nums=nums, n=n)
     object.__setattr__(y_n, "_memo", (psi, t))
     return t
 
@@ -177,15 +174,10 @@ def numerators_at(points: np.ndarray, idxs, psi: ScoreFn, universe: Grid) -> np.
     sample of a (T, n, d) stack of finite points, from one call of the score
     kernel that computes only those T rows, with `transducer`'s checks."""
     count, n, d = points.shape
-    if d != universe.dim:
-        raise ValueError(f"dimension mismatch: sample d={d}, grid d={universe.dim}")
-    tables = psi.loo_tables(points, universe.points, np.reshape(idxs, (count, 1)))
-    if tables.shape != (count, 1, n + 1):
-        raise ValueError("score kernel returned a malformed table")
-    nums = _rank_counts(tables[:, 0])
-    if n < 1 or not ((1 <= nums) & (nums <= n + 1)).all():
-        raise ValueError("numerators must lie in 1..n+1, with n >= 1")
-    return nums
+    rows = np.reshape(idxs, (count, 1))
+    return _ranks(
+        lambda: psi.loo_tables(points, universe.points, rows), d, universe, (count, 1, n + 1)
+    )[:, 0]
 
 
 def superlevel_region(t: Transducer, alpha: float) -> Region:

@@ -1,11 +1,10 @@
 """Finite discretized state spaces and subsets of them.
 
-The state space is an axis-aligned box in R^d discretized to a finite,
-lexicographically ordered product grid, defined by its per-dimension
-coordinates. Every set-level computation in the package (prediction regions,
-level sets, credal dominance checks) happens on subsets of such a grid,
-represented as bitsets keyed to the grid order so that equality and hashing
-are canonical.
+The state space is a finite, lexicographically ordered product grid in
+R^d, defined by its per-dimension coordinates. Every set-level computation
+in the package (prediction regions, level sets, credal dominance checks)
+happens on subsets of such a grid, represented as bitsets keyed to the grid
+order so that equality and hashing are canonical.
 
 All types here are immutable after construction and safe to share across
 threads. The one exception, a `Sample`'s memo of its last transducer, is
@@ -14,8 +13,6 @@ replaced by a single assignment of one tuple.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,12 +27,6 @@ __all__ = [
     "UniverseMismatchError",
     "make_uniform_grid",
 ]
-
-# Tolerance for the bounds-containment invariant. Comparisons that feed
-# indicator functions elsewhere are exact on stored doubles; this constant is
-# used only to validate grid construction.
-_BOUNDS_TOL = 1e-12
-
 
 class UniverseMismatchError(ValueError):
     """Raised when set operations mix regions over different grids."""
@@ -56,10 +47,9 @@ def _as_point(p) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Grid:
-    """A finite, lexicographically ordered product grid in a box of R^d.
+    """A finite, lexicographically ordered product grid in R^d.
 
-    axes    -- per-dimension coordinates: strictly increasing float tuples
-    bounds  -- per-dimension closed interval (lo, hi) holding that axis
+    axes    -- per-dimension coordinates: strictly increasing, finite floats
     spacing -- per-dimension distance between adjacent points (0.0 for a
                single-point dimension); the quadrature in `bayes` reads it
 
@@ -68,21 +58,19 @@ class Grid:
     """
 
     axes: tuple[tuple[float, ...], ...]
-    bounds: tuple[tuple[float, float], ...]
     spacing: tuple[float, ...]
 
     def __post_init__(self):
-        if not 0 < len(self.axes) == len(self.bounds) == len(self.spacing):
-            raise ValueError("axes, bounds and spacing need one entry per dimension, at least one")
-        for k, (axis, (lo, hi), h) in enumerate(zip(self.axes, self.bounds, self.spacing)):
-            _check_interval(lo, hi)
+        if not 0 < len(self.axes) == len(self.spacing):
+            raise ValueError("axes and spacing need one entry per dimension, at least one")
+        for k, (axis, h) in enumerate(zip(self.axes, self.spacing)):
             if not axis:
                 raise ValueError("grid must contain at least one point")
             if any(not a < b for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"axis {k} is not strictly increasing")
-            tol = _BOUNDS_TOL * max(abs(lo), abs(hi), 1.0)
-            if not (lo - tol <= axis[0] and axis[-1] <= hi + tol):
-                raise ValueError(f"axis {k} has points outside bounds ({lo}, {hi})")
+            # Strictly increasing, so finite ends bound every point.
+            if not (math.isfinite(axis[0]) and math.isfinite(axis[-1])):
+                raise ValueError(f"axis {k} has a non-finite point")
             if not (math.isfinite(h) and h >= 0.0 and (h > 0.0 or len(axis) == 1)):
                 raise ValueError(f"spacing {h} must be finite, and positive between points")
 
@@ -159,16 +147,6 @@ class Grid:
         mask[idx] = True
         return Region.from_mask(self, mask)
 
-    def csv_table(self, **columns: Sequence) -> str:
-        """CSV with one row per grid point: grid_index, one coordinate column
-        per dimension (x0, x1, ...), then the given columns in order."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["grid_index", *[f"x{k}" for k in range(self.dim)], *columns])
-        for i, (point, *values) in enumerate(zip(self.points.tolist(), *columns.values())):
-            w.writerow([i, *point, *values])
-        return buf.getvalue()
-
 
 def make_uniform_grid(
     bounds: Sequence[tuple[float, float]], counts: Sequence[int]
@@ -189,7 +167,7 @@ def make_uniform_grid(
             raise ValueError(f"count must be >= 1, got {m}")
         axes.append(tuple(np.linspace(lo, hi, m).tolist()) if m > 1 else (lo,))
         spacing.append((hi - lo) / (m - 1) if m > 1 else 0.0)
-    return Grid(axes=tuple(axes), bounds=bounds, spacing=tuple(spacing))
+    return Grid(axes=tuple(axes), spacing=tuple(spacing))
 
 
 @dataclass(frozen=True)

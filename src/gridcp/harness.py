@@ -433,7 +433,6 @@ def run_eposterior(cfg: ExperimentConfig) -> dict:
     for name, cp in (("conforming", conforming), ("violating", violating)):
         condition, max_exp = bayes.check_eposterior(cp)
         e_ok = max_exp <= 1.0 + 1e-9
-        low_int = math.fsum(cp.lower_density.tolist()) * cp.dtheta
         records.append(
             {
                 "check": "eposterior",
@@ -448,7 +447,7 @@ def run_eposterior(cfg: ExperimentConfig) -> dict:
                 "agree": condition == e_ok,
                 "pass": condition == e_ok,
                 "witnesses": {
-                    "lower_envelope_integral": low_int,
+                    "lower_envelope_integral": cp.lower_integral,
                     "min_upper_density": float(cp.upper_density.min()),
                     "dip_index": dip if name == "violating" else None,
                 },

@@ -80,12 +80,6 @@ class PossibilityContour:
         exactly 1; a consonant transducer keeps its values bit for bit."""
         return PossibilityContour(t.universe, t.nums / t.max_num)
 
-    def to_csv(self) -> str:
-        """Transducer CSV schema, less `k`, plus a `normalized` flag column."""
-        return self.universe.csv_table(
-            pi_value=self.values.tolist(), normalized=[1] * self.universe.size
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ProbVector:

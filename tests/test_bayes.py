@@ -307,6 +307,7 @@ class TestUpperPosterior:
             likelihood_table=flat,
         )
         low_int = math.fsum(low) * cp.dtheta
+        assert cp.lower_integral == low_int
         np.testing.assert_allclose(
             upper_posterior(cp, 5), np.asarray(up) / low_int, rtol=1e-12
         )

@@ -1,8 +1,6 @@
 """The ranking transducer, attainable-level machinery, and regions."""
 
-import csv
 import gc
-import io
 import itertools
 import math
 import sys
@@ -21,7 +19,6 @@ from gridcp.fullcp import (
     check_level,
     kappa,
     levels,
-    next_level,
     numerators_at,
     superlevel_region,
     transducer,
@@ -34,7 +31,15 @@ from gridcp.scores import EmbeddingNet, MeanAbsDistance, NegPredictiveDensity, P
 
 def example_grid() -> Grid:
     """The worked four-point grid {0, 0.5, 1, 2}."""
-    return Grid(axes=((0.0, 0.5, 1.0, 2.0),), bounds=((0.0, 2.0),), spacing=(0.5,))
+    return Grid(axes=((0.0, 0.5, 1.0, 2.0),), spacing=(0.5,))
+
+
+def next_level(alpha: float, n: int) -> float:
+    """The smallest attainable level strictly above alpha, by a scan over
+    all n+2 levels: the oracle for kappa's strict/weak identity."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
+    return min(lv for lv in levels(n) if lv > alpha)
 
 
 class TestTransducer:
@@ -97,13 +102,6 @@ class TestTransducer:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             transducer(Sample.of([(0, 1)]), MeanAbsDistance(), example_grid())
-
-    def test_csv_serialization(self):
-        t = transducer(Sample.of([0, 1]), MeanAbsDistance(), example_grid())
-        rows = list(csv.reader(io.StringIO(t.to_csv())))
-        assert rows[0] == ["grid_index", "x0", "k", "pi_value"]
-        assert [r[2] for r in rows[1:]] == ["3", "3", "3", "2"]
-        assert float(rows[4][3]) == 2.0 / 3.0
 
 
 def _two_layer_net(d: int) -> EmbeddingNet:
@@ -311,16 +309,15 @@ class TestTieGrid:
             with pytest.raises(ValueError, match="outside"):
                 check_level(alpha, 3)
         for n in (0, -1, -3, 2**53, 10**400):
-            for refuse in (check_level, next_level):
-                with pytest.raises(ValueError, match="n must be"):
-                    refuse(0.1, n)
+            with pytest.raises(ValueError, match="n must be"):
+                check_level(0.1, n)
         for n in (0, -1, 2**53):
             with pytest.raises(ValueError, match="n must be"):
                 levels(n)
 
     def test_membership_agrees_with_the_level_tuple(self):
-        # check_level and next_level look only at the levels next to
-        # alpha*(n+1); they must agree with a scan over all n+2 levels.
+        # check_level looks only at the levels next to alpha*(n+1); it must
+        # agree with a scan over all n+2 levels.
         rng = np.random.default_rng(11)
         odd = [math.nan, math.inf, -math.inf, -0.0, -1e-300, 1.0 + 1e-16, 2.0, 5e-324, 1e308, -1e308]
         for n in range(1, 61):
@@ -334,8 +331,6 @@ class TestTieGrid:
                         check_level(alpha, n)
                 else:
                     check_level(alpha, n)
-                if 0.0 <= alpha < 1.0:
-                    assert next_level(alpha, n) == min(lv for lv in lvls if lv > alpha)
 
 
 class TestKappa:

