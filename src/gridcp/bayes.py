@@ -92,6 +92,9 @@ class PredictiveDensity:
 
     def __post_init__(self):
         object.__setattr__(self, "evaluated", np.asarray(self.evaluated, dtype=float))
+        if self.evaluated.shape != (self.universe.size,):
+            shape = self.evaluated.shape
+            raise ValueError(f"evaluated has shape {shape}, not one value per grid point")
         self.evaluated.flags.writeable = False
 
     def density(self, y):

@@ -1,15 +1,15 @@
 """Experiment configs: where a config is parsed and every bad one refused.
 
 `ExperimentConfig` holds the fields and `extras` an experiment reads.
-Building one checks them all, and for `coverage` also builds the grid and the
-score and refuses scores that could overflow, so a bad config raises
-ValueError before any trial runs; the CLI exits 2 on it. `EXPERIMENTS` maps
-each experiment's name to its runner, which `gridcp.harness` registers.
+Building one, from JSON or in Python, converts and checks them all by one
+table per kind, and for `coverage` also builds the grid and the score and
+refuses scores that could overflow, so a bad config raises ValueError before
+any trial runs; the CLI exits 2 on it. `EXPERIMENTS` maps each experiment's
+name to its runner, which `gridcp.harness` registers.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,26 +38,14 @@ _SCENARIOS: dict[str, Callable[[np.random.Generator, int], np.ndarray]] = {
 }
 # The score kinds a config may name: the scores that need no fitted model.
 _SCORE_KINDS = ("mean_abs_distance", "prototype_embedding")
-# The extras keys each experiment reads, with their defaults; no other key is
-# accepted. Without score_params, prototype_embedding embeds by the identity.
-_EXTRAS = {
-    "coverage": {"score_params": None},
-    "diagram": {"score_families": _SCORE_KINDS, "brute_trials": 100, "brute_grid_limit": 12},
-    "eposterior": {"theta_count": 101, "y_count": 101},
-}
 # The config keys that only coverage reads; another experiment refuses them.
 _COVERAGE_KEYS = ("alpha", "n", "grid", "score", "scenario")
+# The keys a JSON config may hold; "grid" holds "bounds" and "counts", which
+# set grid_bounds and grid_counts.
+_JSON_KEYS = ("experiment", "seed", "trials", "alpha", "n", "grid", "score", "scenario", "extras")
+# The fields whose JSON spelling differs from their name, for error messages.
+_JSON_NAMES = {"grid_bounds": "grid.bounds", "grid_counts": "grid.counts"}
 
-# The range of each integer extra. Below 4 parameter values the violating
-# eposterior family's upper envelope integrates below 1. The brute-checked
-# diagram grids have 6 to brute_grid_limit points, and above _BRUTE_LIMIT
-# points the subset-enumeration oracle refuses a grid.
-_COUNT_RANGES = {
-    "brute_trials": (0, math.inf),
-    "brute_grid_limit": (6, _BRUTE_LIMIT),
-    "theta_count": (4, math.inf),
-    "y_count": (1, math.inf),
-}
 # Streams of each diagram score family: family f draws trial t from stream
 # f * _FAMILY_STREAMS + t, so more trials would reuse the next family's.
 _FAMILY_STREAMS = 1_000_003
@@ -81,44 +69,26 @@ class ExperimentConfig:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # A tuple, not the dict: an unhashable name is unknown, not a TypeError.
-        names = tuple(EXPERIMENTS)
-        if self.experiment not in names:
-            raise ValueError(f"unknown experiment {self.experiment!r}; pick one of {names}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+        _pick(self.experiment, tuple(EXPERIMENTS), "experiment")
+        for name, convert in _CONVERT.items():
+            what = f"config field {_JSON_NAMES.get(name, name)}"
+            object.__setattr__(self, name, _checked(what, convert, getattr(self, name)))
+        # An extras key is read by one experiment only, so no check needs to
+        # know which experiment it is.
+        table = _EXTRAS.get(self.experiment, {})
+        given = _checked("config field extras", lambda e: _json_object(e, table), self.extras)
+        extras = {
+            key: _checked(f"extras.{key}", check, given.get(key, default))
+            for key, (default, check) in table.items()
+        }
+        object.__setattr__(self, "extras", extras)
         if self.experiment == "diagram" and self.trials > _FAMILY_STREAMS:
             raise ValueError(
                 f"trials must be at most {_FAMILY_STREAMS} for diagram, whose score "
                 f"families draw from disjoint streams; got {self.trials}"
             )
-        # An extras key is read by one experiment only, so no check needs to
-        # know which experiment it is.
-        for key, value in _json_object(self.extras, _EXTRAS.get(self.experiment, {})).items():
-            least, most = _COUNT_RANGES.get(key, (None, None))
-            if least is not None and (type(value) is not int or not least <= value <= most):
-                raise ValueError(
-                    f"extras.{key} must be an integer in [{least}, {most}], got {value!r}"
-                )
-        families = self.extras.get("score_families", _SCORE_KINDS)
-        if not (
-            isinstance(families, (list, tuple))
-            and families
-            and all(f in _SCORE_KINDS for f in families)
-        ):
-            raise ValueError(
-                f"extras.score_families must be a nonempty list of {_SCORE_KINDS}, "
-                f"got {families!r}"
-            )
         if self.experiment == "coverage":
             check_level(self.alpha, self.n)
-            scenarios = tuple(_SCENARIOS)  # a tuple, as for names above
-            if self.scenario not in scenarios:
-                raise ValueError(
-                    f"unknown scenario {self.scenario!r}; pick one of {scenarios}"
-                )
             if len(self.grid_bounds) != 1:
                 raise ValueError(
                     f"{self.experiment} draws scalar observations; the grid must "
@@ -128,10 +98,10 @@ class ExperimentConfig:
             # Build the grid and score here, so that a bad one, or one whose
             # scores could overflow, is a config error; run_coverage reuses both.
             if not math.isfinite(_score_bound(self.psi, self.universe.points)):
-                under = " under extras.score_params" if _extra(self, "score_params") else ""
+                under = " under extras.score_params" if extras["score_params"] else ""
                 raise ValueError(f"grid: scores of these points{under} could overflow")
         if self.experiment == "eposterior":
-            cells = _extra(self, "theta_count") * _extra(self, "y_count")
+            cells = extras["theta_count"] * extras["y_count"]
             _check_cells(cells, "extras.theta_count x extras.y_count")
 
     @cached_property
@@ -148,16 +118,18 @@ class ExperimentConfig:
     def from_json_obj(obj: dict) -> ExperimentConfig:
         """Parse a JSON config object; a malformed one raises ValueError.
 
-        Only the keys present are converted: every default is the field's own.
+        Only the JSON spelling is checked here: the keys, and the `grid`
+        object. The values go on as they are, to be checked when the config
+        is built, and every default is the field's own.
         """
-        _json_object(obj, ("experiment", *_CONVERT))
+        fields = dict(_json_object(obj, _JSON_KEYS))
         misplaced = [key for key in _COVERAGE_KEYS if key in obj]
         if misplaced and obj.get("experiment") != "coverage":
             raise ValueError(f"config key {misplaced[0]!r} is read by coverage only")
-        fields = _convert(obj, _CONVERT)
-        grid = _convert(fields.pop("grid", {}), _GRID_CONVERT, "grid.")
+        grid = fields.pop("grid", {})
+        grid = _checked("config field grid", lambda g: _json_object(g, ("bounds", "counts")), grid)
         fields.update((f"grid_{key}", value) for key, value in grid.items())
-        return ExperimentConfig(experiment=obj["experiment"], **fields)
+        return ExperimentConfig(experiment=fields.pop("experiment"), **fields)
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -166,81 +138,109 @@ def _check_cells(cells: int, what: str) -> None:
         raise ValueError(f"{what} = {cells} cells exceeds the limit of {_MAX_TABLE_CELLS}")
 
 
-def _convert(obj: dict, converters: dict, prefix: str = "") -> dict:
-    """Each key of `obj` that has a converter, converted.
-
-    Any failure to convert is a ValueError that names the field.
-    """
-    out = {}
-    for key, convert in converters.items():
-        if key in obj:
-            try:
-                out[key] = convert(obj[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"config field {prefix}{key}: {exc}") from None
-    return out
+def _checked(what: str, convert: Callable, value):
+    """convert(value); any failure to convert is a ValueError that names `what`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _json_object(value, keys: Sequence[str] | None = None) -> dict:
     """`value` if it is a JSON object with no key outside `keys` (when given)."""
     if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {json.dumps(value)}")
+        raise TypeError(f"expected a JSON object, got {value!r}")
     unknown = sorted(set(value) - set(keys)) if keys is not None else []
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r}; allowed keys: {tuple(keys)}")
     return value
 
 
-def _extra(cfg: ExperimentConfig, key: str):
-    """cfg.extras[key], or its default from _EXTRAS."""
-    return cfg.extras.get(key, _EXTRAS[cfg.experiment][key])
+def _pick(value, choices: tuple, what: str):
+    """`value` if it is one of `choices`: a tuple, not a dict, so that an
+    unhashable value is unknown, not a TypeError."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; pick one of {choices}")
+    return value
 
 
 def _score_kind(value) -> str:
     """A score is given as its kind, or as an object {"kind": ...}."""
     if isinstance(value, dict):
         value = _json_object(value, ("kind",)).get("kind", "mean_abs_distance")
-    return value
+    return _pick(value, _SCORE_KINDS, "score kind")
 
 
-def _integer(value) -> int:
-    """A JSON integer; a bool is not one."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+def _integer(value, least: int = 0, most: float = math.inf) -> int:
+    """A JSON integer in [least, most]; a bool is not one."""
+    if type(value) is not int or not least <= value <= most:
+        raise ValueError(f"expected an integer in [{least}, {most}], got {value!r}")
     return value
 
 
 def _number(value) -> float:
     """A JSON number (integer or float), as a float; a bool is not one."""
     if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {json.dumps(value)}")
+        raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 
 
-# How each config key converts to the field of the same name. The grid object
-# holds "bounds" and "counts", which set grid_bounds and grid_counts.
-_GRID_CONVERT = {
-    "bounds": lambda bs: tuple(tuple(_number(v) for v in b) for b in bs),
-    "counts": lambda cs: tuple(_integer(c) for c in cs),
-}
+def _score_families(families) -> list[str]:
+    """A nonempty list of score kinds."""
+    if isinstance(families, (list, tuple)) and families:
+        return [_pick(f, _SCORE_KINDS, "score kind") for f in families]
+    raise ValueError(f"must be a nonempty list of {_SCORE_KINDS}, got {families!r}")
+
+
+def _score_params(params):
+    """None, or an object of "weights" and "biases" that holds no JSON bool,
+    which numpy would read as 0.0 or 1.0; `_score_for` builds the layers."""
+    nested = [] if params is None else list(_json_object(params, ("weights", "biases")).values())
+    while nested:
+        value = nested.pop()
+        if isinstance(value, bool):
+            raise TypeError("weights and biases must be JSON numbers, not booleans")
+        if isinstance(value, (list, tuple)):
+            nested.extend(value)
+    return params
+
+
+# How each field converts what it was given; the JSON spelling of a field is
+# its name, except for the two in _JSON_NAMES.
 _CONVERT = {
     "seed": _integer,
-    "trials": _integer,
+    "trials": lambda v: _integer(v, 1),
     "alpha": _number,
     "n": _integer,
-    "grid": lambda g: _json_object(g, tuple(_GRID_CONVERT)),
+    "grid_bounds": lambda bs: tuple(tuple(_number(v) for v in b) for b in bs),
+    "grid_counts": lambda cs: tuple(_integer(c, 1) for c in cs),
     "score": _score_kind,
-    "scenario": lambda s: s,
-    "extras": _json_object,
+    "scenario": lambda s: _pick(s, tuple(_SCENARIOS), "scenario"),
+}
+# The extras keys each experiment reads, as (default, check) pairs; no other
+# key is accepted. Without score_params, prototype_embedding embeds by the
+# identity. The brute-checked diagram grids have 6 to brute_grid_limit points,
+# and above _BRUTE_LIMIT points the subset-enumeration oracle refuses a grid.
+# Below 4 parameter values the violating eposterior family's upper envelope
+# integrates below 1.
+_EXTRAS = {
+    "coverage": {"score_params": (None, _score_params)},
+    "diagram": {
+        "score_families": (_SCORE_KINDS, _score_families),
+        "brute_trials": (100, _integer),
+        "brute_grid_limit": (12, lambda v: _integer(v, 6, _BRUTE_LIMIT)),
+    },
+    "eposterior": {
+        "theta_count": (101, lambda v: _integer(v, 4)),
+        "y_count": (101, lambda v: _integer(v, 1)),
+    },
 }
 
 
 def _score_for(cfg: ExperimentConfig) -> ScoreFn:
     """The score cfg names, with extras.score_params {"weights", "biases"}
     as the embedding layers of a prototype_embedding."""
-    if cfg.score not in _SCORE_KINDS:
-        raise ValueError(f"unknown score kind {cfg.score!r}; pick one of {_SCORE_KINDS}")
-    params = _extra(cfg, "score_params")
+    params = cfg.extras["score_params"]
     dim = len(cfg.grid_bounds)
     if cfg.score == "mean_abs_distance":
         if params is not None:
@@ -249,14 +249,6 @@ def _score_for(cfg: ExperimentConfig) -> ScoreFn:
     if params is None:
         return PrototypeEmbedding(EmbeddingNet.identity(dim))
     try:
-        params = _json_object(params, ("weights", "biases"))
-        nested = [params["weights"], params["biases"]]
-        while nested:  # numpy would read a JSON bool as 0.0 or 1.0
-            value = nested.pop()
-            if isinstance(value, bool):
-                raise TypeError("weights and biases must be JSON numbers, not booleans")
-            if isinstance(value, list):
-                nested.extend(value)
         net = EmbeddingNet.from_weights(params["weights"], params["biases"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"extras.score_params: {exc!r}") from None

@@ -33,8 +33,9 @@ class UniverseMismatchError(ValueError):
 
 
 def _check_interval(lo: float, hi: float) -> None:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"non-finite interval ({lo}, {hi})")
+    # A non-finite end, or finite ends too far apart, gives a non-finite width.
+    if not math.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"interval ({lo}, {hi}) has a non-finite width")
     if lo > hi:
         raise ValueError(f"degenerate interval ({lo}, {hi})")
 

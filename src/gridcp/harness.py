@@ -11,6 +11,7 @@ streams of a fresh Generator(Philox(SeedSequence((seed, i)))), bit for bit.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,8 +20,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import bayes, catlaws
-from .config import EXPERIMENTS, ExperimentConfig, _FAMILY_STREAMS, _SCENARIOS, _extra
-from .fullcp import check_level, kappa, levels, numerators_at, transducer
+from .config import EXPERIMENTS, ExperimentConfig, _FAMILY_STREAMS, _SCENARIOS
+from .fullcp import kappa, levels, numerators_at, transducer
 from .grid import Grid, Sample, make_uniform_grid
 from .imprecise import (
     PossibilityContour,
@@ -169,7 +170,6 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     fixed componentwise map, so exchangeability survives.
     """
     universe, psi, draw, n = cfg.universe, cfg.psi, _SCENARIOS[cfg.scenario], cfg.n
-    check_level(cfg.alpha, n)
     # Trials are drawn into a chunk of one kernel block's worth of partial-sum
     # terms, n x (n + 1) per sample; the chunk's last trial snaps them and
     # scores each sample at its test point only, with one kernel call.
@@ -254,9 +254,9 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
     (ihdr_contour after cred), as exact bitsets; on grids small enough to
     enumerate, the brute-force intersection route is compared as well.
     """
-    families = _extra(cfg, "score_families")
-    brute_trials = _extra(cfg, "brute_trials")
-    brute_limit = _extra(cfg, "brute_grid_limit")
+    families = cfg.extras["score_families"]
+    brute_trials = cfg.extras["brute_trials"]
+    brute_limit = cfg.extras["brute_grid_limit"]
     results = []
     for fam_idx, family in enumerate(families):
 
@@ -414,20 +414,14 @@ def _eposterior_families(theta_count: int, y_count: int):
     up = np.full(theta_count, 1.2)
     low[dip] = 0.3
     up[dip] = 0.5
-    violating = bayes.CredalPrior(
-        theta_grid=theta_grid,
-        y_grid=y_grid,
-        lower_density=low,
-        upper_density=up,
-        likelihood_table=lik,
-    )
+    violating = dataclasses.replace(conforming, lower_density=low, upper_density=up)
     return conforming, violating, dip
 
 
 def run_eposterior(cfg: ExperimentConfig) -> dict:
     """Both directions of the betting-score equivalence, with witnesses."""
     conforming, violating, dip = _eposterior_families(
-        _extra(cfg, "theta_count"), _extra(cfg, "y_count")
+        cfg.extras["theta_count"], cfg.extras["y_count"]
     )
     records = []
     for name, cp in (("conforming", conforming), ("violating", violating)):

@@ -10,6 +10,7 @@ from gridcp.bayes import (
     ConjugateModel,
     CredalPrior,
     DensityTieError,
+    PredictiveDensity,
     bayes_triangle_detail,
     bcp,
     check_eposterior,
@@ -29,6 +30,14 @@ def small_grid(lo=-5.0, hi=5.0, count=101):
 
 
 class TestPosteriorPredictive:
+    def test_refuses_values_that_are_not_one_per_grid_point(self):
+        # Accepted, quant would fail later: a mask of shape (2,) on a 5-point grid.
+        universe = make_uniform_grid([(0, 1)], [5])
+        with pytest.raises(ValueError, match=r"evaluated has shape \(2,\)"):
+            PredictiveDensity(0.0, 1.0, universe, [1.0, 2.0], Sample.of([0.5]))
+        with pytest.raises(ValueError, match=r"evaluated has shape \(5, 1\)"):
+            PredictiveDensity(0.0, 1.0, universe, np.ones((5, 1)), Sample.of([0.5]))
+
     def test_flat_prior_limit(self):
         m = ConjugateModel(likelihood_sd=1.0, prior_mean=1.0, prior_sd=1e6)
         pd = posterior_predictive(m, Sample.of([0.0, 0.0, 0.0, 0.0]), small_grid())

@@ -7,6 +7,7 @@ posterior predictive's mean and sd. Each array form must match its loop byte
 for byte, or raise the same error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -138,14 +139,16 @@ def test_generated_priors_reach_every_branch():
 @pytest.mark.parametrize("theta_count", [1, 2, 7, 101, 150])
 @pytest.mark.parametrize("y_count", [1, 2, 7, 101, 150])
 def test_family_likelihood_table_matches_the_row_loop(monkeypatch, theta_count, y_count):
-    # Capture the families' constructor arguments: at theta counts 1 and 2
-    # the violating family's envelopes are inconsistent, and CredalPrior
-    # would refuse them before the table could be read.
-    monkeypatch.setattr(bayes, "CredalPrior", lambda **fields: fields)
+    # Capture the families' constructor arguments in a dataclass of the same
+    # fields that checks nothing: at theta counts 1 and 2 the violating
+    # family's envelopes are inconsistent, and CredalPrior would refuse them
+    # before the table could be read.
+    names = [f.name for f in dataclasses.fields(bayes.CredalPrior) if f.init]
+    monkeypatch.setattr(bayes, "CredalPrior", dataclasses.make_dataclass("Fields", names))
     conforming, violating, _dip = harness._eposterior_families(theta_count, y_count)
     expected = loop_likelihood_table(theta_count, y_count).tobytes()
-    assert conforming["likelihood_table"].tobytes() == expected
-    assert violating["likelihood_table"] is conforming["likelihood_table"]
+    assert conforming.likelihood_table.tobytes() == expected
+    assert violating.likelihood_table is conforming.likelihood_table
 
 
 def test_posterior_params_match_the_predictive():

@@ -1,6 +1,7 @@
 """Grid, region, and sample plumbing."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ class TestMakeUniformGrid:
             make_uniform_grid([(1, 0)], [3])
 
     @pytest.mark.parametrize(
-        "lo,hi", [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0)]
+        "lo,hi",
+        [(float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 0.0), (-1e308, 1e308)],
     )
     def test_rejects_non_finite_bounds(self, lo, hi):
         for m in (1, 3):
@@ -47,6 +49,14 @@ class TestMakeUniformGrid:
         for count in (1, 3):
             with pytest.raises(ValueError, match="non-finite"):
                 midpoint_grid(lo, hi, count)
+
+    def test_rejects_a_width_too_large_for_a_double(self):
+        # Both ends are finite but hi - lo overflows: linspace would warn and
+        # build an axis that is not strictly increasing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(-1e\+308, 1e\+308\) has a non-finite width"):
+                make_uniform_grid([(-1e308, 1e308)], [5])
 
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,53 @@ class TestConfig:
         assert cfg.grid_counts == (51,)
         assert cfg.scenario == "iid_uniform"
 
+    @pytest.mark.parametrize(
+        "experiment, field, value",
+        [
+            ("ihdr_oracle", "trials", 2.5),
+            ("ihdr_oracle", "seed", 1.5),
+            ("ihdr_oracle", "trials", True),
+            ("coverage", "n", 20.0),
+            ("ihdr_oracle", "seed", True),
+        ],
+    )
+    def test_python_built_field_of_the_wrong_type_is_refused(self, experiment, field, value):
+        # Unrefused, trials=2.5 dies mid-run in numpy, seed=1.5 in the stream
+        # keys, and trials=True writes "trials": true into a passing report.
+        with pytest.raises(ValueError, match=f"^config field {field}: "):
+            ExperimentConfig(experiment=experiment, **{field: value})
+
+    def test_fields_hold_their_converted_values(self):
+        # Every field is converted, also those the experiment does not read.
+        cfg = ExperimentConfig(
+            experiment="diagram",
+            alpha=1,
+            grid_bounds=[[-4, 4]],
+            grid_counts=[51],
+            score={"kind": "prototype_embedding"},
+        )
+        assert type(cfg.alpha) is float and cfg.alpha == 1.0
+        assert cfg.grid_bounds == ((-4.0, 4.0),) and cfg.grid_counts == (51,)
+        assert cfg.score == "prototype_embedding"
+
+    @pytest.mark.parametrize("experiment", list(harness.EXPERIMENTS))
+    def test_extras_hold_every_default(self, experiment):
+        defaults = {
+            "coverage": {"score_params": None},
+            "diagram": {
+                "score_families": ["mean_abs_distance", "prototype_embedding"],
+                "brute_trials": 100,
+                "brute_grid_limit": 12,
+            },
+            "eposterior": {"theta_count": 101, "y_count": 101},
+        }.get(experiment, {})
+        assert ExperimentConfig(experiment=experiment).extras == defaults
+        if defaults:
+            key = next(iter(defaults))
+            given = {key: defaults[key]}
+            assert ExperimentConfig(experiment=experiment, extras=given).extras == defaults
+            assert given == {key: defaults[key]}  # the caller's dict is not completed
+
     @pytest.mark.parametrize("experiment", list(harness.EXPERIMENTS))
     def test_json_defaults_are_the_field_defaults(self, experiment):
         parsed = ExperimentConfig.from_json_obj({"experiment": experiment})
@@ -813,6 +860,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: grid") and named in err
 
+    def test_grid_wider_than_a_double_exit_two(self, tmp_path, capsys):
+        # Unrefused, linspace overflows with two RuntimeWarnings and the grid
+        # dies on an axis that is not strictly increasing.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid": {"bounds": [[-1e308, 1e308]], "counts": [5]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["coverage", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: interval (-1e+308, 1e+308) has a non-finite width\n"
+
     def test_scores_just_inside_the_bound_run(self, tmp_path):
         # m * (4 * 1e150)^2 = 1.6e301 is finite; every score is too.
         cfg_path = tmp_path / "cfg.json"
@@ -894,12 +952,12 @@ _JSON = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=10,
 )
+_GRID_OBJECTS = st.fixed_dictionaries(
+    {}, optional={"bounds": _JSON | st.just([[-2, 2]]), "counts": _JSON | st.just([9])}
+)
 _CONFIG_VALUES = {
     "experiment": st.sampled_from(sorted(cli.EXPERIMENTS)) | _JSON,
-    "grid": st.fixed_dictionaries(
-        {}, optional={"bounds": _JSON | st.just([[-2, 2]]), "counts": _JSON | st.just([9])}
-    )
-    | _JSON,
+    "grid": _GRID_OBJECTS | _JSON,
     "score": st.sampled_from(["mean_abs_distance", "prototype_embedding"]).map(
         lambda kind: {"kind": kind}
     )
@@ -933,3 +991,53 @@ def test_any_json_object_parses_or_is_a_config_error(obj):
     except cli.CONFIG_ERRORS:
         return
     assert isinstance(cfg, ExperimentConfig)
+
+
+# Values in range, or of a near-miss type (a whole float or a bool for an
+# integer), so that many drawn configs build and many are refused by type.
+_NEAR_INTEGERS = st.integers(0, 30) | st.integers(0, 30).map(float) | st.booleans()
+_PLAUSIBLE_VALUES = {
+    "seed": _NEAR_INTEGERS,
+    "trials": _NEAR_INTEGERS,
+    "alpha": st.floats(0.01, 0.99) | st.booleans(),
+    "n": _NEAR_INTEGERS,
+    "scenario": st.sampled_from(["iid_gaussian", "iid_uniform", "exchangeable_mixture"]),
+    "extras": st.dictionaries(
+        st.sampled_from(["brute_trials", "brute_grid_limit", "theta_count", "y_count"]),
+        st.integers(0, 20),
+        max_size=2,
+    ),
+}
+
+
+@st.composite
+def _well_spelled_config_objects(draw):
+    """Config objects that pass from_json_obj's checks of the JSON spelling:
+    known keys, coverage-only keys for coverage only, and a `grid` object."""
+    experiment = draw(st.sampled_from(sorted(cli.EXPERIMENTS)))
+    keys = ["seed", "trials", "extras"]
+    if experiment == "coverage":
+        keys += ["alpha", "n", "score", "scenario"]
+    obj = {
+        k: draw(_PLAUSIBLE_VALUES.get(k, st.nothing()) | _CONFIG_VALUES.get(k, _JSON))
+        for k in draw(st.sets(st.sampled_from(keys)))
+    }
+    if experiment == "coverage" and draw(st.booleans()):
+        obj["grid"] = draw(_GRID_OBJECTS)
+    return {"experiment": experiment, **obj}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_well_spelled_config_objects())
+def test_a_config_built_in_python_is_checked_as_its_json_object(obj):
+    """The same values as keyword arguments build an equal config, or are
+    refused as a config error too: a config is checked however it is built."""
+    kwargs = {k: v for k, v in obj.items() if k != "grid"}
+    kwargs.update((f"grid_{k}", v) for k, v in obj.get("grid", {}).items())
+    try:
+        parsed = ExperimentConfig.from_json_obj(obj)
+    except cli.CONFIG_ERRORS:
+        with pytest.raises(cli.CONFIG_ERRORS):
+            ExperimentConfig(**kwargs)
+        return
+    assert ExperimentConfig(**kwargs) == parsed
