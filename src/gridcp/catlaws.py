@@ -7,21 +7,21 @@ last two axes. So composition is the boolean matrix product
 
     (psi . phi)[x, z] = any over y of phi[x, y] and psi[y, z],
 
-and the monoidal product is the Kronecker product. Leading matrix axes
-stack arrows with the same endpoints; `compose`, `tensor` and
-`vietoris_map` broadcast over them. So each law is written once, as a
-predicate on arrow stacks, and every campaign feeds it from one of two
-sources. A sweep (`_sweep`) checks every tuple of arrows: stack k goes on
-broadcast axis k, the first arrow varies slowest, and the outer arrows are
-built a block of at most `_CHUNK_PAIRS` tuples at a time. A draw (`_draw`)
-turns rows of random fiber codes into aligned stacks. The tensor trials
-draw their sizes too, so `_draw_tensor_trials` zero-pads each trial's
-arrows to the largest size, at the low indices so that each object's last
-element stays last, and stacks a chunk of trials. Each law's two sides
-still come from separate routes. Boolean products are float32 matrix
-products tested for non-zero (`_bool_matmul`): with 0/1 entries a sum of
-non-negative terms is positive exactly when one term is, whatever the order
-and rounding.
+and the monoidal product is the Kronecker product. Leading matrix axes stack
+arrows with the same endpoints; `compose`, `tensor` and `vietoris_map`
+broadcast over them. So each law is written once, as a predicate on arrow
+stacks, and every campaign feeds it from one of two sources. A sweep
+(`_sweep`) checks every tuple of arrows: stack k goes on broadcast axis k,
+the first arrow varies slowest, and the outer arrows are built a block of at
+most `_CHUNK_PAIRS` tuples at a time. A draw (`_draw`) turns rows of random
+fiber codes into aligned stacks. `_tally` totals the blocks of either and
+collects a witness of each failing tuple. The tensor trials draw their sizes
+too, so `_draw_tensor_trials` zero-pads each trial's arrows to the largest
+size, at the low indices so that each object's last element stays last, and
+stacks a chunk of trials. Each law's two sides still come from separate
+routes. Boolean products are float32 matrix products tested for non-zero
+(`_bool_matmul`): with 0/1 entries a sum of non-negative terms is positive
+exactly when one term is, whatever the order and rounding.
 
 On finite discrete instances, continuity and measurability are automatic, so
 the machine-checkable content is purely algebraic: identity and
@@ -334,13 +334,6 @@ def _bifunctoriality(phi1, psi1, phi2, psi2):
     return _differs(lhs, compose(tensor(phi1, phi2), tensor(psi1, psi2)))
 
 
-def _lift_composition(phi, psi, variant: str, t_psi: FiniteCorrespondence):
-    """T(psi . phi) = T(psi) . T(phi) for the lift `variant`, per broadcast
-    index. `t_psi` is T(psi), lifted once for every block of a sweep."""
-    lhs = vietoris_map(compose(phi, psi), variant)
-    return _differs(lhs, compose(vietoris_map(phi, variant), t_psi))
-
-
 def _sweep(law, source: int, target: int, *inner: FiniteCorrespondence, nonempty=False):
     """Check `law` on every tuple of an outer arrow source -> target (fibers
     nonempty if asked) and one arrow of each `inner` stack.
@@ -359,6 +352,19 @@ def _sweep(law, source: int, target: int, *inner: FiniteCorrespondence, nonempty
         outer = _all_correspondences(source, target, nonempty, every[lo : lo + step])
         arrows = [outer[(slice(None),) + (None,) * (depth - 1)], *inner]
         yield arrows, law(*arrows)
+
+
+def _composition_sweep(a: int, b: int, c: int, variant: str):
+    """`_sweep` of T(psi . phi) = T(psi) . T(phi) for the lift `variant` over
+    every nonempty-fiber phi: a -> b and psi: b -> c, each psi lifted once."""
+    psis = _all_correspondences(b, c, nonempty=True)
+    t_psi = vietoris_map(psis, variant)
+
+    def law(phi, psi):
+        lhs = vietoris_map(compose(phi, psi), variant)
+        return _differs(lhs, compose(vietoris_map(phi, variant), t_psi))
+
+    return _sweep(law, a, b, psis, nonempty=True)
 
 
 def _draw(rng: np.random.Generator, homs, count: int) -> list[FiniteCorrespondence]:
@@ -426,6 +432,16 @@ def _witness(law: str, *arrows: FiniteCorrespondence) -> dict:
     return {"law": law, "fibers": [list(a.fibers) for a in arrows]}
 
 
+def _tally(verdicts, witness) -> tuple[int, list]:
+    """The cases a campaign's (arrows, bad) blocks checked, and
+    witness(*tuple) of each tuple that failed, in the order of `_failures`."""
+    checked, found = 0, []
+    for arrows, bad in verdicts:
+        checked += bad.size
+        found.extend(witness(*failed) for failed in _failures(arrows, bad))
+    return checked, found
+
+
 def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
     """Verify associativity and both unit laws on a 4-object chain.
 
@@ -446,11 +462,9 @@ def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
     if units > 100_000:
         raise ValueError(f"{units} arrows X0 -> X1 are too many to sweep")
     rng = np.random.default_rng(seed)
-    counterexamples: list[dict] = []
-
-    for arrows, bad in _sweep(_unit_laws, *homs[0]):
-        for (phi,) in _failures(arrows, bad):
-            counterexamples.append({"law": "unit", "fibers": list(phi.fibers)})
+    _, unit_failures = _tally(
+        _sweep(_unit_laws, *homs[0]), lambda phi: {"law": "unit", "fibers": list(phi.fibers)}
+    )
 
     # Associativity on the full chain: every triple, or chunks of drawn ones.
     exhaustive = math.prod(_arrow_count(*h) for h in homs) <= 1_000_000
@@ -461,18 +475,14 @@ def check_category_axioms(sizes: Sequence[int], trials: int, seed: int) -> dict:
         chunks = range(0, trials, _CHUNK_PAIRS)
         draws = (_draw(rng, homs, min(_CHUNK_PAIRS, trials - lo)) for lo in chunks)
         verdicts = ((arrows, _associativity(*arrows)) for arrows in draws)
-    assoc_trials = 0
-    for arrows, bad in verdicts:
-        assoc_trials += bad.size
-        for triple in _failures(arrows, bad):
-            counterexamples.append(_witness("associativity", *triple))
+    assoc_trials, assoc_failures = _tally(verdicts, functools.partial(_witness, "associativity"))
 
     return {
         "law": "category_axioms",
         "instance_sizes": list(sizes),
         "exhaustive": exhaustive,
         "trials": {"unit": units, "associativity": assoc_trials},
-        "counterexamples": counterexamples,
+        "counterexamples": unit_failures + assoc_failures,
     }
 
 
@@ -489,15 +499,13 @@ def check_tensor_laws(max_size: int, trials: int, seed: int) -> dict:
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    counterexamples: list[dict] = []
 
     # Exhaustive core at 2-element objects: (phi1, psi1, phi2, psi2).
     twos = _all_correspondences(2, 2)
-    exhaustive_count = 0
-    for arrows, bad in _sweep(_bifunctoriality, 2, 2, twos, twos, twos):
-        exhaustive_count += bad.size
-        for quad in _failures(arrows, bad):
-            counterexamples.append(_witness("bifunctoriality", *quad))
+    exhaustive_count, counterexamples = _tally(
+        _sweep(_bifunctoriality, 2, 2, twos, twos, twos),
+        functools.partial(_witness, "bifunctoriality"),
+    )
 
     # Randomized campaign at sizes up to max_size, a chunk of trials at a
     # time, padded to max_size (`_draw_tensor_trials`). Zero padding commutes
@@ -553,24 +561,25 @@ def check_functor_laws(max_size: int = 3) -> dict:
     """
     if not 1 <= max_size <= 3:
         raise ValueError(f"max_size must be in 1..3, got {max_size}")
-    counterexamples: list[dict] = []
-    comp_checks = 0
-    for n in range(1, max_size + 1):
-        if vietoris_map(identity(n)) != identity(hyperspace(n)):
-            counterexamples.append({"law": "T(id)=id", "size": n})
-    for a, b, c in itertools.product(range(1, max_size + 1), repeat=3):
-        psis = _all_correspondences(b, c, nonempty=True)
-        law = functools.partial(_lift_composition, variant="singleton", t_psi=vietoris_map(psis))
-        for arrows, bad in _sweep(law, a, b, psis, nonempty=True):
-            comp_checks += bad.size
-            for pair in _failures(arrows, bad):
-                witness = _witness("T(psi.phi)=T(psi).T(phi)", *pair)
-                counterexamples.append({**witness, "sizes": [a, b, c]})
+    identity_failures = [
+        {"law": "T(id)=id", "size": n}
+        for n in range(1, max_size + 1)
+        if vietoris_map(identity(n)) != identity(hyperspace(n))
+    ]
+    sizes = itertools.product(range(1, max_size + 1), repeat=3)
+    sweeps = (_composition_sweep(a, b, c, "singleton") for a, b, c in sizes)
+    comp_checks, comp_failures = _tally(
+        itertools.chain.from_iterable(sweeps),
+        lambda phi, psi: {
+            **_witness("T(psi.phi)=T(psi).T(phi)", phi, psi),
+            "sizes": [phi.source, phi.target, psi.target],
+        },
+    )
     return {
         "law": "functor_laws",
         "instance_sizes": list(range(1, max_size + 1)),
         "trials": {"identity": max_size, "composition": comp_checks},
-        "counterexamples": counterexamples,
+        "counterexamples": identity_failures + comp_failures,
     }
 
 
@@ -657,13 +666,8 @@ def downset_divergence_report(base_size: int) -> dict:
     eta = vietoris_unit(base_size)
 
     # Composition law, exhaustive over nonempty-fiber arrows X -> X.
-    arrows = _all_correspondences(base_size, base_size, nonempty=True)
-    lifted = vietoris_map(arrows, variant="downset")
-    law = functools.partial(_lift_composition, variant="downset", t_psi=lifted)
-    comp_checks = comp_failures = 0
-    for _, bad in _sweep(law, base_size, base_size, arrows, nonempty=True):
-        comp_checks += bad.size
-        comp_failures += int(bad.sum())
+    sweep = _composition_sweep(base_size, base_size, base_size, "downset")
+    comp_checks, comp_failures = _tally(sweep, lambda *pair: None)  # counted only
 
     t_id = vietoris_map(identity(base_size), variant="downset")
     left_unit = compose(vietoris_map(eta, variant="downset"), mu)
@@ -673,7 +677,7 @@ def downset_divergence_report(base_size: int) -> dict:
         "law": "downset_variant",
         "instance_sizes": [base_size],
         "composition_checks": comp_checks,
-        "composition_failures": comp_failures,
+        "composition_failures": len(comp_failures),
         "identity_lift_divergences": int(_differs(t_id, id_k, axis=-1).sum()),
         "left_unit_divergences": int(_differs(left_unit, id_k, axis=-1).sum()),
         "right_unit_holds": right_unit == id_k,

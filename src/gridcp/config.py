@@ -107,7 +107,7 @@ class ExperimentConfig:
     @cached_property
     def universe(self) -> Grid:
         """The grid a coverage run scores, built once per config."""
-        return make_uniform_grid(self.grid_bounds, self.grid_counts)
+        return _checked("config field grid", make_uniform_grid, self.grid_bounds, self.grid_counts)
 
     @cached_property
     def psi(self) -> ScoreFn:
@@ -138,10 +138,10 @@ def _check_cells(cells: int, what: str) -> None:
         raise ValueError(f"{what} = {cells} cells exceeds the limit of {_MAX_TABLE_CELLS}")
 
 
-def _checked(what: str, convert: Callable, value):
-    """convert(value); any failure to convert is a ValueError that names `what`."""
+def _checked(what: str, convert: Callable, *values):
+    """convert(*values); any failure to convert is a ValueError that names `what`."""
     try:
-        return convert(value)
+        return convert(*values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what}: {exc}") from None
 

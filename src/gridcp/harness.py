@@ -270,7 +270,7 @@ def run_diagram(cfg: ExperimentConfig) -> dict:
             contour = cred(y_n, psi, universe)
             r_contour = ihdr_contour(alpha, contour)
             ok = r_kappa == r_contour
-            brute = t < brute_trials and universe.size <= brute_limit
+            brute = t < brute_trials
             return {
                 "equal": ok,
                 "brute_checked": brute,
@@ -346,44 +346,33 @@ def run_bayes_triangle(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _law_report(cfg: ExperimentConfig, **parts) -> dict:
+    """A law campaign's report of `parts`, each a catlaws report or a list of
+    them. It passes when no report holds a counterexample or a composition
+    failure."""
+    reports = [r for part in parts.values() for r in (part if isinstance(part, list) else [part])]
+    failed = any(r.get("counterexamples") or r.get("composition_failures") for r in reports)
+    return {**_header(cfg), **parts, "pass": not failed}
+
+
 def run_monad_laws(cfg: ExperimentConfig) -> dict:
     """Hyperspace monad and functor laws, plus the down-set variant's ledger."""
-    singleton = [catlaws.check_monad_laws(s) for s in (1, 2, 3, 4)]
-    functor = catlaws.check_functor_laws(3)
-    downset = [catlaws.downset_divergence_report(s) for s in (1, 2, 3)]
-    ok = (
-        all(not r["counterexamples"] for r in singleton)
-        and not functor["counterexamples"]
-        and all(r["composition_failures"] == 0 for r in downset)
+    return _law_report(
+        cfg,
+        singleton_variant=[catlaws.check_monad_laws(s) for s in (1, 2, 3, 4)],
+        functor_laws=catlaws.check_functor_laws(3),
+        downset_variant=[catlaws.downset_divergence_report(s) for s in (1, 2, 3)],
     )
-    return {
-        **_header(cfg),
-        "singleton_variant": singleton,
-        "functor_laws": functor,
-        "downset_variant": downset,
-        "pass": ok,
-    }
 
 
 def run_category_axioms(cfg: ExperimentConfig) -> dict:
     """Category axioms (exhaustive at size 2, randomized beyond) and tensor laws."""
-    exhaustive = catlaws.check_category_axioms([2, 2, 2, 2], trials=0, seed=cfg.seed)
-    randomized = catlaws.check_category_axioms(
-        [4, 4, 4, 4], trials=cfg.trials, seed=cfg.seed + 1
+    return _law_report(
+        cfg,
+        exhaustive=catlaws.check_category_axioms([2, 2, 2, 2], trials=0, seed=cfg.seed),
+        randomized=catlaws.check_category_axioms([4, 4, 4, 4], trials=cfg.trials, seed=cfg.seed + 1),
+        tensor=catlaws.check_tensor_laws(4, trials=cfg.trials, seed=cfg.seed + 2),
     )
-    tensorrep = catlaws.check_tensor_laws(4, trials=cfg.trials, seed=cfg.seed + 2)
-    ok = not (
-        exhaustive["counterexamples"]
-        or randomized["counterexamples"]
-        or tensorrep["counterexamples"]
-    )
-    return {
-        **_header(cfg),
-        "exhaustive": exhaustive,
-        "randomized": randomized,
-        "tensor": tensorrep,
-        "pass": ok,
-    }
 
 
 def _eposterior_families(theta_count: int, y_count: int):
@@ -473,18 +462,14 @@ def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
     def one_trial(rng: np.random.Generator, t: int) -> dict:
         size = int(rng.integers(3, 13))
         universe = make_uniform_grid([(0.0, 1.0)], [size])
-        v_big = _random_consonant_values(rng, size)
-        peak = v_big.index(1.0)
-        shrink1 = rng.uniform(0.0, 1.0, size)
-        v_mid = [float(b * s) for b, s in zip(v_big, shrink1)]
-        v_mid[peak] = 1.0
-        shrink2 = rng.uniform(0.0, 1.0, size)
-        v_small = [float(m * s) for m, s in zip(v_mid, shrink2)]
-        v_small[peak] = 1.0
-        big = PossibilityContour(universe, v_big)
-        mid = PossibilityContour(universe, v_mid)
-        small = PossibilityContour(universe, v_small)
-        avoid = v_big + v_mid + v_small
+        values = [_random_consonant_values(rng, size)]
+        peak = values[0].index(1.0)
+        for _ in range(2):  # mid, then small: shrink the last contour, keep its peak
+            shrunk = [float(v * s) for v, s in zip(values[-1], rng.uniform(0.0, 1.0, size))]
+            shrunk[peak] = 1.0
+            values.append(shrunk)
+        big, mid, small = (PossibilityContour(universe, v) for v in values)
+        avoid = sum(values, [])
         alpha = _sample_alpha(rng, avoid)
         oracle_ok = ihdr_bruteforce(alpha, big) == ihdr_contour(alpha, big)
         nest_ok = check_functor_monotone(small, big, alpha)

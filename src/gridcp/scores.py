@@ -57,18 +57,10 @@ def gaussian_pdf(y, mean: float, sd: float):
     return out
 
 
-def _fsum_mean(points: np.ndarray) -> np.ndarray:
-    """Componentwise mean of each sample in a (..., n, m) stack, via exactly
-    rounded sums (order-independent)."""
-    columns = np.swapaxes(points, -1, -2)
-    n = columns.shape[-1]
-    means = [math.fsum(col) / n for col in columns.reshape(-1, n).tolist()]
-    return np.array(means).reshape(columns.shape[:-1])
-
-
-def _partial_sums(points: np.ndarray) -> np.ndarray:
+def _partial_sums(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i of each sample in a (..., n, m) stack = exactly rounded
-    componentwise sum of the sample's rows except i.
+    componentwise sum of the sample's rows except i; and, from the same
+    column lists, each sample's (..., m) exactly rounded componentwise total.
 
     fsum over a column with -x_i appended is the correctly rounded value of
     the same exact sum as fsum over the column without x_i.
@@ -76,7 +68,8 @@ def _partial_sums(points: np.ndarray) -> np.ndarray:
     columns = np.swapaxes(points, -1, -2)
     flat = columns.reshape(-1, columns.shape[-1]).tolist()
     sums = [[math.fsum(col + [-c]) for c in col] for col in flat]
-    return np.swapaxes(np.array(sums).reshape(columns.shape), -1, -2)
+    totals = np.array([math.fsum(col) for col in flat]).reshape(columns.shape[:-1])
+    return np.swapaxes(np.array(sums).reshape(columns.shape), -1, -2), totals
 
 
 def _held_out_diff(sums, cand, train, n: int) -> np.ndarray:
@@ -137,7 +130,7 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
     # sample's own, (m, T, k)
     cand_k = cand.T[:, None] if rows is None else cand[_check_rows(rows, T)].transpose(2, 0, 1)
     m, _, K = cand_k.shape
-    sums = _partial_sums(train)
+    sums, totals = _partial_sums(train)
     out = np.empty((T, K, n + 1))
     # columns 0..n-1: held-out training point i against the other n points,
     # one block of whole samples, or of one sample's candidates, at a time,
@@ -151,7 +144,7 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
             planes = (_held_out_diff(sums_k[k, ts], cand_k[k, own, cs], train_k[k, ts], n) for k in range(m))
             out[ts, cs, :n] = _sum_of_squares(planes, finish)
     # column n: the candidate against the training sample
-    means = _fsum_mean(train)
+    means = totals / n
     out[:, :, n] = _sum_of_squares((means[:, None, k] - cand_k[k] for k in range(m)), finish)
     return out
 

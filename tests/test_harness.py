@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcp import bayes, cli, config, harness
+from gridcp import bayes, catlaws, cli, config, harness
 from gridcp import scores as scores_module
 from gridcp.fullcp import TieLevelError, check_level, kappa, transducer
 from gridcp.grid import Sample, make_uniform_grid
@@ -695,6 +695,7 @@ class TestCli:
             ("coverage", {"trials": 2.9}, "field trials"),
             ("coverage", {"n": 20.5}, "field n"),
             ("coverage", {"grid": {"counts": [11.7]}}, "field grid.counts"),
+            ("coverage", {"grid": {"counts": [201, 5]}}, "field grid: bounds and counts"),
             ("coverage", {"trials": "3"}, "field trials"),
             ("coverage", {"seed": True}, "field seed"),
             ("coverage", {"alpha": "0.2"}, "field alpha"),
@@ -805,6 +806,7 @@ class TestCli:
             "float_trials",
             "float_n",
             "float_grid_count",
+            "more_counts_than_bounds",
             "string_trials",
             "bool_seed",
             "string_alpha",
@@ -869,7 +871,7 @@ class TestCli:
             warnings.simplefilter("error")
             assert cli.main(["coverage", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: interval (-1e+308, 1e+308) has a non-finite width\n"
+        assert err == "config error: config field grid: interval (-1e+308, 1e+308) has a non-finite width\n"
 
     def test_scores_just_inside_the_bound_run(self, tmp_path):
         # m * (4 * 1e150)^2 = 1.6e301 is finite; every score is too.
@@ -937,6 +939,53 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "experiment" in proc.stdout
+
+
+_FORCED = {"counterexamples": [{"law": "forced"}]}
+
+
+class TestLawVerdicts:
+    """A law report passes when none of its parts, and no element of a list
+    part, holds a counterexample or a composition failure. Each case plants
+    one such fault in the catlaws report of one call, the call whose first
+    argument is `first`; the run must fail, and `ck` exit 1."""
+
+    @pytest.mark.parametrize(
+        "experiment, campaign, first, fault, where",
+        [
+            ("monad_laws", "check_functor_laws", 3, _FORCED, ["functor_laws"]),
+            ("monad_laws", "check_monad_laws", 3, _FORCED, ["singleton_variant", 2]),
+            (
+                "monad_laws",
+                "downset_divergence_report",
+                2,
+                {"composition_failures": 1},
+                ["downset_variant", 1],
+            ),
+            ("category_axioms", "check_category_axioms", [2, 2, 2, 2], _FORCED, ["exhaustive"]),
+            ("category_axioms", "check_category_axioms", [4, 4, 4, 4], _FORCED, ["randomized"]),
+            ("category_axioms", "check_tensor_laws", 4, _FORCED, ["tensor"]),
+        ],
+        ids=["functor", "singleton_element", "downset_element", "exhaustive", "randomized", "tensor"],
+    )
+    def test_one_planted_fault_fails_the_run(
+        self, monkeypatch, tmp_path, experiment, campaign, first, fault, where
+    ):
+        real = getattr(catlaws, campaign)
+
+        def planted(arg, *args, **kwargs):
+            report = real(arg, *args, **kwargs)
+            return {**report, **fault} if arg == first else report
+
+        monkeypatch.setattr(catlaws, campaign, planted)
+        out = tmp_path / "r.json"
+        assert cli.main([experiment, "--trials", "5", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        part = report
+        for key in where:
+            part = part[key]
+        assert {key: part[key] for key in fault} == fault
 
 
 _JSON = st.recursive(

@@ -18,7 +18,6 @@ from gridcp.scores import (
     NegPredictiveDensity,
     PrototypeEmbedding,
     ScoreFn,
-    _fsum_mean,
     _partial_sums,
 )
 from test_scores_oracle import loo_by_definition
@@ -265,8 +264,9 @@ def _one_shot_table(points, candidates, dist, embed=np.asarray):
     n, d = points.shape
     train = embed(points)
     cand = embed(np.asarray(candidates, dtype=float).reshape(-1, d))
-    t_train = dist((_partial_sums(train)[None, :, :] + cand[:, None, :]) / n - train[None, :, :])
-    t_cand = dist(_fsum_mean(train) - cand)
+    sums, totals = _partial_sums(train)
+    t_train = dist((sums[None, :, :] + cand[:, None, :]) / n - train[None, :, :])
+    t_cand = dist(totals / n - cand)
     return np.concatenate([t_train, t_cand[:, None]], axis=1)
 
 
@@ -454,7 +454,9 @@ _mixed_floats = st.one_of(
 )
 def test_partial_sums_match_deletion_byte_for_byte(rows):
     points = np.array(rows, dtype=float)
-    assert _partial_sums(points).tobytes() == _partial_sums_by_deletion(points).tobytes()
+    sums, totals = _partial_sums(points)
+    assert sums.tobytes() == _partial_sums_by_deletion(points).tobytes()
+    assert totals.tobytes() == np.array([math.fsum(col) for col in points.T]).tobytes()
 
 
 class TestEmbeddingNet:
