@@ -91,6 +91,7 @@ _CHUNK_CELLS = 1 << 17
 # phi1: a1 -> b1, psi1: b1 -> c1, phi2: a2 -> b2, psi2: b2 -> c2 and
 # rho: a2 -> a2, whose (source, target) sit at these positions.
 _TENSOR_HOMS = ((0, 1), (1, 2), (3, 4), (4, 5), (3, 3))
+_EMPTY_FIBER = "empty fiber encountered; hyperspace lift needs nonempty images"
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -225,10 +226,11 @@ def tensor(
     For single arrows this is np.kron of the matrices; stack axes broadcast
     as in `compose`. Pairs (x, y) are indexed x * |Y| + y, so re-bracketing
     a triple product is the identity on indices and the associator is strict.
+    Rows of phi, each column repeated |psi target| times, meet tiled rows of psi.
     """
-    blocks = phi.matrix[..., :, None, :, None] & psi.matrix[..., None, :, None, :]
-    sizes = (phi.source * psi.source, phi.target * psi.target)
-    return FiniteCorrespondence(blocks.reshape(blocks.shape[:-4] + sizes))
+    left = np.repeat(phi.matrix, psi.target, axis=-1)[..., :, None, :]
+    blocks = left & np.tile(psi.matrix, phi.target)[..., None, :, :]
+    return FiniteCorrespondence(blocks.reshape(blocks.shape[:-3] + (-1, blocks.shape[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def vietoris_map(
     Requires every fiber of phi nonempty (images must stay nonempty).
     """
     if not phi.matrix.any(axis=-1).all():
-        raise ValueError("empty fiber encountered; hyperspace lift needs nonempty images")
+        raise ValueError(_EMPTY_FIBER)
     if variant not in ("singleton", "downset"):
         raise ValueError(f"unknown variant {variant!r}")
     images = _bool_matmul(_subsets(phi.source), phi.matrix)  # direct images
@@ -356,12 +358,18 @@ def _sweep(law, source: int, target: int, *inner: FiniteCorrespondence, nonempty
 
 def _composition_sweep(a: int, b: int, c: int, variant: str):
     """`_sweep` of T(psi . phi) = T(psi) . T(phi) for the lift `variant` over
-    every nonempty-fiber phi: a -> b and psi: b -> c, each psi lifted once."""
+    every nonempty-fiber phi: a -> b and psi: b -> c. Each psi and each a -> c
+    arrow is lifted once: T(psi . phi) is read at the composite's position."""
     psis = _all_correspondences(b, c, nonempty=True)
     t_psi = vietoris_map(psis, variant)
+    lifts = vietoris_map(_all_correspondences(a, c, nonempty=True), variant).matrix
+    place = hyperspace(c) ** np.arange(a - 1, -1, -1)  # first fiber slowest
 
     def law(phi, psi):
-        lhs = vietoris_map(compose(phi, psi), variant)
+        codes = _codes(compose(phi, psi).matrix)
+        if not codes.all():  # a code of 0 must not wrap to position -1
+            raise ValueError(_EMPTY_FIBER)
+        lhs = FiniteCorrespondence(lifts[(codes - 1) @ place])
         return _differs(lhs, compose(vietoris_map(phi, variant), t_psi))
 
     return _sweep(law, a, b, psis, nonempty=True)

@@ -1,5 +1,6 @@
 """Correspondence algebra: category axioms, tensor, hyperspace monad."""
 
+import itertools
 import tracemalloc
 from collections import Counter
 
@@ -252,6 +253,53 @@ class TestFunctorLaws:
         monkeypatch.setattr(catlaws, "_all_correspondences", no_arrows)
         with pytest.raises(ValueError, match="max_size"):
             check_functor_laws(max_size)
+
+
+class TestLiftTable:
+    """`_composition_sweep` lifts every arrow a -> c once and reads each
+    composite's lift off that table at its enumeration position."""
+
+    @pytest.mark.parametrize("variant", ["singleton", "downset"])
+    @pytest.mark.parametrize("sizes", [*itertools.product((1, 2), repeat=3), (3, 3, 3)])
+    def test_lookup_is_the_lift_of_the_composite(self, sizes, variant, monkeypatch):
+        looked_up = []
+        differs = catlaws._differs
+        monkeypatch.setattr(
+            catlaws, "_differs", lambda lhs, rhs: looked_up.append(lhs) or differs(lhs, rhs)
+        )
+        sweep = catlaws._composition_sweep(*sizes, variant)
+        if sizes == (3, 3, 3):
+            sweep = itertools.islice(sweep, 30, 31)  # one block: 5 phis x 343 psis
+        for (phi, psi), _ in sweep:
+            assert looked_up[-1] == vietoris_map(compose(phi, psi), variant)
+        assert looked_up  # the sweep checked at least one block
+
+    def test_empty_composite_fiber_refused(self, monkeypatch):
+        def empties_one_fiber(phi, psi):
+            m = compose(phi, psi).matrix.copy()
+            m.reshape(-1, *m.shape[-2:])[-1, 0] = False  # the last arrow's first fiber
+            return FiniteCorrespondence(m)
+
+        monkeypatch.setattr(catlaws, "compose", empties_one_fiber)
+        with pytest.raises(ValueError, match="empty fiber"):
+            check_functor_laws(2)
+
+    def test_lift_fault_has_force(self, monkeypatch):
+        """A lift that also sends the whole source to the last target subset.
+        The counts are those that lifting each block's composites directly,
+        one `vietoris_map` call per block, reported under the same fault."""
+
+        def wrong(phi, variant="singleton"):
+            m = vietoris_map(phi, variant).matrix.copy()
+            m[..., -1, -1] = True
+            return FiniteCorrespondence(m)
+
+        monkeypatch.setattr(catlaws, "vietoris_map", wrong)
+        found = check_functor_laws(3)["counterexamples"]
+        assert len(found) == 24_248
+        assert (found[0]["fibers"], found[0]["sizes"]) == ([[1], [1, 2]], [1, 2, 3])
+        assert (found[-1]["fibers"], found[-1]["sizes"]) == ([[7, 7, 7], [6, 6, 6]], [3, 3, 3])
+        assert downset_divergence_report(3)["composition_failures"] == 28_644
 
 
 class TestDownsetDivergence:

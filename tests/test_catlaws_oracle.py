@@ -243,6 +243,29 @@ def test_stacks_match_one_arrow_at_a_time(data):
         assert products[k] == tensor(stack[k], psi)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["phi", "psi", "both"]))
+def test_tensor_broadcasts_either_operand(data, stacked):
+    """Stack axes on phi only, on psi only, or on both with size-1 axes
+    broadcast: each arrow of the product is np.kron of its operands."""
+    stack = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    if stacked == "both":
+        stacks = [[data.draw(st.sampled_from([1, d])) for d in stack] for _ in range(2)]
+    else:
+        stacks = [stack, []] if stacked == "phi" else [[], stack]
+    (a, b), (c, d) = (data.draw(st.tuples(SIZES, SIZES)) for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    phi = FiniteCorrespondence(rng.random((*stacks[0], a, b)) < 0.5)
+    psi = FiniteCorrespondence(rng.random((*stacks[1], c, d)) < 0.5)
+    product = tensor(phi, psi).matrix
+    full = np.broadcast_shapes(tuple(stacks[0]), tuple(stacks[1]))
+    assert product.shape == (*full, a * c, b * d)
+    phis = np.broadcast_to(phi.matrix, (*full, a, b))
+    psis = np.broadcast_to(psi.matrix, (*full, c, d))
+    for idx in np.ndindex(full):
+        np.testing.assert_array_equal(product[idx], np.kron(phis[idx], psis[idx]))
+
+
 # Inner lengths at and around the product's block edges, and the longest
 # inner axis a campaign takes (the monad laws' 2^15 - 1).
 EDGE_LENGTHS = [1, _INNER_BLOCK - 1, _INNER_BLOCK, _INNER_BLOCK + 1, 32_767]
