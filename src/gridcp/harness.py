@@ -445,12 +445,6 @@ def run_eposterior(cfg: ExperimentConfig) -> dict:
     return {**_header(cfg), "records": records, "pass": ok}
 
 
-def _random_consonant_values(rng: np.random.Generator, size: int) -> list[float]:
-    vals = rng.uniform(0.0, 1.0, size).tolist()
-    vals[int(rng.integers(0, size))] = 1.0
-    return [float(v) for v in vals]
-
-
 def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
     """IHDR campaigns on synthetic contours.
 
@@ -458,32 +452,26 @@ def run_ihdr_oracle(cfg: ExperimentConfig) -> dict:
     contour pair; the 3-chain composition of nestings; antitone nesting in
     the level.
     """
+    grids = {size: make_uniform_grid([(0.0, 1.0)], [size]) for size in range(3, 13)}
 
     def one_trial(rng: np.random.Generator, t: int) -> dict:
         size = int(rng.integers(3, 13))
-        universe = make_uniform_grid([(0.0, 1.0)], [size])
-        values = [_random_consonant_values(rng, size)]
-        peak = values[0].index(1.0)
+        values = [rng.uniform(0.0, 1.0, size)]
+        peak = rng.integers(0, size)
+        values[0][peak] = 1.0
         for _ in range(2):  # mid, then small: shrink the last contour, keep its peak
-            shrunk = [float(v * s) for v, s in zip(values[-1], rng.uniform(0.0, 1.0, size))]
-            shrunk[peak] = 1.0
-            values.append(shrunk)
-        big, mid, small = (PossibilityContour(universe, v) for v in values)
-        avoid = sum(values, [])
+            values.append(values[-1] * rng.uniform(0.0, 1.0, size))
+            values[-1][peak] = 1.0
+        avoid = np.concatenate(values).tolist()
+        big, mid, small = (PossibilityContour(grids[size], v) for v in values)
         alpha = _sample_alpha(rng, avoid)
-        oracle_ok = ihdr_bruteforce(alpha, big) == ihdr_contour(alpha, big)
-        nest_ok = check_functor_monotone(small, big, alpha)
-        r1 = ihdr_contour(alpha, small)
-        r2 = ihdr_contour(alpha, mid)
-        r3 = ihdr_contour(alpha, big)
-        chain_ok = r1.is_subset(r2) and r2.is_subset(r3) and r1.is_subset(r3)
+        r1, r2, r3 = (ihdr_contour(alpha, c) for c in (small, mid, big))
         a_lo, a_hi = sorted((alpha, _sample_alpha(rng, avoid)))
-        antitone_ok = ihdr_contour(a_hi, big).is_subset(ihdr_contour(a_lo, big))
         return {
-            "oracle_equal": oracle_ok,
-            "nesting_holds": nest_ok,
-            "chain_holds": chain_ok,
-            "antitone_holds": antitone_ok,
+            "oracle_equal": ihdr_bruteforce(alpha, big) == r3,
+            "nesting_holds": check_functor_monotone(small, big, alpha),
+            "chain_holds": r1.is_subset(r2) and r2.is_subset(r3) and r1.is_subset(r3),
+            "antitone_holds": ihdr_contour(a_hi, big).is_subset(ihdr_contour(a_lo, big)),
         }
 
     counts = _map_trials(one_trial, cfg)

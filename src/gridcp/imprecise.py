@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,17 @@ class PossibilityContour:
             raise ValueError("contour is not consonant: max value must be exactly 1")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @cached_property
+    def _upper_table(self) -> np.ndarray:
+        """U(A) for every bitmask A, read-only, built once per contour (it
+        lives as long as the contour: 8 MiB at the 20-point cap)."""
+        m = self.universe.size
+        if m > _MEMBER_LIMIT:
+            raise ValueError(f"universe of size {m} too large for subset enumeration")
+        table = _subset_table(self.values, np.maximum)
+        table.flags.writeable = False
+        return table
 
     @staticmethod
     def from_transducer(t: Transducer) -> PossibilityContour:
@@ -124,11 +136,11 @@ def lower_prob(c: PossibilityContour, a: Region) -> float:
 
 def _subset_table(values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     """ufunc-reduction of the values per bitmask (0 for the empty set), built
-    by doubling: the table over the first b+1 points is the table over the
-    first b points concatenated with itself updated by point b."""
-    table = np.zeros(1)
-    for b in range(values.shape[0]):
-        table = np.concatenate([table, ufunc(table, values[b])])
+    by doubling in place: masks with top bit b are the masks below 2^b
+    updated by point b."""
+    table = np.zeros(1 << values.shape[0])
+    for b, v in enumerate(values.tolist()):
+        ufunc(table[: 1 << b], v, out=table[1 << b : 2 << b])
     return table
 
 
@@ -139,12 +151,8 @@ def is_member(p: ProbVector, c: PossibilityContour) -> bool:
     """
     if p.universe != c.universe:
         raise UniverseMismatchError("vector and credal set live over different universes")
-    m = c.universe.size
-    if m > _MEMBER_LIMIT:
-        raise ValueError(f"universe of size {m} too large for subset enumeration")
-    sums = _subset_table(p.mass, np.add)
-    maxv = _subset_table(c.values, np.maximum)
-    return bool(np.all(sums <= maxv + _MEMBER_TOL))
+    maxv = c._upper_table
+    return bool(np.all(_subset_table(p.mass, np.add) <= maxv + _MEMBER_TOL))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -158,19 +166,16 @@ def ihdr_bruteforce(alpha: float, c: PossibilityContour) -> Region:
 
     L(A) = 1 - U(A^c) >= 1 - alpha is evaluated as U(A^c) <= alpha, which
     is the same condition in exact arithmetic and needs no rounded 1 - v.
-    The full grid always qualifies (its lower probability is 1), so the
-    intersection is never over an empty family for alpha in [0, 1].
+    A^c = full - A, so U(A^c) for every A is the reversed table. The full
+    grid always qualifies (its lower probability is 1), so the intersection
+    is never over an empty family for alpha in [0, 1].
     """
     _check_alpha(alpha)
     m = c.universe.size
     if m > _BRUTE_LIMIT:
         raise ValueError(f"universe of size {m} too large for subset enumeration")
-    maxv = _subset_table(c.values, np.maximum)
-    full = (1 << m) - 1
-    masks = np.arange(full + 1, dtype=np.int64)
-    qualifying = masks[maxv[full ^ masks] <= alpha]
-    bits = int(np.bitwise_and.reduce(qualifying)) if qualifying.size else full
-    return Region(c.universe, bits)
+    qualifying = np.flatnonzero(c._upper_table[::-1] <= alpha)
+    return Region(c.universe, int(np.bitwise_and.reduce(qualifying)))
 
 
 def ihdr_contour(alpha: float, c: PossibilityContour) -> Region:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from gridcp import bayes, catlaws, cli, config, harness
 from gridcp import scores as scores_module
 from gridcp.fullcp import TieLevelError, check_level, kappa, transducer
-from gridcp.grid import Sample, make_uniform_grid
+from gridcp.grid import Region, Sample, make_uniform_grid
 from gridcp.harness import (
     ExperimentConfig,
     emit,
@@ -986,6 +986,44 @@ class TestLawVerdicts:
         for key in where:
             part = part[key]
         assert {key: part[key] for key in fault} == fault
+
+
+_IHDR_COUNTS = ("oracle_equal", "nesting_holds", "chain_holds", "antitone_holds")
+
+
+class TestIhdrOracleVerdicts:
+    """Each of the four ihdr_oracle checks fails on one planted fault in one
+    trial: that count, and no other, drops by one, and `ck` exits 1. An
+    `ihdr_oracle` trial calls `ihdr_contour` five times: small, mid and big
+    at alpha, then big at the higher and at the lower of its two levels. Every
+    region at alpha holds the shared peak, so an empty one is a fault."""
+
+    @pytest.mark.parametrize(
+        "name, call, fault, count",
+        [
+            # One point fewer in the brute-force region of trial 3.
+            ("ihdr_bruteforce", 3, lambda r: Region(r.universe, r.bits & (r.bits - 1)), 0),
+            ("check_functor_monotone", 3, lambda ok: False, 1),
+            # The mid region of trial 3 emptied: small no longer nests in it.
+            ("ihdr_contour", 5 * 3 + 1, lambda r: Region(r.universe, 0), 2),
+            # The lower level's region of trial 3 emptied: the higher one's peak is outside.
+            ("ihdr_contour", 5 * 3 + 4, lambda r: Region(r.universe, 0), 3),
+        ],
+        ids=_IHDR_COUNTS,
+    )
+    def test_one_planted_fault_fails_the_run(self, monkeypatch, tmp_path, name, call, fault, count):
+        real, calls = getattr(harness, name), itertools.count()
+
+        def planted(*args):
+            result = real(*args)
+            return fault(result) if next(calls) == call else result
+
+        monkeypatch.setattr(harness, name, planted)
+        out = tmp_path / "r.json"
+        assert cli.main(["ihdr_oracle", "--trials", "5", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert [report[key] for key in _IHDR_COUNTS] == [5 - (k == count) for k in range(4)]
 
 
 _JSON = st.recursive(

@@ -232,6 +232,42 @@ class TestIsMember:
         assert is_member(p, cs) == level_ok
 
 
+class TestSubsetTable:
+    """The in-place doubling table against a per-mask reduction, and the one
+    read-only table a contour keeps for both subset-enumeration routes."""
+
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.add])
+    @pytest.mark.parametrize("size", range(11))
+    def test_matches_the_per_mask_reduction(self, size, ufunc):
+        values = np.random.default_rng(size).uniform(size=size)
+        expected = []
+        for mask in range(1 << size):
+            acc = 0.0  # the empty set's entry; points join in index order
+            for b, v in enumerate(values.tolist()):
+                if mask >> b & 1:
+                    acc = float(ufunc(acc, v))
+            expected.append(acc)
+        assert imprecise._subset_table(values, ufunc).tolist() == expected
+
+    def test_cached_table_is_read_only(self):
+        cs = contour_on([0.2, 1.0, 0.5])
+        assert cs._upper_table.tolist() == [0.0, 0.2, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            cs._upper_table[0] = 1.0
+
+    def test_built_once_per_contour(self, monkeypatch):
+        built = []
+        real = imprecise._subset_table
+        monkeypatch.setattr(
+            imprecise, "_subset_table", lambda v, ufunc: built.append(ufunc) or real(v, ufunc)
+        )
+        cs = contour_on([0.2, 1.0, 0.5, 0.7])
+        ihdr_bruteforce(0.3, cs)
+        ihdr_bruteforce(0.6, cs)
+        assert is_member(ProbVector(cs.universe, (0.0, 1.0, 0.0, 0.0)), cs)
+        assert built == [np.maximum, np.add]  # the mass table is the vector's, per call
+
+
 class TestIhdrRoutes:
     def test_bruteforce_worked_example(self):
         # Full 2^3 enumeration by hand: only {1st,2nd} and the full set have
