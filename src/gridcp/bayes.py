@@ -9,10 +9,11 @@ points' own densities, must coincide exactly with the ranking region and
 with the contour route through `imprecise`. `bayes_triangle_detail` verifies
 that three-way identity as exact bitset equality.
 
-The threshold: with q = ceil((n+1) * alpha) (alpha off the attainable set),
-a candidate is in the region iff at least q-1 of the n training points have
-density <= the candidate's, i.e. iff the candidate's density is at least the
-(q-1)-th smallest training density (full grid when q = 1).
+The threshold: with q the least k such that k/(n+1) > alpha, counted on
+`fullcp.levels` (alpha off that set), a candidate is in the region iff at
+least q-1 of the n training points have density <= the candidate's, i.e.
+iff its density is at least the (q-1)-th smallest training density (full
+grid when q = 1).
 
 Exact ties among training densities are refused, not broken: the order
 statistics presume distinct values, and silent tie-breaking could fake
@@ -32,12 +33,14 @@ quadratures on the supplied grids.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .fullcp import check_level, kappa, transducer
+from .fullcp import check_level, kappa, levels, transducer
 from .grid import Grid, Region, Sample, _check_interval
 from .imprecise import cred, ihdr_contour
 from .scores import NegPredictiveDensity, gaussian_pdf
@@ -81,24 +84,22 @@ class ConjugateModel:
 
 @dataclass(frozen=True, eq=False)
 class PredictiveDensity:
-    """A Gaussian posterior predictive fit to `sample`, with its values on the
-    grid cached as the read-only array `evaluated`."""
+    """A Gaussian posterior predictive fit to `sample`."""
 
     mean: float
     sd: float
     universe: Grid
-    evaluated: np.ndarray
     sample: Sample
-
-    def __post_init__(self):
-        object.__setattr__(self, "evaluated", np.asarray(self.evaluated, dtype=float))
-        if self.evaluated.shape != (self.universe.size,):
-            shape = self.evaluated.shape
-            raise ValueError(f"evaluated has shape {shape}, not one value per grid point")
-        self.evaluated.flags.writeable = False
 
     def density(self, y):
         return gaussian_pdf(y, self.mean, self.sd)
+
+    @cached_property
+    def evaluated(self) -> np.ndarray:
+        """The density at each grid point, computed once, read-only."""
+        vals = self.density(self.universe.points[:, 0])
+        vals.flags.writeable = False
+        return vals
 
 
 def posterior_params(m: ConjugateModel, y_n: Sample) -> tuple[float, float]:
@@ -117,12 +118,11 @@ def posterior_params(m: ConjugateModel, y_n: Sample) -> tuple[float, float]:
 def posterior_predictive(
     m: ConjugateModel, y_n: Sample, universe: Grid
 ) -> PredictiveDensity:
-    """The posterior predictive of `posterior_params`, evaluated on the grid."""
+    """The posterior predictive of `posterior_params` over the grid."""
     if universe.dim != 1:
         raise ValueError("conjugate model is univariate")
     mean, sd = posterior_params(m, y_n)
-    vals = gaussian_pdf(universe.points[:, 0], mean, sd)
-    return PredictiveDensity(mean=mean, sd=sd, universe=universe, evaluated=vals, sample=y_n)
+    return PredictiveDensity(mean=mean, sd=sd, universe=universe, sample=y_n)
 
 
 def bcp(pd: PredictiveDensity) -> NegPredictiveDensity:
@@ -138,8 +138,8 @@ def quant(alpha: float, pd: PredictiveDensity) -> Region:
     """Order-statistic level set of the predictive density on its grid.
 
     Region = {y in grid : density(y) >= c} with c the (q-1)-th smallest
-    density of the training sample, q = ceil((n+1) * alpha); the full grid
-    when q = 1.
+    density of the training sample and q the least k with k/(n+1) > alpha,
+    counted on `levels(n)`; the full grid when q = 1.
     """
     n = pd.sample.n
     check_level(alpha, n)
@@ -149,7 +149,7 @@ def quant(alpha: float, pd: PredictiveDensity) -> Region:
             "training points have exactly tied predictive densities; "
             "the order-statistic threshold is undefined"
         )
-    q = math.ceil((n + 1) * alpha)
+    q = bisect.bisect_right(levels(n), alpha)
     if q <= 1:
         return pd.universe.full_region()
     c = float(np.sort(dens)[q - 2])  # (q-1)-th smallest, 0-based

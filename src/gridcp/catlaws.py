@@ -356,17 +356,13 @@ def _sweep(law, source: int, target: int, *inner: FiniteCorrespondence, nonempty
         yield arrows, law(*arrows)
 
 
-def _composition_sweep(a: int, b: int, c: int, variant: str, tables: dict):
+def _composition_sweep(a: int, b: int, c: int, variant: str):
     """`_sweep` of T(psi . phi) = T(psi) . T(phi) for the lift `variant` over
     every nonempty-fiber phi: a -> b and psi: b -> c. Each psi and each a -> c
-    arrow is lifted once: T(psi . phi) is read at the composite's position.
-    The a -> c lifts are kept in `tables` under (a, c), so sweeps that share
-    a `tables` (and `variant`) build each once."""
+    arrow is lifted once: T(psi . phi) is read at the composite's position."""
     psis = _all_correspondences(b, c, nonempty=True)
     t_psi = vietoris_map(psis, variant)
-    if (a, c) not in tables:
-        tables[a, c] = vietoris_map(_all_correspondences(a, c, nonempty=True), variant).matrix
-    lifts = tables[a, c]
+    lifts = vietoris_map(_all_correspondences(a, c, nonempty=True), variant).matrix
     place = hyperspace(c) ** np.arange(a - 1, -1, -1)  # first fiber slowest
 
     def law(phi, psi):
@@ -579,8 +575,7 @@ def check_functor_laws(max_size: int = 3) -> dict:
         if vietoris_map(identity(n)) != identity(hyperspace(n))
     ]
     sizes = itertools.product(range(1, max_size + 1), repeat=3)
-    tables: dict = {}
-    sweeps = (_composition_sweep(a, b, c, "singleton", tables) for a, b, c in sizes)
+    sweeps = (_composition_sweep(a, b, c, "singleton") for a, b, c in sizes)
     comp_checks, comp_failures = _tally(
         itertools.chain.from_iterable(sweeps),
         lambda phi, psi: {
@@ -679,7 +674,7 @@ def downset_divergence_report(base_size: int) -> dict:
     eta = vietoris_unit(base_size)
 
     # Composition law, exhaustive over nonempty-fiber arrows X -> X.
-    sweep = _composition_sweep(base_size, base_size, base_size, "downset", {})
+    sweep = _composition_sweep(base_size, base_size, base_size, "downset")
     comp_checks, comp_failures = _tally(sweep, lambda *pair: None)  # counted only
 
     t_id = vietoris_map(identity(base_size), variant="downset")

@@ -201,9 +201,8 @@ def check_functor_monotone(
 
     Precondition (checked, error on violation): the small contour is
     pointwise dominated by the big one, which is sufficient for the induced
-    credal sets to nest. Both regions go through the brute-force route when
-    the grid is small enough to enumerate, else the closed form, which
-    refuses an alpha on either contour's value set.
+    credal sets to nest. Both regions go through the brute-force route, so
+    a grid above 16 points is refused.
     """
     if small.universe != big.universe:
         raise UniverseMismatchError("contours live over different universes")
@@ -211,10 +210,4 @@ def check_functor_monotone(
     if (vs > vb).any():
         i = np.argmax(vs > vb)
         raise ValueError(f"precondition violated: small contour exceeds big ({vs[i]} > {vb[i]})")
-    if small.universe.size <= 12:
-        r_small = ihdr_bruteforce(alpha, small)
-        r_big = ihdr_bruteforce(alpha, big)
-    else:
-        r_small = ihdr_contour(alpha, small)
-        r_big = ihdr_contour(alpha, big)
-    return r_small.is_subset(r_big)
+    return ihdr_bruteforce(alpha, small).is_subset(ihdr_bruteforce(alpha, big))

@@ -1,11 +1,15 @@
 """Conjugate predictives, level-set regions, the triangle, and upper posteriors."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gridcp import bayes
 from gridcp.bayes import (
     ConjugateModel,
     CredalPrior,
@@ -21,8 +25,9 @@ from gridcp.bayes import (
     quant,
     upper_posterior,
 )
-from gridcp.fullcp import TieLevelError, kappa
+from gridcp.fullcp import TieLevelError, kappa, levels
 from gridcp.grid import Sample, make_uniform_grid
+from gridcp.scores import gaussian_pdf
 
 
 def small_grid(lo=-5.0, hi=5.0, count=101):
@@ -30,13 +35,21 @@ def small_grid(lo=-5.0, hi=5.0, count=101):
 
 
 class TestPosteriorPredictive:
-    def test_refuses_values_that_are_not_one_per_grid_point(self):
-        # Accepted, quant would fail later: a mask of shape (2,) on a 5-point grid.
-        universe = make_uniform_grid([(0, 1)], [5])
-        with pytest.raises(ValueError, match=r"evaluated has shape \(2,\)"):
-            PredictiveDensity(0.0, 1.0, universe, [1.0, 2.0], Sample.of([0.5]))
-        with pytest.raises(ValueError, match=r"evaluated has shape \(5, 1\)"):
-            PredictiveDensity(0.0, 1.0, universe, np.ones((5, 1)), Sample.of([0.5]))
+    def test_evaluated_is_derived_once_and_read_only(self, monkeypatch):
+        universe = make_uniform_grid([(-2, 3)], [7])
+        pd = PredictiveDensity(0.3, 1.7, universe, Sample.of([0.5]))
+        calls = []
+        monkeypatch.setattr(
+            bayes, "gaussian_pdf", lambda *args: calls.append(args) or gaussian_pdf(*args)
+        )
+        vals = pd.evaluated
+        assert pd.evaluated is vals and len(calls) == 1
+        expected = gaussian_pdf(universe.points[:, 0], 0.3, 1.7)
+        assert vals.dtype == expected.dtype and vals.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pd.evaluated = expected
 
     def test_flat_prior_limit(self):
         m = ConjugateModel(likelihood_sd=1.0, prior_mean=1.0, prior_sd=1e6)
@@ -130,7 +143,7 @@ class TestQuant:
         self.grid = small_grid()
 
     def test_tiny_alpha_full_grid(self):
-        # q = ceil(3 * 0.01) = 1: no training point needs to out-score the
+        # q = 1, the least k with k/3 > 0.01: no training point needs to out-score the
         # candidate, so every grid point survives (matching the ranking
         # route, whose plausibility floor is 1/(n+1) > alpha).
         s = Sample.of([0.4, -0.6])
@@ -164,6 +177,35 @@ class TestQuant:
         pd = posterior_predictive(m, s, self.grid)
         with pytest.raises(DensityTieError):
             quant(0.13, pd)
+
+    def test_level_just_above_an_attainable_one(self):
+        # (n+1) * alpha rounds down to exactly 1 here, so a cut taken as
+        # ceil((n+1) * alpha) would keep the whole grid; 1/3 < alpha puts
+        # q at 2, as the ranking and contour routes count it.
+        m = ConjugateModel(likelihood_sd=1.0, prior_mean=0.0, prior_sd=1.0)
+        s = Sample.of([0.3, -0.5])
+        mean, sd = posterior_params(m, s)
+        grid = make_uniform_grid([(mean - 6 * sd, mean + 6 * sd)], [101])
+        alpha = math.nextafter(1 / 3, 1)
+        ok, detail = bayes_triangle_detail(alpha, m, s, grid)
+        assert [len(detail[k]) for k in ("quant", "kappa", "ihdr")] == [7, 7, 7]
+        assert ok
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_levels_one_double_above_an_attainable_one(self, data):
+        grid = make_uniform_grid([(-6, 6)], [121])
+        # Training points on the grid make the transducer consonant.
+        idx = data.draw(st.lists(st.integers(0, 120), min_size=1, max_size=40, unique=True))
+        n = len(idx)
+        k = data.draw(st.integers(1, n))
+        alpha = math.nextafter(k / (n + 1), 1)
+        assume(alpha not in levels(n))
+        s = Sample(grid.points[idx])
+        pd = posterior_predictive(self.m, s, grid)
+        assume(len(set(pd.density(s.points[:, 0]).tolist())) == n)
+        assert quant(alpha, pd) == kappa(alpha, s, bcp(pd), grid)
+        assert bayes_triangle_detail(alpha, self.m, s, grid)[0]
 
     def test_tie_level_refused(self):
         s = Sample.of([0.4, -0.6])

@@ -267,7 +267,7 @@ class TestLiftTable:
         monkeypatch.setattr(
             catlaws, "_differs", lambda lhs, rhs: looked_up.append(lhs) or differs(lhs, rhs)
         )
-        sweep = catlaws._composition_sweep(*sizes, variant, {})
+        sweep = catlaws._composition_sweep(*sizes, variant)
         if sizes == (3, 3, 3):
             sweep = itertools.islice(sweep, 30, 31)  # one block: 5 phis x 343 psis
         for (phi, psi), _ in sweep:
@@ -300,24 +300,6 @@ class TestLiftTable:
         assert (found[0]["fibers"], found[0]["sizes"]) == ([[1], [1, 2]], [1, 2, 3])
         assert (found[-1]["fibers"], found[-1]["sizes"]) == ([[7, 7, 7], [6, 6, 6]], [3, 3, 3])
         assert downset_divergence_report(3)["composition_failures"] == 28_644
-
-    def test_each_size_pair_lifted_once_per_call(self, monkeypatch):
-        # Whole hom-sets are built for the 27 psi stacks and the 9 distinct
-        # a -> c tables; the phi blocks are built by position.
-        whole = []
-        real = catlaws._all_correspondences
-
-        def spy(source, target, nonempty=False, positions=None):
-            if positions is None:
-                whole.append((source, target))
-            return real(source, target, nonempty, positions)
-
-        monkeypatch.setattr(catlaws, "_all_correspondences", spy)
-        for _ in range(2):
-            whole.clear()
-            check_functor_laws(3)
-            assert len(whole) == 27 + 9
-            assert sorted(set(whole)) == sorted(itertools.product((1, 2, 3), repeat=2))
 
 
 class TestDownsetDivergence:

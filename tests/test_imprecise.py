@@ -420,12 +420,9 @@ class TestFunctorMonotone:
         return PossibilityContour(grid, v_small), PossibilityContour(grid, v_big)
 
     @pytest.mark.parametrize("size", [13, 14, 15, 16])
-    def test_large_grid_goes_through_the_closed_form(self, size, monkeypatch):
-        """Above 12 points both regions come from `ihdr_contour`, and they
-        agree with the enumeration, which still runs at 16 points."""
+    def test_large_grid_goes_through_the_enumeration(self, size, monkeypatch):
+        """Up to 16 points both regions come from `ihdr_bruteforce`."""
         small, big = self.dominated_pair(size, seed=size)
-        alpha = 0.5
-        assert alpha not in small.values.tolist() + big.values.tolist()
         routes = []
 
         def spy(route):
@@ -437,19 +434,28 @@ class TestFunctorMonotone:
 
         monkeypatch.setattr(imprecise, "ihdr_contour", spy(ihdr_contour))
         monkeypatch.setattr(imprecise, "ihdr_bruteforce", spy(ihdr_bruteforce))
-        assert check_functor_monotone(small, big, alpha)
-        assert routes == ["ihdr_contour", "ihdr_contour"]
-        for c in (small, big):
-            assert ihdr_contour(alpha, c) == ihdr_bruteforce(alpha, c)
+        assert check_functor_monotone(small, big, 0.5)
+        assert routes == ["ihdr_bruteforce", "ihdr_bruteforce"]
+        for c in (small, big):  # the closed form still agrees off the value set
+            assert 0.5 not in c.values.tolist()
+            assert ihdr_contour(0.5, c) == ihdr_bruteforce(0.5, c)
 
-    @pytest.mark.parametrize("which", ["small", "big"])
-    def test_large_grid_refuses_a_level_on_either_value_set(self, which):
-        small, big = self.dominated_pair(14, seed=3)
-        own = small if which == "small" else big
-        other = big if which == "small" else small
-        alpha = next(v for v in own.values.tolist() if v not in other.values.tolist())
-        with pytest.raises(TieLevelError, match="value set"):
-            check_functor_monotone(small, big, alpha)
+    @pytest.mark.parametrize("size", [13, 14, 15, 16])
+    def test_emptied_big_region_is_caught(self, size, monkeypatch):
+        """The verdict reads the enumerated regions: emptying the big one
+        leaves the small region (which holds the peak) outside it."""
+        small, big = self.dominated_pair(size, seed=size)
+
+        def emptied(a, c):
+            return Region(c.universe, 0) if c is big else ihdr_bruteforce(a, c)
+
+        monkeypatch.setattr(imprecise, "ihdr_bruteforce", emptied)
+        assert not check_functor_monotone(small, big, 0.5)
+
+    def test_grid_above_the_enumeration_limit_is_refused(self):
+        small, big = self.dominated_pair(17, seed=17)
+        with pytest.raises(ValueError, match="too large for subset enumeration"):
+            check_functor_monotone(small, big, 0.5)
 
     def test_three_chain_composition(self):
         rng = np.random.default_rng(21)
