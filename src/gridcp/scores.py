@@ -22,6 +22,18 @@ the sample permutes the table's training columns and leaves the candidate
 column bit-for-bit unchanged. The two sample scores share one kernel: it
 adds the squared differences one coordinate at a time, in coordinate order,
 then takes the square root (mean distance) or negates (prototype).
+
+The kernel has two paths. When a whole table is asked for (no `rows`), the
+sample is at least 2-D and the embedded candidates are, bit for bit, the
+lexicographic product of per-coordinate values in `Grid.points` order (the
+mean distance on any product grid, but not a net that mixes coordinates),
+each coordinate's held-out difference depends on the candidate only through
+that coordinate's value: it is computed once per axis value and broadcast
+into the table. Otherwise the kernel runs over blocks of candidates. Both
+paths give every cell the same IEEE operations in the same order, so the
+tables are the same bits. At 201x201 the mean-distance table takes 10-15 ms
+on the product path against 31-38 ms blocked at n = 100, and 3.3 ms
+against 6.6-9.5 ms at n = 20 (best of 15, on a shared 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -105,6 +117,58 @@ def _check_rows(rows, T: int) -> np.ndarray:
     return rows
 
 
+def _product_axes(cand: np.ndarray):
+    """Per-coordinate values whose lexicographic product, dimension 0 slowest
+    as in `Grid.points`, is the (G, m) array `cand` bit for bit; None when
+    m < 2, G = 0 or `cand` is no such product.
+
+    Each column is checked against its axis tiled at its stride, so the test
+    is one pass of bit-pattern comparisons over `cand`.
+    """
+    G, m = cand.shape
+    if m < 2 or G == 0:
+        return None
+    bits = np.ascontiguousarray(cand).view(np.int64)
+    axes, run = [], G  # run: rows per value of the previous coordinate
+    for col in bits.T:
+        change = np.flatnonzero(col[:run] != col[0])
+        step = int(change[0]) if change.size else run
+        axis = col[:run:step]
+        if run % step or not (col.reshape(-1, len(axis), step) == axis[:, None]).all():
+            return None
+        axes.append(axis.view(float))
+        run = step
+    return axes if run == 1 else None
+
+
+def _product_table(sums_k, train_k, means, axes, finish: np.ufunc) -> np.ndarray:
+    """`_loo_table`'s (T, G, n+1) table for candidates that are the
+    lexicographic product of `axes`, one array of values per coordinate.
+
+    A coordinate's held-out difference depends on the candidate only through
+    that coordinate's value, so its squared plane is computed once per axis
+    value, in (T, c, n) pieces of about one block, and broadcast into the
+    table in coordinate order; column n likewise from means - axis. Each cell goes
+    through the blocked loop's operations in the blocked loop's order.
+    """
+    T, n = sums_k.shape[1:]
+    m = len(axes)
+    table = np.empty((T, *map(len, axes), n + 1))
+    step = _per_block(T * n)
+    for k, axis in enumerate(axes):
+        spread = tuple(j + 1 for j in range(m) if j != k)  # the other coordinates' axes
+        put = np.copyto if k == 0 else (lambda dst, src: np.add(dst, src, out=dst))
+        for lo in range(0, len(axis), step):
+            part = slice(lo, lo + step)
+            plane = _held_out_diff(sums_k[k], axis[None, part], train_k[k], n)
+            np.multiply(plane, plane, out=plane)
+            put(table[(slice(None),) * (k + 1) + (part, ..., slice(n))], np.expand_dims(plane, spread))
+        diff = means[:, k, None] - axis
+        put(table[..., n], np.expand_dims(np.multiply(diff, diff, out=diff), spread))
+    finish(table, out=table)
+    return table.reshape(T, -1, n + 1)
+
+
 def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable = np.asarray,
                rows=None):
     """Leave-one-out tables of a score finish(|prototype - embedding|^2), one
@@ -124,18 +188,26 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
     each cell is the full table's cell, bit for bit.
     """
     T, n, d = points.shape
+    cand = np.asarray(candidates, dtype=float)
+    if cand.shape[1:] != (d,) and not (d == 1 and cand.ndim <= 1):
+        raise ValueError(f"candidates of shape {cand.shape} do not fit samples of shape "
+                         f"{points.shape}: expected (G, {d})" + " or (G,)" * (d == 1))
     train = np.array([embed(p) for p in points])  # (T, n, m)
-    cand = embed(np.asarray(candidates, dtype=float).reshape(-1, d))  # (G, m)
+    cand = embed(cand.reshape(-1, d))  # (G, m)
+    sums, totals = _partial_sums(train)
+    train_k, sums_k = train.transpose(2, 0, 1), sums.transpose(2, 0, 1)
+    means = totals / n
+    axes = _product_axes(cand) if rows is None and d > 1 else None
+    if axes is not None:
+        return _product_table(sums_k, train_k, means, axes, finish)
     # coordinate-major candidates: (m, 1, G), shared by every sample, or each
     # sample's own, (m, T, k)
     cand_k = cand.T[:, None] if rows is None else cand[_check_rows(rows, T)].transpose(2, 0, 1)
     m, _, K = cand_k.shape
-    sums, totals = _partial_sums(train)
     out = np.empty((T, K, n + 1))
     # columns 0..n-1: held-out training point i against the other n points,
     # one block of whole samples, or of one sample's candidates, at a time,
     # and in a block one coordinate's contiguous plane at a time
-    train_k, sums_k = train.transpose(2, 0, 1), sums.transpose(2, 0, 1)
     samples, step = _per_block(K * n), _per_block(n)
     for t in range(0, T, samples):
         for lo in range(0, K, step):
@@ -144,7 +216,6 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
             planes = (_held_out_diff(sums_k[k, ts], cand_k[k, own, cs], train_k[k, ts], n) for k in range(m))
             out[ts, cs, :n] = _sum_of_squares(planes, finish)
     # column n: the candidate against the training sample
-    means = totals / n
     out[:, :, n] = _sum_of_squares((means[:, None, k] - cand_k[k] for k in range(m)), finish)
     return out
 

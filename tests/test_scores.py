@@ -1,8 +1,10 @@
 """Score families: frozen values, exact permutation equivariance, embedding nets."""
 
+import collections
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcp import scores as scores_module
+from gridcp.fullcp import transducer
 from gridcp.grid import Sample, make_uniform_grid
 from gridcp.scores import (
     EmbeddingNet,
@@ -101,6 +104,38 @@ class TestPrototype:
         lhs = PrototypeEmbedding(EmbeddingNet.identity(1)).loo_matrix(Sample.of(values), candidates)
         rhs = -MeanAbsDistance().loo_matrix(Sample.of(values), candidates) ** 2
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+_SAMPLE_SCORES = {
+    "mean_abs": lambda d: MeanAbsDistance(),
+    "prototype": lambda d: PrototypeEmbedding(EmbeddingNet.identity(d)),
+}
+
+
+class TestCandidateShapes:
+    """Both sample scores take (G, d) candidates, or (G,) when d = 1, and
+    refuse any other shape rather than reshape it."""
+
+    @pytest.mark.parametrize(
+        "d, cand_shape", [(2, (6,)), (2, (4, 3)), (1, (3, 2))], ids=["flat", "wide", "2d_for_1d"]
+    )
+    @pytest.mark.parametrize("kind", sorted(_SAMPLE_SCORES))
+    def test_refuses_other_shapes(self, kind, d, cand_shape):
+        psi = _SAMPLE_SCORES[kind](d)
+        points = np.arange(3.0 * d).reshape(1, 3, d)
+        candidates = np.arange(float(math.prod(cand_shape))).reshape(cand_shape)
+        match = re.escape(f"candidates of shape {cand_shape} do not fit samples of shape (1, 3, {d})")
+        with pytest.raises(ValueError, match=match):
+            psi.loo_matrix(Sample(points[0]), candidates)
+        with pytest.raises(ValueError, match=match):
+            psi.loo_tables(points, candidates)
+
+    @pytest.mark.parametrize("kind", sorted(_SAMPLE_SCORES))
+    def test_accepts_one_column_or_flat_for_1d(self, kind):
+        psi, y_n = _SAMPLE_SCORES[kind](1), Sample.of([0.2, 1.1])
+        tables = [psi.loo_matrix(y_n, c) for c in ([0.5, -1.0], [[0.5], [-1.0]])]
+        assert tables[0].shape == (2, 3)
+        assert tables[0].tobytes() == tables[1].tobytes()
 
 
 class TestNegPredictiveDensity:
@@ -270,11 +305,34 @@ def _one_shot_table(points, candidates, dist, embed=np.asarray):
     return np.concatenate([t_train, t_cand[:, None]], axis=1)
 
 
+_norm = lambda v: np.linalg.norm(v, axis=-1)  # noqa: E731
+_neg_sq = lambda v: -np.sum(v * v, axis=-1)  # noqa: E731
+
+# (bounds, counts): uneven counts, one-point axes, and symmetric bounds with
+# odd counts, which put 0.0 on an axis.
+_PRODUCT_GRIDS = {
+    "21x21": ([(-2.0, 2.0), (-2.0, 2.0)], [21, 21]),
+    "7x5x3": ([(-3.0, 3.0), (-1.0, 1.0), (-0.5, 0.5)], [7, 5, 3]),
+    "1x6": ([(0.5, 0.5), (-1.0, 2.0)], [1, 6]),
+    "4x1x3": ([(-1.5, 1.5), (0.25, 0.25), (-2.0, 2.0)], [4, 1, 3]),
+}
+
+
+def _spy_on_paths(monkeypatch) -> collections.Counter:
+    """Count calls of the product test, the product fill and the blocked
+    loop's sum of squares."""
+    calls = collections.Counter()
+    for name in ("_product_axes", "_product_table", "_sum_of_squares"):
+        def spy(*args, _name=name, _real=getattr(scores_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(scores_module, name, spy)
+    return calls
+
+
 def _blocking_cases():
     """(score, d, m, dist, embed) for both sample scores, d = 1 and 2, m != d."""
     rng = np.random.default_rng(5)
-    norm = lambda v: np.linalg.norm(v, axis=-1)  # noqa: E731
-    neg_sq = lambda v: -np.sum(v * v, axis=-1)  # noqa: E731
     ident = EmbeddingNet.identity(1)
     wide = EmbeddingNet.from_weights([rng.standard_normal((2, 1))], [rng.standard_normal(2)])
     deep = EmbeddingNet.from_weights(
@@ -282,11 +340,11 @@ def _blocking_cases():
         [rng.standard_normal(4), rng.standard_normal(3)],
     )
     return {
-        "mean_abs_d1": (MeanAbsDistance(), 1, 1, norm, np.asarray),
-        "mean_abs_d2": (MeanAbsDistance(), 2, 2, norm, np.asarray),
-        "prototype_d1": (PrototypeEmbedding(ident), 1, 1, neg_sq, ident.apply),
-        "prototype_d1_m2": (PrototypeEmbedding(wide), 1, 2, neg_sq, wide.apply),
-        "prototype_d2_m3": (PrototypeEmbedding(deep), 2, 3, neg_sq, deep.apply),
+        "mean_abs_d1": (MeanAbsDistance(), 1, 1, _norm, np.asarray),
+        "mean_abs_d2": (MeanAbsDistance(), 2, 2, _norm, np.asarray),
+        "prototype_d1": (PrototypeEmbedding(ident), 1, 1, _neg_sq, ident.apply),
+        "prototype_d1_m2": (PrototypeEmbedding(wide), 1, 2, _neg_sq, wide.apply),
+        "prototype_d2_m3": (PrototypeEmbedding(deep), 2, 3, _neg_sq, deep.apply),
     }
 
 
@@ -303,13 +361,76 @@ class TestBlockedKernelIsBitExact:
         rows = max(1, scores_module._BLOCK_CELLS // n)
         rng = np.random.default_rng(0)
         y_n = Sample(rng.uniform(-2, 2, (n, d)))
-        # G one less than a block, exactly one block, and one more.
-        for size in (rows - 1, rows, rows + 1):
-            candidates = rng.uniform(-2, 2, (size, d))
+        # G one less than a block, exactly one block, and one more; and a
+        # product grid, which the mean distance fills one axis at a time.
+        draws = [rng.uniform(-2, 2, (size, d)) for size in (rows - 1, rows, rows + 1)]
+        grid = make_uniform_grid([(-2.0, 2.0)] * d, [9, 7][:d])
+        for candidates in draws + [grid.points]:
             table = psi.loo_matrix(y_n, candidates)
-            assert table.shape == (size, n + 1)
+            assert table.shape == (len(candidates), n + 1)
             expected = _one_shot_table(y_n.points, candidates, dist, embed)
-            assert table.tobytes() == expected.tobytes(), size
+            assert table.tobytes() == expected.tobytes(), len(candidates)
+
+    @pytest.mark.parametrize("cells", [1, None], ids=["cells1", "default"])
+    @pytest.mark.parametrize("T", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    @pytest.mark.parametrize("shape", sorted(_PRODUCT_GRIDS))
+    def test_product_grid_matches_one_shot_table(self, monkeypatch, shape, n, T, cells):
+        if cells is not None:
+            monkeypatch.setattr(scores_module, "_BLOCK_CELLS", cells)
+        grid = make_uniform_grid(*_PRODUCT_GRIDS[shape])
+        d = grid.dim
+        points = np.random.default_rng(n).uniform(-2, 2, (T, n, d))
+        # The identity net embeds the grid as itself, so the prototype takes
+        # the product path too, with a negation for the square root.
+        ident = EmbeddingNet.identity(d)
+        for psi, dist, embed in ((MeanAbsDistance(), _norm, np.asarray),
+                                 (PrototypeEmbedding(ident), _neg_sq, ident.apply)):
+            tables = psi.loo_tables(points, grid.points)
+            assert tables.shape == (T, grid.size, n + 1)
+            for t in range(T):
+                expected = _one_shot_table(points[t], grid.points, dist, embed)
+                assert tables[t].tobytes() == expected.tobytes(), (psi.kind, t)
+
+    @pytest.mark.parametrize("shape", sorted(_PRODUCT_GRIDS))
+    def test_single_point_sample_ties_at_every_product_grid_point(self, shape):
+        # n = 1: the held-out score is |c - y|, the candidate's |y - c|.
+        grid = make_uniform_grid(*_PRODUCT_GRIDS[shape])
+        for y in (grid.points[len(grid.points) // 2], np.linspace(0.3, -0.7, grid.dim)):
+            nums = transducer(Sample([y]), MeanAbsDistance(), grid).nums
+            assert nums.tolist() == [2] * grid.size
+
+    @pytest.mark.parametrize("near", ["permuted", "swapped_pair", "minus_one", "duplicated_row", "empty"])
+    def test_near_product_takes_the_blocked_path(self, monkeypatch, near):
+        calls = _spy_on_paths(monkeypatch)
+        pts = make_uniform_grid(*_PRODUCT_GRIDS["7x5x3"]).points
+        rng = np.random.default_rng(4)
+        candidates = {
+            "permuted": pts[rng.permutation(len(pts))],
+            "swapped_pair": pts[[0, 2, 1, *range(3, len(pts))]],
+            "minus_one": np.delete(pts, 40, axis=0),
+            "duplicated_row": np.insert(pts, 40, pts[40], axis=0),
+            "empty": pts[:0],
+        }[near]
+        points = rng.uniform(-2, 2, (4, 3))
+        table = MeanAbsDistance().loo_matrix(Sample(points), candidates)
+        assert table.tobytes() == _one_shot_table(points, candidates, _norm).tobytes()
+        assert calls["_product_axes"] == 1 and calls["_product_table"] == 0
+
+    @pytest.mark.parametrize("kind", ["mean_abs", "prototype", "mean_abs_1d", "rows"])
+    def test_which_path_runs(self, monkeypatch, kind):
+        # A 2-D mean distance on a product grid skips the block loop; a net's
+        # embedded grid is no product; 1-D calls and `rows` never test for one.
+        calls = _spy_on_paths(monkeypatch)
+        case = {"prototype": "prototype_d2_m3", "mean_abs_1d": "mean_abs_d1"}.get(kind, "mean_abs_d2")
+        psi, d, *_ = _blocking_cases()[case]
+        grid = make_uniform_grid([(-2.0, 2.0)] * d, [21, 21][:d])
+        points = np.random.default_rng(6).uniform(-2, 2, (2, 5, d))
+        psi.loo_tables(points, grid.points, [[3], [8]] if kind == "rows" else None)
+        assert calls == {
+            "mean_abs": {"_product_axes": 1, "_product_table": 1},
+            "prototype": {"_product_axes": 1, "_sum_of_squares": 2},
+        }.get(kind, {"_sum_of_squares": 2})
 
 
 def test_wide_embedding_adds_coordinates_in_order():
