@@ -14,6 +14,7 @@ replaced by a single assignment of one tuple.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -67,7 +68,7 @@ class Grid:
         for k, (axis, h) in enumerate(zip(self.axes, self.spacing)):
             if not axis:
                 raise ValueError("grid must contain at least one point")
-            if any(not a < b for a, b in zip(axis, axis[1:])):
+            if not all(map(operator.lt, axis, axis[1:])):  # any NaN compares false
                 raise ValueError(f"axis {k} is not strictly increasing")
             # Strictly increasing, so finite ends bound every point.
             if not (math.isfinite(axis[0]) and math.isfinite(axis[-1])):

@@ -31,14 +31,20 @@ each coordinate's held-out difference depends on the candidate only through
 that coordinate's value: it is computed once per axis value and broadcast
 into the table. Otherwise the kernel runs over blocks of candidates. Both
 paths give every cell the same IEEE operations in the same order, so the
-tables are the same bits. At 201x201 the mean-distance table takes 10-15 ms
-on the product path against 31-38 ms blocked at n = 100, and 3.3 ms
-against 6.6-9.5 ms at n = 20 (best of 15, on a shared 2-vCPU host).
+tables are the same bits. A table of more than one block is split across
+the process's CPUs (`_split`), by blocks or by coordinate-0 values, with the
+same bits again. At 201x201 on a shared 2-vCPU host (best of 15), one CPU
+against two: the mean-distance table on the product path takes 11-14 ms
+against 6.2-7.4 ms at n = 100 and 3.3-3.6 ms against 2.2-2.7 ms at n = 20
+(blocked, on one CPU: 31-38 and 6.6-9.5 ms); the prototype net's blocked
+table 31-32 ms against 23-25 ms and 8.2-8.7 ms against 6.3-6.6 ms.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -109,6 +115,43 @@ def _per_block(cells: int) -> int:
     return max(1, _BLOCK_CELLS // max(cells, 1))
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split(run: Callable[[int, int], object], count: int, grain: int = 1) -> None:
+    """run(lo, hi) over contiguous parts of range(count), one part per CPU
+    and each at least `grain` items: the first part in the calling thread,
+    each other in a thread of its own. With one part it calls run(0, count)
+    and starts nothing. Parts must write disjoint cells; numpy releases the
+    GIL inside each ufunc, so they compute at the same time. A worker's
+    exception is raised again in the caller."""
+    parts = 1 if count < 2 * grain else min(count // grain, _cpus())
+    if parts < 2:
+        run(0, count)
+        return
+    bounds = [count * j // parts for j in range(parts + 1)]
+    errors = []
+
+    def work(lo, hi):
+        try:
+            run(lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=work, args=bounds[j : j + 2]) for j in range(1, parts)]
+    for worker in workers:
+        worker.start()
+    try:
+        run(bounds[0], bounds[1])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+
+
 def _check_rows(rows, T: int) -> np.ndarray:
     """`rows` as the (T, k) integer array that picks each sample's rows."""
     rows = np.asarray(rows)
@@ -122,13 +165,17 @@ def _product_axes(cand: np.ndarray):
     as in `Grid.points`, is the (G, m) array `cand` bit for bit; None when
     m < 2, G = 0 or `cand` is no such product.
 
-    Each column is checked against its axis tiled at its stride, so the test
-    is one pass of bit-pattern comparisons over `cand`.
+    Rows 0 and 1 of such a product differ in exactly one coordinate, the
+    last with more than one value; a net that mixes coordinates changes them
+    all, so that is tested first. Then each column is checked against its
+    axis tiled at its stride, one pass of bit-pattern comparisons over `cand`.
     """
     G, m = cand.shape
     if m < 2 or G == 0:
         return None
     bits = np.ascontiguousarray(cand).view(np.int64)
+    if G > 1 and np.count_nonzero(bits[0] != bits[1]) != 1:
+        return None
     axes, run = [], G  # run: rows per value of the previous coordinate
     for col in bits.T:
         change = np.flatnonzero(col[:run] != col[0])
@@ -148,24 +195,31 @@ def _product_table(sums_k, train_k, means, axes, finish: np.ufunc) -> np.ndarray
     A coordinate's held-out difference depends on the candidate only through
     that coordinate's value, so its squared plane is computed once per axis
     value, in (T, c, n) pieces of about one block, and broadcast into the
-    table in coordinate order; column n likewise from means - axis. Each cell goes
-    through the blocked loop's operations in the blocked loop's order.
+    table in coordinate order; column n likewise from means - axis. Each cell
+    goes through the blocked loop's operations in the blocked loop's order.
+    Ranges of coordinate-0 values are filled in parallel (`_split`), each
+    part computing the other coordinates' planes for itself.
     """
     T, n = sums_k.shape[1:]
     m = len(axes)
     table = np.empty((T, *map(len, axes), n + 1))
     step = _per_block(T * n)
-    for k, axis in enumerate(axes):
-        spread = tuple(j + 1 for j in range(m) if j != k)  # the other coordinates' axes
-        put = np.copyto if k == 0 else (lambda dst, src: np.add(dst, src, out=dst))
-        for lo in range(0, len(axis), step):
-            part = slice(lo, lo + step)
-            plane = _held_out_diff(sums_k[k], axis[None, part], train_k[k], n)
-            np.multiply(plane, plane, out=plane)
-            put(table[(slice(None),) * (k + 1) + (part, ..., slice(n))], np.expand_dims(plane, spread))
-        diff = means[:, k, None] - axis
-        put(table[..., n], np.expand_dims(np.multiply(diff, diff, out=diff), spread))
-    finish(table, out=table)
+
+    def fill(lo, hi):
+        part = table[:, lo:hi]
+        for k, axis in enumerate((axes[0][lo:hi], *axes[1:])):
+            spread = tuple(j + 1 for j in range(m) if j != k)  # the other coordinates' axes
+            put = np.copyto if k == 0 else (lambda dst, src: np.add(dst, src, out=dst))
+            for a in range(0, len(axis), step):
+                piece = slice(a, a + step)
+                plane = _held_out_diff(sums_k[k], axis[None, piece], train_k[k], n)
+                np.multiply(plane, plane, out=plane)
+                put(part[(slice(None),) * (k + 1) + (piece, ..., slice(n))], np.expand_dims(plane, spread))
+            diff = means[:, k, None] - axis
+            put(part[..., n], np.expand_dims(np.multiply(diff, diff, out=diff), spread))
+        finish(part, out=part)
+
+    _split(fill, len(axes[0]), _per_block(table.size // len(axes[0])))
     return table.reshape(T, -1, n + 1)
 
 
@@ -207,14 +261,20 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
     out = np.empty((T, K, n + 1))
     # columns 0..n-1: held-out training point i against the other n points,
     # one block of whole samples, or of one sample's candidates, at a time,
-    # and in a block one coordinate's contiguous plane at a time
+    # and in a block one coordinate's contiguous plane at a time; block b is
+    # sample block b // blocks, candidate block b % blocks
     samples, step = _per_block(K * n), _per_block(n)
-    for t in range(0, T, samples):
-        for lo in range(0, K, step):
-            ts, cs = slice(t, t + samples), slice(lo, lo + step)
+    blocks = -(-K // step)
+
+    def fill(lo, hi):
+        for b in range(lo, hi):
+            t, c = divmod(b, blocks)
+            ts, cs = slice(t * samples, (t + 1) * samples), slice(c * step, (c + 1) * step)
             own = slice(None) if rows is None else ts
             planes = (_held_out_diff(sums_k[k, ts], cand_k[k, own, cs], train_k[k, ts], n) for k in range(m))
             out[ts, cs, :n] = _sum_of_squares(planes, finish)
+
+    _split(fill, -(-T // samples) * blocks)
     # column n: the candidate against the training sample
     out[:, :, n] = _sum_of_squares((means[:, None, k] - cand_k[k] for k in range(m)), finish)
     return out

@@ -417,6 +417,21 @@ class TestBlockedKernelIsBitExact:
         assert table.tobytes() == _one_shot_table(points, candidates, _norm).tobytes()
         assert calls["_product_axes"] == 1 and calls["_product_table"] == 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixing_net_embeds_no_product(self, seed):
+        # Nets like those the harness draws mix the coordinates, so rows 0
+        # and 1 of the embedded grid differ in every coordinate; the
+        # identity net's embedding is the grid, a product of its axes.
+        rng = np.random.default_rng(seed)
+        net = EmbeddingNet.from_weights(
+            [rng.standard_normal((3, 2)), rng.standard_normal((2, 3))],
+            [rng.standard_normal(3), rng.standard_normal(2)],
+        )
+        grid = make_uniform_grid([(-4.0, 4.0)] * 2, [201, 201])
+        assert scores_module._product_axes(net.apply(grid.points)) is None
+        axes = scores_module._product_axes(EmbeddingNet.identity(2).apply(grid.points))
+        assert [axis.tolist() for axis in axes] == [list(axis) for axis in grid.axes]
+
     @pytest.mark.parametrize("kind", ["mean_abs", "prototype", "mean_abs_1d", "rows"])
     def test_which_path_runs(self, monkeypatch, kind):
         # A 2-D mean distance on a product grid skips the block loop; a net's
