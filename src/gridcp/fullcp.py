@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, Region, Sample
-from .scores import ScoreFn, _per_block, _split
+from .scores import ScoreFn, _parts, _split
 
 __all__ = [
     "Transducer",
@@ -136,23 +136,26 @@ def _ranks(score_tables, d: int, universe: Grid, shape: tuple[int, ...]) -> np.n
     then that the tables have `shape`, whose last axis is n + 1, and that
     every numerator lies in 1..n+1. A count of n + 1 comparisons is at most
     n + 1, so only the lower end is compared: a NaN candidate score counts 0.
-    Rows are counted in parallel, a block of cells or more per part, into
-    one comparison array and one count array allocated here.
+    A table of many blocks is counted in parallel, rows split as `_parts`
+    says, into one comparison array and one count array allocated here.
     """
     if d != universe.dim:
         raise ValueError(f"dimension mismatch: sample d={d}, grid d={universe.dim}")
     tables = score_tables()
     if tables.shape != shape:
         raise ValueError("score kernel returned a malformed table")
-    at_least = np.empty(shape, dtype=bool)
-    nums = np.empty(shape[:-1], dtype=np.int64)
+    parts = _parts(shape[0], tables.size)
+    if parts < 2:
+        nums = np.add.reduce(tables >= tables[..., -1:], axis=-1)
+    else:
+        at_least = np.empty(shape, dtype=bool)
+        nums = np.empty(shape[:-1], dtype=np.int64)
 
-    def count(lo, hi):
-        part = tables[lo:hi]
-        at_least_part = np.greater_equal(part, part[..., -1:], out=at_least[lo:hi])
-        np.add.reduce(at_least_part, axis=-1, out=nums[lo:hi])
+        def count(lo, hi):
+            part = tables[lo:hi]
+            np.add.reduce(np.greater_equal(part, part[..., -1:], out=at_least[lo:hi]), axis=-1, out=nums[lo:hi])
 
-    _split(count, shape[0], _per_block(shape[-1]))  # a row has n + 1 cells
+        _split(count, shape[0], parts)
     if shape[-1] < 2 or nums.min(initial=1) < 1:
         raise ValueError("numerators must lie in 1..n+1, with n >= 1")
     return nums

@@ -31,13 +31,14 @@ each coordinate's held-out difference depends on the candidate only through
 that coordinate's value: it is computed once per axis value and broadcast
 into the table. Otherwise the kernel runs over blocks of candidates. Both
 paths give every cell the same IEEE operations in the same order, so the
-tables are the same bits. A table of more than one block is split across
-the process's CPUs (`_split`), by blocks or by coordinate-0 values, with the
-same bits again. At 201x201 on a shared 2-vCPU host (best of 15), one CPU
-against two: the mean-distance table on the product path takes 11-14 ms
-against 6.2-7.4 ms at n = 100 and 3.3-3.6 ms against 2.2-2.7 ms at n = 20
-(blocked, on one CPU: 31-38 and 6.6-9.5 ms); the prototype net's blocked
-table 31-32 ms against 23-25 ms and 8.2-8.7 ms against 6.3-6.6 ms.
+tables are the same bits. A table of 24 blocks or more is split across up
+to three of the process's CPUs (`_split`), by blocks or by coordinate-0
+values, with the same bits again. At 201x201 on a shared 2-vCPU host (best
+of 15), one CPU against two: the mean-distance table on the product path
+takes 11-14 ms against 6.2-8.2 ms at n = 100 and 3.3-3.6 ms against
+2.2-2.7 ms at n = 20 (blocked, on one CPU: 31-38 and 6.6-9.5 ms); the
+prototype net's blocked table 31-32 ms against 23-28 ms and 8.2-8.7 ms
+against 6.3-6.8 ms.
 """
 
 from __future__ import annotations
@@ -66,6 +67,15 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # 128 KiB per float temporary, whatever the grid size. `ck coverage` draws its
 # trials in chunks of one block.
 _BLOCK_CELLS = 1 << 14
+# A table of 2 * _PART_CELLS cells or more is split across CPUs (`_split`).
+# On a 2-vCPU host two parts first gained at 12 blocks (rank count), 16
+# (product path) and 24 (blocked loop) against one part; below that, starting
+# and joining a thread cost more than it saved.
+_PART_CELLS = 12 * _BLOCK_CELLS
+# Each part holds about three blocks of temporaries at once (0.4 MiB: two
+# coordinate planes and numpy's ufunc buffers); three parts keep a 201x201
+# prototype table's kernel within 2 MiB above the table on any host.
+_MAX_PARTS = 3
 
 
 def gaussian_pdf(y, mean: float, sd: float):
@@ -120,14 +130,21 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _split(run: Callable[[int, int], object], count: int, grain: int = 1) -> None:
-    """run(lo, hi) over contiguous parts of range(count), one part per CPU
-    and each at least `grain` items: the first part in the calling thread,
-    each other in a thread of its own. With one part it calls run(0, count)
-    and starts nothing. Parts must write disjoint cells; numpy releases the
-    GIL inside each ufunc, so they compute at the same time. A worker's
-    exception is raised again in the caller."""
-    parts = 1 if count < 2 * grain else min(count // grain, _cpus())
+def _parts(count: int, cells: int) -> int:
+    """How many parts `_split` runs `count` items of `cells` cells in all
+    in: one per CPU, at most _MAX_PARTS and at most one per item, each of
+    about _PART_CELLS cells or more."""
+    if cells < 2 * _PART_CELLS:
+        return 1
+    return min(cells // _PART_CELLS, count, _cpus(), _MAX_PARTS)
+
+
+def _split(run: Callable[[int, int], object], count: int, parts: int) -> None:
+    """run(lo, hi) over `parts` contiguous parts of range(count) (`_parts`):
+    the first part in the calling thread, each other in a thread of its own.
+    With one part it calls run(0, count) and starts nothing. Parts must write
+    disjoint cells; numpy releases the GIL inside each ufunc, so they compute
+    at the same time. A worker's exception is raised again in the caller."""
     if parts < 2:
         run(0, count)
         return
@@ -219,7 +236,8 @@ def _product_table(sums_k, train_k, means, axes, finish: np.ufunc) -> np.ndarray
             put(part[..., n], np.expand_dims(np.multiply(diff, diff, out=diff), spread))
         finish(part, out=part)
 
-    _split(fill, len(axes[0]), _per_block(table.size // len(axes[0])))
+    count = len(axes[0])
+    _split(fill, count, _parts(count, table.size))
     return table.reshape(T, -1, n + 1)
 
 
@@ -274,7 +292,8 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
             planes = (_held_out_diff(sums_k[k, ts], cand_k[k, own, cs], train_k[k, ts], n) for k in range(m))
             out[ts, cs, :n] = _sum_of_squares(planes, finish)
 
-    _split(fill, -(-T // samples) * blocks)
+    count = -(-T // samples) * blocks
+    _split(fill, count, _parts(count, T * K * n))
     # column n: the candidate against the training sample
     out[:, :, n] = _sum_of_squares((means[:, None, k] - cand_k[k] for k in range(m)), finish)
     return out

@@ -1,8 +1,9 @@
 """Splitting the leave-one-out kernel and the rank count across CPUs.
 
-`scores._split` runs a table's blocks in contiguous parts, one per CPU, the
-first in the calling thread. The CPU count is patched to 1, 2 and 3 here, so
-every test holds on a host with any number of CPUs.
+`scores._split` runs a table's blocks in contiguous parts, one per CPU and
+at most `_MAX_PARTS`, the first in the calling thread. The CPU count is
+patched to 1, 2 and 3 here, and most tests shrink the blocks and the least
+part, so every test holds on a host with any number of CPUs.
 """
 
 import sys
@@ -24,6 +25,12 @@ from test_scores import _neg_sq, _norm, _one_shot_table
 def workers(request, monkeypatch) -> int:
     monkeypatch.setattr(scores_module, "_cpus", lambda: request.param)
     return request.param
+
+
+def _blocks(monkeypatch, cells: int) -> None:
+    """Blocks of `cells` cells, and a part of one block or more."""
+    monkeypatch.setattr(scores_module, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(scores_module, "_PART_CELLS", cells)
 
 
 @pytest.fixture
@@ -61,7 +68,7 @@ _CASES = {
 @pytest.mark.parametrize("cells", [7, 64], ids=["cells7", "cells64"])
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_tables_match_the_one_shot_table(monkeypatch, workers, starts, case, cells):
-    monkeypatch.setattr(scores_module, "_BLOCK_CELLS", cells)
+    _blocks(monkeypatch, cells)
     psi, spec, dist, embed = _CASES[case]
     grid = make_uniform_grid(*spec)
     points = np.random.default_rng(1).uniform(-2, 2, (3, 4, grid.dim))
@@ -74,7 +81,7 @@ def test_tables_match_the_one_shot_table(monkeypatch, workers, starts, case, cel
 
 @pytest.mark.parametrize("case", ["blocked_2d", "blocked_1d"])
 def test_rows_match_the_full_tables(monkeypatch, workers, starts, case):
-    monkeypatch.setattr(scores_module, "_BLOCK_CELLS", 7)
+    _blocks(monkeypatch, 7)
     psi, spec, *_ = _CASES[case]
     grid = make_uniform_grid(*spec)
     rng = np.random.default_rng(2)
@@ -90,7 +97,7 @@ def test_rows_match_the_full_tables(monkeypatch, workers, starts, case):
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_numerators_match_the_one_shot_count(monkeypatch, workers, starts, case):
     # 2 cells a block: each rank-count row of n + 1 = 5 cells is a block.
-    monkeypatch.setattr(scores_module, "_BLOCK_CELLS", 2)
+    _blocks(monkeypatch, 2)
     psi, spec, dist, embed = _CASES[case]
     grid = make_uniform_grid(*spec)
     rng = np.random.default_rng(3)
@@ -110,7 +117,8 @@ def test_more_workers_than_cores_under_frequent_switches(monkeypatch, starts):
     # Eight parts a call, switching threads every microsecond: a part that
     # wrote outside its own cells would change some table or count.
     monkeypatch.setattr(scores_module, "_cpus", lambda: 8)
-    monkeypatch.setattr(scores_module, "_BLOCK_CELLS", 7)
+    monkeypatch.setattr(scores_module, "_MAX_PARTS", 8)
+    _blocks(monkeypatch, 7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -131,31 +139,50 @@ def test_more_workers_than_cores_under_frequent_switches(monkeypatch, starts):
 
 
 @pytest.mark.parametrize(
-    "count, grain, parts",
+    "count, cells, cpus, parts",
     [
-        (10, 1, [(0, 3), (3, 6), (6, 10)]),
-        (10, 4, [(0, 5), (5, 10)]),
-        (7, 4, [(0, 7)]),
-        (2, 1, [(0, 1), (1, 2)]),
-        (1, 1, [(0, 1)]),
+        # a part gets about _PART_CELLS = 12 blocks of 2^14 cells or more
+        (48, 48 << 14, 2, 2),
+        (47, 47 << 14, 2, 2),
+        (47, 47 << 14, 3, 3),
+        (23, 23 << 14, 3, 1),
+        (1000, 1000 << 14, 64, 3),  # at most _MAX_PARTS, whatever the CPU count
+        (1000, 1000 << 14, 1, 1),
+        (18725, 18725 * 21, 2, 2),  # rows of 21 cells
+        (18724, 18724 * 21, 2, 1),
+        (2, 50 << 20, 3, 2),  # at most one part per item
+        (1, 10 << 20, 2, 1),
+        (0, 0, 2, 1),
+    ],
+)
+def test_part_count(monkeypatch, count, cells, cpus, parts):
+    monkeypatch.setattr(scores_module, "_cpus", lambda: cpus)
+    assert scores_module._parts(count, cells) == parts
+
+
+@pytest.mark.parametrize(
+    "count, parts, bounds",
+    [
+        (10, 3, [(0, 3), (3, 6), (6, 10)]),
+        (10, 2, [(0, 5), (5, 10)]),
+        (7, 1, [(0, 7)]),
+        (2, 2, [(0, 1), (1, 2)]),
         (0, 1, [(0, 0)]),
     ],
 )
-def test_parts_are_contiguous_and_cover_the_range(monkeypatch, count, grain, parts):
-    monkeypatch.setattr(scores_module, "_cpus", lambda: 3)
+def test_parts_are_contiguous_and_cover_the_range(count, parts, bounds):
     seen, lock = [], threading.Lock()
 
     def run(lo, hi):
         with lock:
             seen.append((lo, hi))
 
-    scores_module._split(run, count, grain)
-    assert sorted(seen) == parts
+    scores_module._split(run, count, parts)
+    assert sorted(seen) == bounds
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_an_exception_in_a_part_reaches_the_caller(monkeypatch, failing):
-    monkeypatch.setattr(scores_module, "_cpus", lambda: 3)
+def test_an_exception_in_a_part_reaches_the_caller(failing):
     before = threading.active_count()
     done = []
 
@@ -165,7 +192,7 @@ def test_an_exception_in_a_part_reaches_the_caller(monkeypatch, failing):
         done.append(lo)
 
     with pytest.raises(ValueError, match=r"part \d+\.\.\d+ failed"):
-        scores_module._split(run, 9)
+        scores_module._split(run, 9, 3)
     # every part ran to its end before the caller saw the exception
     assert len(done) == (1 if failing == "worker" else 2)
     assert threading.active_count() == before
@@ -184,12 +211,31 @@ def test_a_one_block_call_starts_no_thread(monkeypatch, starts):
     assert starts == []
 
 
+def test_a_table_splits_from_two_least_parts(monkeypatch, starts):
+    # n = 20 on a 1-D grid, 2 * _PART_CELLS = 24 * 2^14 cells: the kernel's
+    # n columns split from 19661 candidates, the rank count's n + 1 from 18725.
+    monkeypatch.setattr(scores_module, "_cpus", lambda: 3)
+    sample = Sample(np.random.default_rng(6).normal(size=(20, 1)))
+    psi = MeanAbsDistance()
+    transducer(sample, psi, make_uniform_grid([(-2.0, 2.0)], [18724]))
+    psi.loo_matrix(sample, make_uniform_grid([(-2.0, 2.0)], [19660]).points)
+    assert starts == []
+    transducer(sample, psi, make_uniform_grid([(-2.0, 2.0)], [18725]))
+    assert len(starts) == 1  # the rank count's
+    psi.loo_matrix(sample, make_uniform_grid([(-2.0, 2.0)], [19661]).points)
+    assert len(starts) == 2
+
+
 @pytest.mark.parametrize("kind", ["mean_abs", "prototype"])
-def test_kernel_memory_with_two_workers(monkeypatch, kind):
-    monkeypatch.setattr(scores_module, "_cpus", lambda: 2)
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_kernel_memory_with_many_workers(monkeypatch, starts, kind, cpus):
+    monkeypatch.setattr(scores_module, "_cpus", lambda: cpus)
     test_scores.TestKernelMemory().test_peak_stays_near_the_table(kind)
+    # warm-up and measured call: one thread each below the cap, two at it
+    assert len(starts) == 2 * (min(cpus, scores_module._MAX_PARTS) - 1)
 
 
-def test_transducer_memory_with_two_workers(monkeypatch):
-    monkeypatch.setattr(scores_module, "_cpus", lambda: 2)
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_transducer_memory_with_many_workers(monkeypatch, cpus):
+    monkeypatch.setattr(scores_module, "_cpus", lambda: cpus)
     test_fullcp.TestTransducer().test_large_grid_memory_stays_near_the_table()
