@@ -170,10 +170,12 @@ def run_coverage(cfg: ExperimentConfig) -> dict:
     fixed componentwise map, so exchangeability survives.
     """
     universe, psi, draw, n = cfg.universe, cfg.psi, _SCENARIOS[cfg.scenario], cfg.n
-    # Trials are drawn into a chunk of one kernel block's worth of partial-sum
-    # terms, n x (n + 1) per sample; the chunk's last trial snaps them and
-    # scores each sample at its test point only, with one kernel call.
-    chunk = _per_block(n * (n + 1))
+    # Trials are drawn into a chunk; the chunk's last trial snaps them and
+    # scores each sample at its test point only, with one kernel call. The
+    # chunk's fixed-point partial sums (`scores._fixed_sums`) hold about five
+    # 8-byte temporaries of its n training values per sample at once, so a
+    # chunk of _per_block(5 n) samples keeps them within one kernel block.
+    chunk = _per_block(5 * n)
     draws = np.empty((chunk, n + 1))
 
     def one_trial(rng: np.random.Generator, t: int) -> dict:

@@ -17,9 +17,12 @@ to the sample. Three families ship:
 Every score is computed one way: `loo_tables`, the full-CP leave-one-out
 tables of a stack of samples, which every region is built from;
 `loo_matrix` is the table of a stack of one. Sample aggregates in a table
-are computed with exactly rounded summation (math.fsum), so that permuting
-the sample permutes the table's training columns and leaves the candidate
-column bit-for-bit unchanged. The two sample scores share one kernel: it
+are exactly rounded sums, math.fsum's values, so that permuting the sample
+permutes the table's training columns and leaves the candidate column
+bit-for-bit unchanged. Small stacks take fsum itself; larger ones add each
+column as integers at the scale of its lowest set bit, exactly in int64,
+and round once (`_fixed_sums`), which gives the same doubles, and take
+fsum where a column does not fit. The two sample scores share one kernel: it
 adds the squared differences one coordinate at a time, in coordinate order,
 then takes the square root (mean distance) or negates (prototype).
 
@@ -76,6 +79,11 @@ _PART_CELLS = 12 * _BLOCK_CELLS
 # coordinate planes and numpy's ufunc buffers); three parts keep a 201x201
 # prototype table's kernel within 2 MiB above the table on any host.
 _MAX_PARTS = 3
+# Partial-sum terms (samples x m x n^2) from which `_partial_sums` takes the
+# fixed-point path. On small stacks its numpy calls take about 27 us; the
+# fsum loop takes as long at 1,600 terms and longer above (best of 7, on one
+# CPU of a shared 2-vCPU host: 43 against 27 us at 2,500 terms).
+_FIXED_TERMS = 1 << 11
 
 
 def gaussian_pdf(y, mean: float, sd: float):
@@ -85,19 +93,63 @@ def gaussian_pdf(y, mean: float, sd: float):
     return out
 
 
+def _fixed_sums(flat: np.ndarray):
+    """`_partial_sums` of a (C, n) array of columns in int64 fixed point:
+    (sums, totals), or None when an input is not finite or a column misses
+    the int64 budget or could overflow a double.
+
+    With x = f * 2^e (frexp), each column's scale E is the least exponent of
+    a lowest set bit among its non-zero entries, e - 53 + tz(f * 2^53), so
+    every K = x * 2^-E is an integer, exact in int64 while (max e - E) +
+    bit_length(n + 1) <= 62, and so is the column total T = sum(K). The
+    int64 -> double cast of T - K or T rounds to nearest even, as fsum
+    does, and then scaling by 2^E (E >= -1074) is exact: at most 2^53 in
+    size the value is a multiple of 2^E with 53 bits, above that the result
+    is at least 2^-1021, a normal double. Zero sums come out +0.0, as fsum
+    gives them. A column whose sums could reach 2^1024 (max e +
+    bit_length(n + 1) > 1023) is left to fsum, which raises OverflowError
+    where the sum overflows.
+    """
+    nonzero = flat != 0
+    f, e = np.frexp(flat)
+    room = e.max(-1, initial=-1074, where=nonzero) + (flat.shape[-1] + 1).bit_length()
+    # necessary for the budget: a column's E is at most its least e - 1
+    if not np.isfinite(f).all() or (room > 1023).any() or (
+            room - e.min(-1, initial=1024, where=nonzero) > 61).any():
+        return None
+    K = np.ldexp(f, 53, out=f).astype(np.int64)
+    low = np.negative(K)
+    low &= K  # K's lowest set bit, 2^tz
+    e += np.frexp(low, out=(f, None))[1]  # e + tz + 1
+    E = e.min(-1, initial=2048, where=nonzero)[:, None] - 54
+    if (room[:, None] - E > 62).any():
+        return None
+    np.copyto(K, np.ldexp(flat, -E, out=f), casting="unsafe")
+    T = K.sum(-1, keepdims=True)
+    return np.ldexp(np.subtract(T, K, out=K), E, out=f), np.ldexp(T[:, 0], E[:, 0])
+
+
 def _partial_sums(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i of each sample in a (..., n, m) stack = exactly rounded
     componentwise sum of the sample's rows except i; and, from the same
     column lists, each sample's (..., m) exactly rounded componentwise total.
 
-    fsum over a column with -x_i appended is the correctly rounded value of
-    the same exact sum as fsum over the column without x_i.
+    By definition (the fsum loop) fsum over a column with -x_i appended is
+    the correctly rounded value of the same exact sum as fsum over the
+    column without x_i, n fsums of n + 1 terms per column. From
+    _FIXED_TERMS terms in all (samples x m x n^2) on, `_fixed_sums` gives
+    the same doubles in O(n) numpy passes when its columns fit; the loop
+    is kept for the rest.
     """
     columns = np.swapaxes(points, -1, -2)
-    flat = columns.reshape(-1, columns.shape[-1]).tolist()
-    sums = [[math.fsum(col + [-c]) for c in col] for col in flat]
-    totals = np.array([math.fsum(col) for col in flat]).reshape(columns.shape[:-1])
-    return np.swapaxes(np.array(sums).reshape(columns.shape), -1, -2), totals
+    shape = columns.shape
+    flat = columns.reshape(-1, shape[-1])
+    fixed = _fixed_sums(flat) if flat.size * shape[-1] >= _FIXED_TERMS else None
+    if fixed is None:
+        flat = flat.tolist()
+        fixed = [[math.fsum(col + [-c]) for c in col] for col in flat], [math.fsum(col) for col in flat]
+    sums, totals = map(np.asarray, fixed)
+    return np.swapaxes(sums.reshape(shape), -1, -2), totals.reshape(shape[:-1])
 
 
 def _held_out_diff(sums, cand, train, n: int) -> np.ndarray:
@@ -249,8 +301,10 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
 
     The prototype is the mean embedding of the other n points: for column
     i < n, the training points without i plus the candidate; for column n,
-    the n training points. Means use per-index partial sums via exactly
-    rounded summation, rather than total-minus-point: the latter's rounding
+    the n training points. Means use per-index partial sums, each the
+    exactly rounded sum of the other points (`_partial_sums`: fsum's values,
+    in int64 fixed point where the columns fit), rather than
+    total-minus-point computed in floating point: the latter's rounding
     can break score ties that hold in exact arithmetic (e.g. n = 1, where the
     held-out point's score must tie the candidate's at every candidate).
 

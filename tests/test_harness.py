@@ -432,20 +432,23 @@ class TestCoverageChunks:
         assert run_coverage(cfg)["hits"] == _coverage_hits_by_trial(cfg)
 
     @pytest.mark.parametrize("chunk", [1, 3, 4])
-    def test_partial_last_chunk(self, monkeypatch, chunk):
+    def test_partial_last_chunk(self, monkeypatch, kernel_calls, chunk):
         # 10 trials in chunks of 3 or 4 leave a short last chunk.
         cfg = ExperimentConfig(experiment="coverage", seed=8, trials=10, n=6, grid_counts=(31,))
-        monkeypatch.setattr(scores_module, "_BLOCK_CELLS", chunk * 6 * 7)
-        assert scores_module._per_block(6 * 7) == chunk
-        assert run_coverage(cfg)["hits"] == _coverage_hits_by_trial(cfg)
+        monkeypatch.setattr(scores_module, "_BLOCK_CELLS", chunk * 5 * 6)
+        assert scores_module._per_block(5 * 6) == chunk
+        hits = run_coverage(cfg)["hits"]
+        assert kernel_calls.shapes == [(min(chunk, 10 - lo), 1, 7) for lo in range(0, 10, chunk)]
+        assert hits == _coverage_hits_by_trial(cfg)
 
     def test_acceptance_shape_scores_one_row_per_trial(self, kernel_calls):
-        # One kernel call per chunk, each scoring its samples at their test
-        # points only: no (T, G, n+1) table of a chunk is built.
+        # One kernel call per chunk, the last one short, each scoring its
+        # samples at their test points only: no (T, G, n+1) table of a chunk
+        # is built.
         cfg = ExperimentConfig(experiment="coverage", seed=0, trials=2000, n=20, grid_counts=(201,))
         run_coverage(cfg)
-        chunk = scores_module._per_block(20 * 21)
-        assert 1 < chunk < 2000
+        chunk = scores_module._per_block(5 * 20)
+        assert 1 < chunk < 2000 and 2000 % chunk
         assert len(kernel_calls) == math.ceil(2000 / chunk)
         assert kernel_calls.shapes == [(min(chunk, 2000 - lo), 1, 21) for lo in range(0, 2000, chunk)]
 
@@ -457,6 +460,24 @@ class TestCoverageChunks:
         cfg = ExperimentConfig(experiment="coverage", trials=5, n=4, grid_counts=(41,))
         with pytest.raises(ValueError, match=match):
             run_coverage(cfg)
+
+    def test_acceptance_shape_sums_in_fixed_point(self, monkeypatch):
+        # Every chunk's partial sums take the fixed-point path, the short
+        # last chunk included: none falls back to the fsum loop unseen.
+        taken, fixed_sums = [], scores_module._fixed_sums
+
+        def spy(flat):
+            out = fixed_sums(flat)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(scores_module, "_fixed_sums", spy)
+        for score in ("mean_abs_distance", "prototype_embedding"):
+            taken.clear()
+            cfg = ExperimentConfig(experiment="coverage", seed=0, trials=2000, n=20, grid_counts=(201,),
+                                   score=score)
+            run_coverage(cfg)
+            assert taken == [True] * math.ceil(2000 / scores_module._per_block(5 * 20)), score
 
     def test_acceptance_shape_stays_in_small_chunks(self):
         # All 2,000 trials of the acceptance shape stacked at once would take

@@ -1,6 +1,7 @@
 """Score families: frozen values, exact permutation equivariance, embedding nets."""
 
 import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridcp import scores as scores_module
 from gridcp.fullcp import transducer
@@ -562,14 +564,35 @@ class TestKernelMemory:
 
 
 def _partial_sums_by_deletion(points: np.ndarray) -> np.ndarray:
-    """The definition: row i is fsum over each column with row i deleted."""
-    n, d = points.shape
-    out = np.empty((n, d))
-    for i in range(n):
-        rest = np.delete(points, i, axis=0)
-        for k in range(d):
-            out[i, k] = math.fsum(rest[:, k]) if n > 1 else 0.0
+    """The definition: row i of each sample in a (..., n, d) stack is fsum
+    over each column with row i deleted."""
+    out = np.empty(points.shape)
+    for idx in np.ndindex(*points.shape[:-2]):
+        sample = points[idx]
+        for i in range(len(sample)):
+            rest = np.delete(sample, i, axis=0)
+            out[idx][i] = [math.fsum(col) for col in rest.T]
     return out
+
+
+def _totals_by_fsum(points: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(col) for col in np.swapaxes(points, -1, -2).reshape(-1, points.shape[-2])])
+
+
+@contextlib.contextmanager
+def _path(path: str):
+    """`_partial_sums` on one path: "fixed" tries fixed point at any size
+    (falling back to the fsum loop where a column does not fit), "fsum"
+    never does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scores_module, "_FIXED_TERMS", 0 if path == "fixed" else math.inf)
+        yield
+
+
+def _fits(points: np.ndarray) -> bool:
+    """Whether the fixed-point path takes the whole stack."""
+    flat = np.swapaxes(points, -1, -2).reshape(-1, points.shape[-2])
+    return scores_module._fixed_sums(flat) is not None
 
 
 _mixed_floats = st.one_of(
@@ -578,21 +601,84 @@ _mixed_floats = st.one_of(
     st.floats(-10, 10).map(lambda v: round(v, 1)),
     st.sampled_from([0.1, -0.1, 0.2, -0.3, 1e16, -1e16, 1.0, -1.0, 0.0, -0.0]),
 )
+_shapes = st.tuples(st.integers(1, 3), st.integers(1, 40), st.integers(1, 3))  # (T, n, m)
+_mixed_stacks = _shapes.flatmap(lambda shape: arrays(float, shape, elements=_mixed_floats))
+# Multiples of 2^s below 2^55 * 2^s, s shared by the stack: every column fits
+# the int64 budget (55 + 1 + bit_length(41) <= 62), subnormal stacks included.
+_fitting_stacks = st.tuples(_shapes, st.integers(-1074, 900)).flatmap(
+    lambda args: arrays(float, args[0], elements=st.integers(-(2**55), 2**55).map(
+        lambda k, s=args[1]: math.ldexp(k, s)))
+)
 
 
 @settings(max_examples=300)
-@given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.lists(
-            st.lists(_mixed_floats, min_size=d, max_size=d), min_size=1, max_size=40
-        )
-    )
-)
-def test_partial_sums_match_deletion_byte_for_byte(rows):
-    points = np.array(rows, dtype=float)
-    sums, totals = _partial_sums(points)
-    assert sums.tobytes() == _partial_sums_by_deletion(points).tobytes()
-    assert totals.tobytes() == np.array([math.fsum(col) for col in points.T]).tobytes()
+@given(st.one_of(_mixed_stacks, _fitting_stacks))
+def test_partial_sums_match_deletion_byte_for_byte(points):
+    # Both paths, on (T, n, m) stacks.
+    for path in ("fixed", "fsum"):
+        with _path(path):
+            sums, totals = _partial_sums(points)
+        assert sums.tobytes() == _partial_sums_by_deletion(points).tobytes(), path
+        assert totals.tobytes() == _totals_by_fsum(points).tobytes(), path
+
+
+@settings(max_examples=200)
+@given(_fitting_stacks)
+def test_fitting_stacks_take_the_fixed_path(points):
+    assert _fits(points)
+
+
+def _column(*values) -> np.ndarray:
+    """A stack of one sample with one coordinate."""
+    return np.array(values, dtype=float)[None, :, None]
+
+
+def _outcome(points, path: str):
+    """`_partial_sums`' bytes on one path, or the type of what it raised."""
+    with _path(path):
+        try:
+            sums, totals = _partial_sums(points)
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+    return sums.tobytes(), totals.tobytes()
+
+
+_EDGE_CASES = {
+    # case: (stack, whether the fixed-point path takes it)
+    "n1": (np.array([[[3.5, -0.1]], [[0.0, 2.0**-1074]]]), True),
+    "zeros": (np.array([[[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]]), True),
+    "negative_zeros": (_column(-0.0, -0.0, -0.0), True),
+    "zero_and_tiny": (_column(-0.0, 5e-324, 0.0, -5e-324), True),
+    "subnormals": (_column(5e-324, -1e-323, 2.0**-1030, -(2.0**-1023) + 5e-324), True),
+    # (max e - E) + bit_length(n + 1): 60 + 2 = 62, then 63
+    "at_int64_budget": (_column(2.0**59, 1.0), True),
+    "past_int64_budget": (_column(2.0**60, 1.0), False),
+    "int64_overflow": (_column(2.0**62, 2.0**62, 1.0), False),
+    "rounds_up": (_column(1.0, 2.0**-53, 2.0**-55), True),
+    "ties_to_even": (_column(1.0 + 2.0**-52, 2.0**-53, 0.0), True),
+    "nan": (_column(1.0, math.nan), False),
+    "inf": (_column(math.inf, 1.0), False),
+    "minus_inf": (_column(-math.inf, 2.0, 3.0), False),
+    "overflow_1e308": (_column(1e308, 1e308), False),
+    "huge_cancelling": (_column(1e308, -1e308), False),
+}
+
+
+@pytest.mark.parametrize("case", _EDGE_CASES)
+def test_partial_sums_edge_cases_agree_across_paths(case):
+    points, fits = _EDGE_CASES[case]
+    assert _fits(points) == fits
+    expected = _outcome(points, "fsum")
+    assert _outcome(points, "fixed") == expected
+    if np.isfinite(points).all() and not isinstance(expected, type):
+        assert expected == (_partial_sums_by_deletion(points).tobytes(), _totals_by_fsum(points).tobytes())
+
+
+def test_partial_sums_raise_as_fsum_does():
+    # fsum over a column with an infinite entry and its negation is refused,
+    # and a column of sums past the largest double overflows.
+    assert _outcome(_column(math.inf, 1.0), "fixed") is ValueError
+    assert _outcome(_column(1e308, 1e308), "fixed") is OverflowError
 
 
 class TestEmbeddingNet:
