@@ -26,22 +26,22 @@ fsum where a column does not fit. The two sample scores share one kernel: it
 adds the squared differences one coordinate at a time, in coordinate order,
 then takes the square root (mean distance) or negates (prototype).
 
-The kernel has two paths. When a whole table is asked for (no `rows`), the
-sample is at least 2-D and the embedded candidates are, bit for bit, the
-lexicographic product of per-coordinate values in `Grid.points` order (the
-mean distance on any product grid, but not a net that mixes coordinates),
-each coordinate's held-out difference depends on the candidate only through
-that coordinate's value: it is computed once per axis value and broadcast
-into the table. Otherwise the kernel runs over blocks of candidates. Both
-paths give every cell the same IEEE operations in the same order, so the
-tables are the same bits. A table of 24 blocks or more is split across up
-to three of the process's CPUs (`_split`), by blocks or by coordinate-0
-values, with the same bits again. At 201x201 on a shared 2-vCPU host (best
-of 15), one CPU against two: the mean-distance table on the product path
-takes 11-14 ms against 6.2-8.2 ms at n = 100 and 3.3-3.6 ms against
-2.2-2.7 ms at n = 20 (blocked, on one CPU: 31-38 and 6.6-9.5 ms); the
-prototype net's blocked table 31-32 ms against 23-28 ms and 8.2-8.7 ms
-against 6.3-6.8 ms.
+One loop fills every table, one factor at a time: a factor is a run of
+coordinates with its own candidate values, and the candidates are the
+lexicographic product of the factors' values. Where the candidates are, bit
+for bit, the lexicographic product of per-coordinate values in `Grid.points`
+order (the mean distance on any product grid, not a net that mixes
+coordinates) and the whole table is asked for, each coordinate is a factor,
+so its held-out difference is computed once per axis value; otherwise all m
+coordinates are one factor. Every cell gets the same IEEE operations in the
+same order whatever the factoring, so the tables are the same bits. A table
+of 24 blocks or more is split by factor-0 values across up to three of the
+process's CPUs (`_split`), with the same bits again. At 201x201 on a shared
+2-vCPU host (best of 15), one CPU against two: the mean-distance table, per
+axis, takes 11-14 ms against 6.2-8.2 ms at n = 100 and 3.3-3.6 ms against
+2.2-2.7 ms at n = 20 (as one factor, on one CPU: 31-38 and 6.6-9.5 ms); the
+prototype net's table 31-32 ms against 23-28 ms and 8.2-8.7 ms against
+6.3-6.8 ms.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK_CELLS = 1 << 14
 # A table of 2 * _PART_CELLS cells or more is split across CPUs (`_split`).
 # On a 2-vCPU host two parts first gained at 12 blocks (rank count), 16
-# (product path) and 24 (blocked loop) against one part; below that, starting
-# and joining a thread cost more than it saved.
+# (a per-axis table) and 24 (a one-factor table) against one part; below
+# that, starting and joining a thread cost more than it saved.
 _PART_CELLS = 12 * _BLOCK_CELLS
 # Each part holds about three blocks of temporaries at once (0.4 MiB: two
 # coordinate planes and numpy's ufunc buffers); three parts keep a 201x201
@@ -141,7 +141,7 @@ def _partial_sums(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same doubles in O(n) numpy passes when its columns fit; the loop
     is kept for the rest.
     """
-    columns = np.swapaxes(points, -1, -2)
+    columns = points.swapaxes(-1, -2)
     shape = columns.shape
     flat = columns.reshape(-1, shape[-1])
     fixed = _fixed_sums(flat) if flat.size * shape[-1] >= _FIXED_TERMS else None
@@ -149,7 +149,7 @@ def _partial_sums(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flat = flat.tolist()
         fixed = [[math.fsum(col + [-c]) for c in col] for col in flat], [math.fsum(col) for col in flat]
     sums, totals = map(np.asarray, fixed)
-    return np.swapaxes(sums.reshape(shape), -1, -2), totals.reshape(shape[:-1])
+    return sums.reshape(shape).swapaxes(-1, -2), totals.reshape(shape[:-1])
 
 
 def _held_out_diff(sums, cand, train, n: int) -> np.ndarray:
@@ -160,15 +160,24 @@ def _held_out_diff(sums, cand, train, n: int) -> np.ndarray:
     return np.subtract(diff, train[:, None], out=diff)
 
 
-def _sum_of_squares(planes, finish: np.ufunc) -> np.ndarray:
+def _sum_of_squares(planes, finish: np.ufunc | None = None) -> np.ndarray:
     """finish(d_0**2 + d_1**2 + ...) over one difference plane per coordinate,
-    added in coordinate order (np.add.reduce's for m < 8), in place."""
+    added in coordinate order (np.add.reduce's for m < 8), in place; without
+    `finish`, the sum itself."""
     planes = iter(planes)
     acc = next(planes)
     np.multiply(acc, acc, out=acc)
     for plane in planes:
         np.add(acc, np.multiply(plane, plane, out=plane), out=acc)
-    return finish(acc, out=acc)
+    return acc if finish is None else finish(acc, out=acc)
+
+
+def _put(cells: np.ndarray, plane: np.ndarray, add: bool) -> None:
+    """Copy `plane` into `cells`, or add it to them, broadcasting."""
+    if add:
+        np.add(cells, plane, out=cells)
+    else:
+        cells[...] = plane
 
 
 def _per_block(cells: int) -> int:
@@ -221,11 +230,14 @@ def _split(run: Callable[[int, int], object], count: int, parts: int) -> None:
         raise errors[0]
 
 
-def _check_rows(rows, T: int) -> np.ndarray:
-    """`rows` as the (T, k) integer array that picks each sample's rows."""
+def _check_rows(rows, T: int, G: int) -> np.ndarray:
+    """`rows` as the (T, k) integer array that picks each sample's rows of
+    a G-row table."""
     rows = np.asarray(rows)
     if rows.ndim != 2 or len(rows) != T or rows.dtype.kind not in "iu":
         raise ValueError(f"rows must be a ({T}, k) integer array, got {rows.dtype} {rows.shape}")
+    if rows.size and not (0 <= rows.min() and rows.max() < G):
+        raise ValueError(f"rows must lie in 0..{G - 1}, got {rows.min()}..{rows.max()}")
     return rows
 
 
@@ -257,42 +269,6 @@ def _product_axes(cand: np.ndarray):
     return axes if run == 1 else None
 
 
-def _product_table(sums_k, train_k, means, axes, finish: np.ufunc) -> np.ndarray:
-    """`_loo_table`'s (T, G, n+1) table for candidates that are the
-    lexicographic product of `axes`, one array of values per coordinate.
-
-    A coordinate's held-out difference depends on the candidate only through
-    that coordinate's value, so its squared plane is computed once per axis
-    value, in (T, c, n) pieces of about one block, and broadcast into the
-    table in coordinate order; column n likewise from means - axis. Each cell
-    goes through the blocked loop's operations in the blocked loop's order.
-    Ranges of coordinate-0 values are filled in parallel (`_split`), each
-    part computing the other coordinates' planes for itself.
-    """
-    T, n = sums_k.shape[1:]
-    m = len(axes)
-    table = np.empty((T, *map(len, axes), n + 1))
-    step = _per_block(T * n)
-
-    def fill(lo, hi):
-        part = table[:, lo:hi]
-        for k, axis in enumerate((axes[0][lo:hi], *axes[1:])):
-            spread = tuple(j + 1 for j in range(m) if j != k)  # the other coordinates' axes
-            put = np.copyto if k == 0 else (lambda dst, src: np.add(dst, src, out=dst))
-            for a in range(0, len(axis), step):
-                piece = slice(a, a + step)
-                plane = _held_out_diff(sums_k[k], axis[None, piece], train_k[k], n)
-                np.multiply(plane, plane, out=plane)
-                put(part[(slice(None),) * (k + 1) + (piece, ..., slice(n))], np.expand_dims(plane, spread))
-            diff = means[:, k, None] - axis
-            put(part[..., n], np.expand_dims(np.multiply(diff, diff, out=diff), spread))
-        finish(part, out=part)
-
-    count = len(axes[0])
-    _split(fill, count, _parts(count, table.size))
-    return table.reshape(T, -1, n + 1)
-
-
 def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable = np.asarray,
                rows=None):
     """Leave-one-out tables of a score finish(|prototype - embedding|^2), one
@@ -312,45 +288,66 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
     candidates in one call, because a network's output rows can depend on
     how many rows one call maps; `rows` then picks embedded candidates, so
     each cell is the full table's cell, bit for bit.
+
+    The table is filled one factor at a time (see the module docstring):
+    each coordinate of a product grid (`_product_axes`) is a factor, and
+    otherwise the candidates, or each sample's picked ones, are one factor
+    of all m coordinates. A factor's squared differences are added in
+    coordinate order in pieces of about one block and spread over the other
+    factors' values, copied for factor 0 and added for the rest.
     """
     T, n, d = points.shape
     cand = np.asarray(candidates, dtype=float)
     if cand.shape[1:] != (d,) and not (d == 1 and cand.ndim <= 1):
         raise ValueError(f"candidates of shape {cand.shape} do not fit samples of shape "
                          f"{points.shape}: expected (G, {d})" + " or (G,)" * (d == 1))
-    train = np.array([embed(p) for p in points])  # (T, n, m)
+    train = np.array([embed(points[t]) for t in range(T)])  # (T, n, m)
     cand = embed(cand.reshape(-1, d))  # (G, m)
     sums, totals = _partial_sums(train)
     train_k, sums_k = train.transpose(2, 0, 1), sums.transpose(2, 0, 1)
     means = totals / n
     axes = _product_axes(cand) if rows is None and d > 1 else None
+    # factors: (first coordinate, coordinate-major values), (m_f, 1, V) when
+    # shared by every sample and (m, T, k) when each sample picks its own
     if axes is not None:
-        return _product_table(sums_k, train_k, means, axes, finish)
-    # coordinate-major candidates: (m, 1, G), shared by every sample, or each
-    # sample's own, (m, T, k)
-    cand_k = cand.T[:, None] if rows is None else cand[_check_rows(rows, T)].transpose(2, 0, 1)
-    m, _, K = cand_k.shape
-    out = np.empty((T, K, n + 1))
-    # columns 0..n-1: held-out training point i against the other n points,
-    # one block of whole samples, or of one sample's candidates, at a time,
-    # and in a block one coordinate's contiguous plane at a time; block b is
-    # sample block b // blocks, candidate block b % blocks
-    samples, step = _per_block(K * n), _per_block(n)
-    blocks = -(-K // step)
+        factors = [(k, axis[None, None]) for k, axis in enumerate(axes)]
+        shape = tuple(map(len, axes))
+    else:
+        values = cand.T[:, None] if rows is None else cand[_check_rows(rows, T, len(cand))].transpose(2, 0, 1)
+        factors, shape = [(0, values)], values.shape[2:]
+    table = np.empty((T, *shape, n + 1))
+    F = len(factors)
+    piece_finish = finish if F == 1 else None
 
     def fill(lo, hi):
-        for b in range(lo, hi):
-            t, c = divmod(b, blocks)
-            ts, cs = slice(t * samples, (t + 1) * samples), slice(c * step, (c + 1) * step)
-            own = slice(None) if rows is None else ts
-            planes = (_held_out_diff(sums_k[k, ts], cand_k[k, own, cs], train_k[k, ts], n) for k in range(m))
-            out[ts, cs, :n] = _sum_of_squares(planes, finish)
+        part = table[:, lo:hi]
+        for f, (k0, values) in enumerate(factors):
+            if f == 0:
+                values = values[..., lo:hi]
+            V = values.shape[2]
+            # the part with the samples and this factor's values last but
+            # one, so that a (samples, V, n) plane spreads over the others
+            view = part.swapaxes(f + 1, F).swapaxes(0, F - 1)
+            # columns 0..n-1: held-out training point i against the other n
+            # points, one block of whole samples, or of one sample's values,
+            # at a time, and in a block one coordinate's plane at a time
+            samples, step = _per_block(V * n), _per_block(n)
+            for t in range(0, T, samples):
+                ts = slice(t, t + samples)
+                own = slice(None) if rows is None else ts
+                for c in range(0, V, step):
+                    cs = slice(c, c + step)
+                    planes = (_held_out_diff(sums_k[k0 + j, ts], values[j, own, cs], train_k[k0 + j, ts], n)
+                              for j in range(len(values)))
+                    _put(view[..., ts, cs, :n], _sum_of_squares(planes, piece_finish), f)
+            # column n: the candidate against the training sample
+            col = (means[:, k0 + j, None] - values[j] for j in range(len(values)))
+            _put(view[..., n], _sum_of_squares(col, piece_finish), f)
+        if piece_finish is None:
+            finish(part, out=part)
 
-    count = -(-T // samples) * blocks
-    _split(fill, count, _parts(count, T * K * n))
-    # column n: the candidate against the training sample
-    out[:, :, n] = _sum_of_squares((means[:, None, k] - cand_k[k] for k in range(m)), finish)
-    return out
+    _split(fill, shape[0], _parts(shape[0], table.size // (n + 1) * n))
+    return table.reshape(T, -1, n + 1)
 
 
 class ScoreFn:
@@ -472,7 +469,7 @@ class NegPredictiveDensity(ScoreFn):
             raise ValueError(f"{self.kind} scores 1-D points; got a {d}-D sample and "
                              f"candidate points of shape {cand.shape[1:]}")
         scores = -self.density(cand.reshape(-1))
-        scores = scores[None] if rows is None else scores[_check_rows(rows, T)]  # (1 or T, K)
+        scores = scores[None] if rows is None else scores[_check_rows(rows, T, len(scores))]  # (1 or T, K)
         out = np.empty((T, scores.shape[1], n + 1))
         out[:, :, :n] = -self.density(points[:, None, :, 0])  # constant across candidates
         out[:, :, n] = scores

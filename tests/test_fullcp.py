@@ -172,6 +172,18 @@ class TestNumeratorsAt:
         with pytest.raises(ValueError, match="dimension mismatch"):
             numerators_at(np.zeros((2, 3, 2)), [0, 1], MeanAbsDistance(), _STACK_GRIDS[1])
 
+    @pytest.mark.parametrize("test", [-1, 11], ids=["minus_one", "grid_size"])
+    @pytest.mark.parametrize(
+        "psi",
+        [MeanAbsDistance(), PrototypeEmbedding(_two_layer_net(1)), NegPredictiveDensity(mean=0.0, sd=1.0)],
+        ids=lambda psi: psi.kind,
+    )
+    def test_refuses_a_test_point_off_the_grid(self, psi, test):
+        # numpy would read -1 as the grid's last point and refuse 11 with a
+        # bare IndexError.
+        with pytest.raises(ValueError, match=r"rows must lie in 0\.\.10"):
+            numerators_at(_STACK_GRIDS[1].points[[[0, 3], [1, 1]]], [2, test], psi, _STACK_GRIDS[1])
+
     @pytest.mark.parametrize(
         "psi, match", [(Malformed(), "malformed"), (Unranked(), "must lie in 1..n")]
     )

@@ -1,6 +1,5 @@
 """Score families: frozen values, exact permutation equivariance, embedding nets."""
 
-import collections
 import contextlib
 import functools
 import itertools
@@ -320,16 +319,20 @@ _PRODUCT_GRIDS = {
 }
 
 
-def _spy_on_paths(monkeypatch) -> collections.Counter:
-    """Count calls of the product test, the product fill and the blocked
-    loop's sum of squares."""
-    calls = collections.Counter()
-    for name in ("_product_axes", "_product_table", "_sum_of_squares"):
-        def spy(*args, _name=name, _real=getattr(scores_module, name)):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(scores_module, name, spy)
-    return calls
+def _spy_on_factoring(monkeypatch) -> list:
+    """The width in coordinates of each factor the kernel fills, in order:
+    one entry per candidate-column sum of squares, whose (samples, values)
+    planes are one per coordinate of the factor."""
+    widths, real = [], scores_module._sum_of_squares
+
+    def spy(planes, *args):
+        planes = list(planes)
+        if planes[0].ndim == 2:
+            widths.append(len(planes))
+        return real(planes, *args)
+
+    monkeypatch.setattr(scores_module, "_sum_of_squares", spy)
+    return widths
 
 
 def _blocking_cases():
@@ -383,8 +386,8 @@ class TestBlockedKernelIsBitExact:
         grid = make_uniform_grid(*_PRODUCT_GRIDS[shape])
         d = grid.dim
         points = np.random.default_rng(n).uniform(-2, 2, (T, n, d))
-        # The identity net embeds the grid as itself, so the prototype takes
-        # the product path too, with a negation for the square root.
+        # The identity net embeds the grid as itself, so the prototype is
+        # factored per axis too, with a negation for the square root.
         ident = EmbeddingNet.identity(d)
         for psi, dist, embed in ((MeanAbsDistance(), _norm, np.asarray),
                                  (PrototypeEmbedding(ident), _neg_sq, ident.apply)):
@@ -403,8 +406,8 @@ class TestBlockedKernelIsBitExact:
             assert nums.tolist() == [2] * grid.size
 
     @pytest.mark.parametrize("near", ["permuted", "swapped_pair", "minus_one", "duplicated_row", "empty"])
-    def test_near_product_takes_the_blocked_path(self, monkeypatch, near):
-        calls = _spy_on_paths(monkeypatch)
+    def test_near_product_is_one_factor(self, monkeypatch, near):
+        widths = _spy_on_factoring(monkeypatch)
         pts = make_uniform_grid(*_PRODUCT_GRIDS["7x5x3"]).points
         rng = np.random.default_rng(4)
         candidates = {
@@ -417,7 +420,7 @@ class TestBlockedKernelIsBitExact:
         points = rng.uniform(-2, 2, (4, 3))
         table = MeanAbsDistance().loo_matrix(Sample(points), candidates)
         assert table.tobytes() == _one_shot_table(points, candidates, _norm).tobytes()
-        assert calls["_product_axes"] == 1 and calls["_product_table"] == 0
+        assert widths == [3]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_mixing_net_embeds_no_product(self, seed):
@@ -435,19 +438,17 @@ class TestBlockedKernelIsBitExact:
         assert [axis.tolist() for axis in axes] == [list(axis) for axis in grid.axes]
 
     @pytest.mark.parametrize("kind", ["mean_abs", "prototype", "mean_abs_1d", "rows"])
-    def test_which_path_runs(self, monkeypatch, kind):
-        # A 2-D mean distance on a product grid skips the block loop; a net's
-        # embedded grid is no product; 1-D calls and `rows` never test for one.
-        calls = _spy_on_paths(monkeypatch)
+    def test_factoring(self, monkeypatch, kind):
+        # A 2-D mean distance on a product grid is one factor per axis; a
+        # net's embedded grid is no product, and 1-D calls and `rows` are
+        # one factor of every coordinate.
+        widths = _spy_on_factoring(monkeypatch)
         case = {"prototype": "prototype_d2_m3", "mean_abs_1d": "mean_abs_d1"}.get(kind, "mean_abs_d2")
         psi, d, *_ = _blocking_cases()[case]
         grid = make_uniform_grid([(-2.0, 2.0)] * d, [21, 21][:d])
         points = np.random.default_rng(6).uniform(-2, 2, (2, 5, d))
         psi.loo_tables(points, grid.points, [[3], [8]] if kind == "rows" else None)
-        assert calls == {
-            "mean_abs": {"_product_axes": 1, "_product_table": 1},
-            "prototype": {"_product_axes": 1, "_sum_of_squares": 2},
-        }.get(kind, {"_sum_of_squares": 2})
+        assert widths == {"mean_abs": [1, 1], "prototype": [3], "mean_abs_1d": [1], "rows": [2]}[kind]
 
 
 def test_wide_embedding_adds_coordinates_in_order():
@@ -538,6 +539,18 @@ class TestRowsArePickedFromTheFullTable:
         with pytest.raises(ValueError, match=r"rows must be a \(2, k\) integer array"):
             psi.loo_tables(np.zeros((2, 3, 1)), _ROWS_GRIDS[1].points, np.array(rows))
 
+    @pytest.mark.parametrize("row", [-1, 7], ids=["minus_one", "grid_size"])
+    @pytest.mark.parametrize(
+        "psi",
+        [MeanAbsDistance(), PrototypeEmbedding(EmbeddingNet.identity(1)), NegPredictiveDensity(mean=0.0, sd=1.0)],
+        ids=lambda psi: psi.kind,
+    )
+    def test_refuses_rows_off_the_grid(self, psi, row):
+        # numpy would take -1 as the last grid point and refuse 7 with a bare
+        # IndexError; the kernel names the range instead.
+        with pytest.raises(ValueError, match=r"rows must lie in 0\.\.6"):
+            psi.loo_tables(np.zeros((2, 3, 1)), _ROWS_GRIDS[1].points, [[0], [row]])
+
 
 class TestKernelMemory:
     @pytest.mark.parametrize("kind", ["mean_abs", "prototype"])
@@ -561,6 +574,29 @@ class TestKernelMemory:
         finally:
             tracemalloc.stop()
         assert peak <= table.nbytes + 2 * 2**20, (peak - table.nbytes) / 2**20
+
+    @pytest.mark.parametrize("kind", ["mean_abs", "prototype"])
+    def test_rows_peak_stays_near_the_stack(self, kind):
+        # 400 samples of n = 50, 20 rows each: T k n = 400,000 cells, about 24
+        # blocks, so one (T, k, n) plane would be 3.1 MiB beside the 3.1 MiB
+        # stack of rows. The kernel takes whole samples' rows a block at a
+        # time, so its temporaries are a few blocks, the samples' embeddings
+        # and partial sums, and the picked candidates.
+        rng = np.random.default_rng(1)
+        grid = make_uniform_grid([(-3.0, 3.0)], [201])
+        points = grid.points[rng.integers(0, grid.size, (400, 50))]
+        rows = rng.integers(0, grid.size, (400, 20))
+        net = EmbeddingNet.from_weights([rng.standard_normal((3, 1)), rng.standard_normal((2, 3))],
+                                        [rng.standard_normal(3), rng.standard_normal(2)])
+        psi = MeanAbsDistance() if kind == "mean_abs" else PrototypeEmbedding(net)
+        psi.loo_tables(points, grid.points, rows)  # warm-up
+        tracemalloc.start()
+        try:
+            picked = psi.loo_tables(points, grid.points, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= picked.nbytes + 2 * 2**20, (peak - picked.nbytes) / 2**20
 
 
 def _partial_sums_by_deletion(points: np.ndarray) -> np.ndarray:

@@ -55,7 +55,8 @@ def _net(d: int) -> EmbeddingNet:
 
 
 # (score, grid, dist, embed): a mixing net's prototype and a 1-D mean
-# distance take the blocked loop, a 2-D or 3-D mean distance the product path.
+# distance fill one factor of every coordinate, a 2-D or 3-D mean distance
+# one factor per grid axis (with `rows`, one factor again).
 _CASES = {
     "blocked_2d": (PrototypeEmbedding(_net(2)), ([(-2.0, 2.0), (-1.0, 1.0)], [9, 7]), _neg_sq, _net(2).apply),
     "blocked_1d": (MeanAbsDistance(), ([(-2.0, 2.0)], [50]), _norm, np.asarray),
@@ -79,7 +80,7 @@ def test_tables_match_the_one_shot_table(monkeypatch, workers, starts, case, cel
     assert bool(starts) == (workers > 1)
 
 
-@pytest.mark.parametrize("case", ["blocked_2d", "blocked_1d"])
+@pytest.mark.parametrize("case", sorted(_CASES))
 def test_rows_match_the_full_tables(monkeypatch, workers, starts, case):
     _blocks(monkeypatch, 7)
     psi, spec, *_ = _CASES[case]
