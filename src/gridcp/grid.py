@@ -140,13 +140,15 @@ class Grid:
     def full_region(self) -> Region:
         return Region(self, (1 << self.size) - 1)
 
+    def _index(self, i: int) -> int:
+        """`i`, refused unless it indexes a grid point."""
+        if not 0 <= i < self.size:
+            raise ValueError(f"index {i} out of range for grid of size {self.size}")
+        return i
+
     def region(self, indices: Iterable[int]) -> Region:
-        idx = list(indices)
-        for i in idx:
-            if not 0 <= i < self.size:
-                raise ValueError(f"index {i} out of range for grid of size {self.size}")
         mask = np.zeros(self.size, dtype=bool)
-        mask[idx] = True
+        mask[[self._index(i) for i in indices]] = True
         return Region.from_mask(self, mask)
 
 
@@ -207,7 +209,7 @@ class Region:
         return self.bits & ~other.bits == 0
 
     def __contains__(self, index: int) -> bool:
-        return bool((self.bits >> index) & 1)
+        return bool((self.bits >> self.universe._index(index)) & 1)
 
     def __len__(self) -> int:
         return int(self.bits).bit_count()

@@ -70,7 +70,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # 128 KiB per float temporary, whatever the grid size. `ck coverage` draws its
 # trials in chunks of one block.
 _BLOCK_CELLS = 1 << 14
-# A table of 2 * _PART_CELLS cells or more is split across CPUs (`_split`).
+# Filled or counted, a table of 2 * _PART_CELLS cells or more is split.
 # On a 2-vCPU host two parts first gained at 12 blocks (rank count), 16
 # (a per-axis table) and 24 (a one-factor table) against one part; below
 # that, starting and joining a thread cost more than it saved.
@@ -89,8 +89,7 @@ _FIXED_TERMS = 1 << 11
 def gaussian_pdf(y, mean: float, sd: float):
     """Normal density; shared by every caller so float results agree bitwise."""
     z = (np.asarray(y, dtype=float) - mean) / sd
-    out = np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
-    return out
+    return np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
 
 
 def _fixed_sums(flat: np.ndarray):
@@ -269,7 +268,7 @@ def _product_axes(cand: np.ndarray):
     return axes if run == 1 else None
 
 
-def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable = np.asarray,
+def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable | None = None,
                rows=None):
     """Leave-one-out tables of a score finish(|prototype - embedding|^2), one
     per sample of a (T, n, d) stack: a (T, G, n+1) array, or with `rows`, a
@@ -284,10 +283,11 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
     can break score ties that hold in exact arithmetic (e.g. n = 1, where the
     held-out point's score must tie the candidate's at every candidate).
 
-    Each sample's points are embedded in a call of their own and the
-    candidates in one call, because a network's output rows can depend on
-    how many rows one call maps; `rows` then picks embedded candidates, so
-    each cell is the full table's cell, bit for bit.
+    Without `embed` (the mean distance) the stack and the candidates are
+    used as they are. With it, each sample's points are embedded in a call
+    of their own and the candidates in one call, because a network's output
+    rows can depend on how many rows one call maps; `rows` then picks
+    embedded candidates, so each cell is the full table's cell, bit for bit.
 
     The table is filled one factor at a time (see the module docstring):
     each coordinate of a product grid (`_product_axes`) is a factor, and
@@ -298,11 +298,12 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
     """
     T, n, d = points.shape
     cand = np.asarray(candidates, dtype=float)
-    if cand.shape[1:] != (d,) and not (d == 1 and cand.ndim <= 1):
+    if cand.shape[1:] != (d,) and not (d == 1 and cand.ndim == 1):
         raise ValueError(f"candidates of shape {cand.shape} do not fit samples of shape "
                          f"{points.shape}: expected (G, {d})" + " or (G,)" * (d == 1))
-    train = np.array([embed(points[t]) for t in range(T)])  # (T, n, m)
-    cand = embed(cand.reshape(-1, d))  # (G, m)
+    train, cand = points, cand.reshape(-1, d)  # (T, n, m), (G, m)
+    if embed is not None:
+        train, cand = np.array([embed(points[t]) for t in range(T)]), embed(cand)
     sums, totals = _partial_sums(train)
     train_k, sums_k = train.transpose(2, 0, 1), sums.transpose(2, 0, 1)
     means = totals / n
@@ -346,7 +347,7 @@ def _loo_table(points: np.ndarray, candidates, finish: np.ufunc, embed: Callable
         if piece_finish is None:
             finish(part, out=part)
 
-    _split(fill, shape[0], _parts(shape[0], table.size // (n + 1) * n))
+    _split(fill, shape[0], _parts(shape[0], table.size))
     return table.reshape(T, -1, n + 1)
 
 
@@ -465,9 +466,9 @@ class NegPredictiveDensity(ScoreFn):
     def loo_tables(self, points: np.ndarray, candidates: np.ndarray, rows=None) -> np.ndarray:
         cand = np.asarray(candidates, dtype=float)
         T, n, d = points.shape
-        if d != 1 or cand.shape[1:] not in ((), (1,)):
+        if d != 1 or cand.ndim != 1 and cand.shape[1:] != (1,):
             raise ValueError(f"{self.kind} scores 1-D points; got a {d}-D sample and "
-                             f"candidate points of shape {cand.shape[1:]}")
+                             f"candidates of shape {cand.shape}")
         scores = -self.density(cand.reshape(-1))
         scores = scores[None] if rows is None else scores[_check_rows(rows, T, len(scores))]  # (1 or T, K)
         out = np.empty((T, scores.shape[1], n + 1))

@@ -295,7 +295,7 @@ class TestTransducerMemo:
         assert ref() is None
 
 
-class TestTieGrid:
+class TestLevels:
     """The attainable-level set {k/(n+1)} and the rule that refuses it."""
 
     def test_levels(self):
@@ -407,7 +407,7 @@ class TestKappa:
             assert superlevel_region(t, alpha).bits == weak_bits
 
 
-class TestNormalizeConsonant:
+class TestContourFromTransducer:
     """PossibilityContour.from_transducer divides by the grid maximum."""
 
     def test_idempotent_on_consonant(self):

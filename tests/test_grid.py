@@ -281,6 +281,13 @@ class TestRegionOps:
         with pytest.raises(UniverseMismatchError):
             self.grid.full_region().is_subset(other.full_region())
 
+    def test_contains_refuses_an_index_off_the_grid(self):
+        region = self.grid.full_region()
+        assert [i in region for i in range(3)] == [True] * 3
+        for index in (-1, 3, 8):
+            with pytest.raises(ValueError, match=f"^index {index} out of range for grid of size 3$"):
+                index in region
+
 
 _MASK_GRIDS = {m: make_uniform_grid([(0, 1)], [m]) for m in (1, 7, 8, 9, 40_401)}
 

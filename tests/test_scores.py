@@ -118,7 +118,9 @@ class TestCandidateShapes:
     refuse any other shape rather than reshape it."""
 
     @pytest.mark.parametrize(
-        "d, cand_shape", [(2, (6,)), (2, (4, 3)), (1, (3, 2))], ids=["flat", "wide", "2d_for_1d"]
+        "d, cand_shape",
+        [(2, (6,)), (2, (4, 3)), (1, (3, 2)), (1, ())],
+        ids=["flat", "wide", "2d_for_1d", "scalar"],
     )
     @pytest.mark.parametrize("kind", sorted(_SAMPLE_SCORES))
     def test_refuses_other_shapes(self, kind, d, cand_shape):
@@ -180,13 +182,15 @@ class TestNegPredictiveDensity:
         with pytest.raises(ValueError, match="neg_predictive_density scores 1-D points"):
             score(psi, sample, y)
 
-    def test_loo_matrix_accepts_scalars_and_one_coordinate(self):
+    def test_loo_matrix_takes_flat_or_one_column_candidates_only(self):
         psi = NegPredictiveDensity(mean=0.0, sd=1.0)
         y_n = Sample.of([1.0])
-        tables = [psi.loo_matrix(y_n, c) for c in (0.5, [0.5], np.array([[0.5]]))]
+        tables = [psi.loo_matrix(y_n, c) for c in ([0.5], np.array([[0.5]]))]
         for table in tables:
             assert table.tobytes() == tables[0].tobytes()
         assert tables[0][0, -1] == -float(psi.density(0.5))
+        with pytest.raises(ValueError, match=re.escape("candidates of shape ()")):
+            psi.loo_matrix(y_n, 0.5)
 
 
 @st.composite

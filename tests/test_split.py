@@ -213,18 +213,17 @@ def test_a_one_block_call_starts_no_thread(monkeypatch, starts):
 
 
 def test_a_table_splits_from_two_least_parts(monkeypatch, starts):
-    # n = 20 on a 1-D grid, 2 * _PART_CELLS = 24 * 2^14 cells: the kernel's
-    # n columns split from 19661 candidates, the rank count's n + 1 from 18725.
+    # n = 20 on a 1-D grid, 2 * _PART_CELLS = 24 * 2^14 cells: the kernel and
+    # the rank count both split a table of n + 1 columns from 18725 candidates.
     monkeypatch.setattr(scores_module, "_cpus", lambda: 3)
     sample = Sample(np.random.default_rng(6).normal(size=(20, 1)))
     psi = MeanAbsDistance()
     transducer(sample, psi, make_uniform_grid([(-2.0, 2.0)], [18724]))
-    psi.loo_matrix(sample, make_uniform_grid([(-2.0, 2.0)], [19660]).points)
     assert starts == []
+    psi.loo_matrix(sample, make_uniform_grid([(-2.0, 2.0)], [18725]).points)
+    assert len(starts) == 1  # the kernel's
     transducer(sample, psi, make_uniform_grid([(-2.0, 2.0)], [18725]))
-    assert len(starts) == 1  # the rank count's
-    psi.loo_matrix(sample, make_uniform_grid([(-2.0, 2.0)], [19661]).points)
-    assert len(starts) == 2
+    assert len(starts) == 3  # the kernel's and the rank count's
 
 
 @pytest.mark.parametrize("kind", ["mean_abs", "prototype"])
