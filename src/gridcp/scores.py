@@ -89,7 +89,8 @@ _FIXED_TERMS = 1 << 11
 def gaussian_pdf(y, mean: float, sd: float):
     """Normal density; shared by every caller so float results agree bitwise."""
     z = (np.asarray(y, dtype=float) - mean) / sd
-    return np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
+    out = np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
+    return out
 
 
 def _fixed_sums(flat: np.ndarray):
@@ -466,7 +467,7 @@ class NegPredictiveDensity(ScoreFn):
     def loo_tables(self, points: np.ndarray, candidates: np.ndarray, rows=None) -> np.ndarray:
         cand = np.asarray(candidates, dtype=float)
         T, n, d = points.shape
-        if d != 1 or cand.ndim != 1 and cand.shape[1:] != (1,):
+        if d != 1 or (cand.ndim != 1 and cand.shape[1:] != (1,)):
             raise ValueError(f"{self.kind} scores 1-D points; got a {d}-D sample and "
                              f"candidates of shape {cand.shape}")
         scores = -self.density(cand.reshape(-1))
@@ -482,7 +483,6 @@ def _score_bound(psi: ScoreFn, points: np.ndarray) -> float:
     distance or prototype score: finite when no score of a sample and
     candidate drawn from `points` can overflow, each being at most
     m * (2 max|e|)^2 in size."""
-    embed = psi.net.apply if isinstance(psi, PrototypeEmbedding) else np.asarray
     with np.errstate(all="ignore"):
-        e = np.abs(embed(points))
+        e = np.abs(psi.net.apply(points) if isinstance(psi, PrototypeEmbedding) else points)
         return float(e.shape[1] * (4.0 * e.max()) ** 2)
