@@ -9,11 +9,11 @@ points' own densities, must coincide exactly with the ranking region and
 with the contour route through `imprecise`. `bayes_triangle_detail` verifies
 that three-way identity as exact bitset equality.
 
-The threshold: with q the least k such that k/(n+1) > alpha, counted on
-`fullcp.levels` (alpha off that set), a candidate is in the region iff at
-least q-1 of the n training points have density <= the candidate's, i.e.
-iff its density is at least the (q-1)-th smallest training density (full
-grid when q = 1).
+The threshold: with q the least k such that k/(n+1) > alpha, which is
+`fullcp._cut`'s count of levels at or below alpha (alpha off that set), a
+candidate is in the region iff at least q-1 of the n training points have
+density <= the candidate's, i.e. iff its density is at least the (q-1)-th
+smallest training density (full grid when q = 1).
 
 Exact ties among training densities are refused, not broken: the order
 statistics presume distinct values, and silent tie-breaking could fake
@@ -33,14 +33,13 @@ quadratures on the supplied grids.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .fullcp import check_level, kappa, levels, transducer
+from .fullcp import _cut, check_level, kappa, transducer
 from .grid import Grid, Region, Sample, _check_interval
 from .imprecise import cred, ihdr_contour
 from .scores import NegPredictiveDensity, gaussian_pdf
@@ -139,7 +138,7 @@ def quant(alpha: float, pd: PredictiveDensity) -> Region:
 
     Region = {y in grid : density(y) >= c} with c the (q-1)-th smallest
     density of the training sample and q the least k with k/(n+1) > alpha,
-    counted on `levels(n)`; the full grid when q = 1.
+    `fullcp._cut(alpha, n)`; the full grid when q = 1.
     """
     n = pd.sample.n
     check_level(alpha, n)
@@ -149,7 +148,7 @@ def quant(alpha: float, pd: PredictiveDensity) -> Region:
             "training points have exactly tied predictive densities; "
             "the order-statistic threshold is undefined"
         )
-    q = bisect.bisect_right(levels(n), alpha)
+    q = _cut(alpha, n)
     if q <= 1:
         return pd.universe.full_region()
     c = float(np.sort(dens)[q - 2])  # (q-1)-th smallest, 0-based

@@ -92,6 +92,9 @@ _CHUNK_CELLS = 1 << 17
 # rho: a2 -> a2, whose (source, target) sit at these positions.
 _TENSOR_HOMS = ((0, 1), (1, 2), (3, 4), (4, 5), (3, 3))
 _EMPTY_FIBER = "empty fiber encountered; hyperspace lift needs nonempty images"
+# Cells of the largest hyperspace table a campaign builds: the 15 x 32,767
+# unit and multiplication tables of `check_monad_laws(4)`.
+_MAX_TABLE_CELLS = 15 * 32_767
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -143,6 +146,14 @@ def _one_hot(images: np.ndarray) -> np.ndarray:
     hit = np.flatnonzero(codes)
     rows[hit, codes[hit] - 1] = True
     return rows.reshape(images.shape[:-1] + rows.shape[-1:])
+
+
+def _check_table(cells: int, shape: str) -> None:
+    """Refuse, before it is built, a hyperspace table of `shape` with more
+    cells than `_MAX_TABLE_CELLS`."""
+    if cells > _MAX_TABLE_CELLS:
+        raise ValueError(f"a {shape} table is past {_MAX_TABLE_CELLS:,} cells, the largest a "
+                         "campaign builds (check_monad_laws(4))")
 
 
 def _check_code_width(target: int) -> None:
@@ -252,8 +263,12 @@ def vietoris_map(
     ``singleton``: subset C maps to the one-element fiber {phi[C]}.
     ``downset``:   subset C maps to every nonempty subset of phi[C].
 
-    Requires every fiber of phi nonempty (images must stay nonempty).
+    Requires every fiber of phi nonempty (images must stay nonempty), and
+    a lift of at most `_MAX_TABLE_CELLS` cells.
     """
+    s, t, stack = phi.source, phi.target, phi.matrix.shape[:-2]
+    shape = " x ".join([*map(str, stack), f"(2^{s} - 1)", f"(2^{t} - 1)"])
+    _check_table(math.prod(stack) * hyperspace(s) * hyperspace(t), shape)
     if not phi.matrix.any(axis=-1).all():
         raise ValueError(_EMPTY_FIBER)
     if variant not in ("singleton", "downset"):
@@ -269,6 +284,7 @@ def vietoris_map(
 
 def vietoris_unit(n: int) -> FiniteCorrespondence:
     """x maps to the singleton fiber containing the subset {x}."""
+    _check_table(n * hyperspace(n), f"{n} x (2^{n} - 1)")
     return FiniteCorrespondence(_one_hot(np.eye(n, dtype=bool)))
 
 
@@ -276,11 +292,13 @@ def vietoris_multiplication(n: int) -> FiniteCorrespondence:
     """A family of subsets maps to the singleton fiber holding its union.
 
     The source is the hyperspace of the hyperspace, so this table has
-    2^(2^n - 1) - 1 rows; callers cap the base size. The rows are built
-    `_CHUNK_PAIRS` families at a time, so no membership table of the whole
-    double hyperspace is held.
+    2^(2^n - 1) - 1 rows, past `_MAX_TABLE_CELLS` from n = 5 on. The rows
+    are built `_CHUNK_PAIRS` families at a time, so no membership table of
+    the whole double hyperspace is held.
     """
     kx = hyperspace(n)
+    # 2^19 rows are past the cap alone, so no row count above 2^63 is built.
+    _check_table(hyperspace(min(kx, 63)) * kx, f"(2^{kx} - 1) x {kx}")
     mu = np.empty((hyperspace(kx), kx), dtype=bool)
     for lo in range(0, len(mu), _CHUNK_PAIRS):
         families = _members(np.arange(lo, min(lo + _CHUNK_PAIRS, len(mu))) + 1, kx)

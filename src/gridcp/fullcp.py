@@ -14,10 +14,10 @@ which always counts the candidate itself, so pi takes values in
 super-level set {c : pi(c) > alpha}.
 
 Plausibility values are stored as integer numerators over n+1 so that
-membership of confidence levels in the attainable value set is exact.
-Region membership comparisons happen on the derived doubles, with no
-epsilon: the indicator structure is discontinuous by design and fuzzing it
-would silently change the transducer.
+membership of confidence levels in the attainable value set is exact. The
+level is cut once, in `_cut`, on stored doubles with no epsilon: the
+indicator structure is discontinuous by design and fuzzing it would
+silently change the transducer.
 
 Confidence levels that sit exactly on an attainable value are refused by
 `check_level`, the ranking route's one refusal (the contour route,
@@ -69,26 +69,28 @@ def levels(n: int) -> tuple[float, ...]:
     return tuple(k / m for k in range(m + 1))
 
 
-def _near(alpha: float, n: int) -> list[float]:
-    """Levels k/(n+1), k next to alpha*(n+1): any that equals alpha is among them."""
+def _cut(alpha: float, n: int) -> int:
+    """The number q of levels k/(n+1) at or below alpha (0 below 0; n + 2
+    above 1 or for NaN, which no level exceeds), so {pi > alpha} is {nums >= q}.
+    Compares alpha exactly, on stored doubles, with only the levels whose k
+    is next to alpha*(n+1), so it costs the same for any n."""
     m = _denominator(n)
-    k = math.floor(alpha * m) if math.isfinite(alpha * m) else 0
-    return [j / m for j in range(max(k - 1, 0), min(k + 2, m) + 1)]
+    if not 0.0 <= alpha <= 1.0:
+        return 0 if alpha < 0.0 else m + 1
+    lo = max(math.floor(alpha * m) - 1, 0)
+    return lo + sum(j / m <= alpha for j in range(lo, min(lo + 3, m) + 1))
 
 
 def check_level(alpha: float, n: int) -> None:
-    """Refuse alpha outside [0, 1] or on an attainable level k/(n+1).
-
-    Compares alpha exactly, on stored doubles, with the few levels next to
-    alpha*(n+1), so it costs the same for any n.
-    """
-    near = _near(alpha, n)
+    """Refuse alpha outside [0, 1] or on an attainable level k/(n+1): the
+    highest level at or below alpha (`_cut`) must not equal it."""
+    q = _cut(alpha, n)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(
             f"alpha={alpha} lies outside [0, 1], the span of the attainable "
             f"plausibility set {{k/{n + 1}}}"
         )
-    if alpha in near:
+    if q and (q - 1) / (n + 1) == alpha:
         raise TieLevelError(
             f"alpha={alpha} lies on the attainable plausibility set "
             f"{{k/{n + 1}: k=0..{n + 1}}}; pick a level off that set"
@@ -190,8 +192,8 @@ def numerators_at(points: np.ndarray, idxs, psi: ScoreFn, universe: Grid) -> np.
 
 
 def superlevel_region(t: Transducer, alpha: float) -> Region:
-    """{c : pi(c) > alpha} on t's universe (strict, on stored doubles)."""
-    return Region.from_mask(t.universe, t.values > alpha)
+    """{c : pi(c) > alpha} on t's universe: the numerators at or above `_cut`."""
+    return Region.from_mask(t.universe, t.nums >= _cut(alpha, t.n))
 
 
 def kappa(alpha: float, y_n: Sample, psi: ScoreFn, universe: Grid) -> Region:

@@ -439,6 +439,9 @@ class PrototypeEmbedding(ScoreFn):
     kind: str = "prototype_embedding"
 
     def loo_tables(self, points: np.ndarray, candidates: np.ndarray, rows=None) -> np.ndarray:
+        if points.shape[-1] != self.net.in_dim:
+            raise ValueError(f"{self.kind}'s net takes {self.net.in_dim}-D points; "
+                             f"the sample is {points.shape[-1]}-D")
         return _loo_table(points, candidates, np.negative, self.net.apply, rows)
 
 

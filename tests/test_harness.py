@@ -1015,20 +1015,21 @@ _IHDR_COUNTS = ("oracle_equal", "nesting_holds", "chain_holds", "antitone_holds"
 class TestIhdrOracleVerdicts:
     """Each of the four ihdr_oracle checks fails on one planted fault in one
     trial: that count, and no other, drops by one, and `ck` exits 1. An
-    `ihdr_oracle` trial calls `ihdr_contour` five times: small, mid and big
-    at alpha, then big at the higher and at the lower of its two levels. Every
-    region at alpha holds the shared peak, so an empty one is a fault."""
+    `ihdr_oracle` trial calls `ihdr_contour` twice, at alpha on mid, then on
+    big; and `ihdr_bruteforce` four times: big and small at alpha, then big
+    at the higher and at the lower of its two levels. Every region holds the
+    shared peak, so an empty one is a fault."""
 
     @pytest.mark.parametrize(
         "name, call, fault, count",
         [
-            # One point fewer in the brute-force region of trial 3.
-            ("ihdr_bruteforce", 3, lambda r: Region(r.universe, r.bits & (r.bits - 1)), 0),
+            # One point fewer in the closed-form big region of trial 3.
+            ("ihdr_contour", 2 * 3 + 1, lambda r: Region(r.universe, r.bits & (r.bits - 1)), 0),
             ("check_functor_monotone", 3, lambda ok: False, 1),
             # The mid region of trial 3 emptied: small no longer nests in it.
-            ("ihdr_contour", 5 * 3 + 1, lambda r: Region(r.universe, 0), 2),
+            ("ihdr_contour", 2 * 3, lambda r: Region(r.universe, 0), 2),
             # The lower level's region of trial 3 emptied: the higher one's peak is outside.
-            ("ihdr_contour", 5 * 3 + 4, lambda r: Region(r.universe, 0), 3),
+            ("ihdr_bruteforce", 4 * 3 + 3, lambda r: Region(r.universe, 0), 3),
         ],
         ids=_IHDR_COUNTS,
     )
