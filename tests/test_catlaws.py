@@ -189,6 +189,34 @@ class TestMonadPieces:
         assert mu.fibers[fam - 1] == 1 << (0b11 - 1)
 
 
+class TestTableCap:
+    """Hyperspace tables past the largest a campaign builds are refused
+    before they are built. Each refused call here would build at most a few
+    MB, were it not refused."""
+
+    def test_cap_is_the_largest_campaign_table(self):
+        assert catlaws._MAX_TABLE_CELLS == vietoris_multiplication(4).matrix.size
+        assert catlaws._MAX_TABLE_CELLS == vietoris_unit(15).matrix.size
+        assert catlaws._MAX_TABLE_CELLS == vietoris_map(vietoris_unit(4)).matrix.size
+
+    @pytest.mark.parametrize(
+        "build, shape",
+        [
+            (lambda: vietoris_unit(16), r"16 x \(2\^16 - 1\)"),
+            (lambda: vietoris_unit(17), r"17 x \(2\^17 - 1\)"),
+            (lambda: vietoris_map(FiniteCorrespondence(np.ones((2, 18), bool))), r"\(2\^2 - 1\) x \(2\^18 - 1\)"),
+            (
+                lambda: vietoris_map(FiniteCorrespondence(np.ones((512, 2, 9), bool)), "downset"),
+                r"512 x \(2\^2 - 1\) x \(2\^9 - 1\)",
+            ),
+        ],
+        ids=["unit_16", "unit_17", "lift_2_to_18", "downset_stack"],
+    )
+    def test_past_the_cap_is_refused(self, build, shape):
+        with pytest.raises(ValueError, match=f"a {shape} table is past 491,505 cells"):
+            build()
+
+
 class TestMonadLaws:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_all_laws_pass(self, n):

@@ -1,5 +1,6 @@
 """The ranking transducer, attainable-level machinery, and regions."""
 
+import bisect
 import gc
 import itertools
 import math
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from gridcp.fullcp import (
     TieLevelError,
+    _cut,
     Transducer,
     check_level,
     kappa,
@@ -24,7 +26,7 @@ from gridcp.fullcp import (
     transducer,
 )
 from gridcp import scores as scores_module
-from gridcp.grid import Grid, Sample, make_uniform_grid
+from gridcp.grid import Grid, Region, Sample, make_uniform_grid
 from gridcp.imprecise import PossibilityContour
 from gridcp.scores import EmbeddingNet, MeanAbsDistance, NegPredictiveDensity, PrototypeEmbedding
 
@@ -343,6 +345,53 @@ class TestLevels:
                         check_level(alpha, n)
                 else:
                     check_level(alpha, n)
+
+
+def _alpha_near(draw, n: int):
+    """A level k/(n+1), one of its two neighbouring doubles, a signed zero,
+    an infinity, NaN, or a uniform in [0, 1]."""
+    level = draw(st.integers(0, n + 1)) / (n + 1)
+    odd = [level, math.nextafter(level, -math.inf), math.nextafter(level, math.inf),
+           0.0, -0.0, math.inf, -math.inf, math.nan]
+    return draw(st.sampled_from(odd) | st.floats(0.0, 1.0))
+
+
+def _levels_at_or_below(alpha: float, n: int) -> int:
+    """`bisect.bisect_right(levels(n), alpha)`, searching k in 0..n+1 with
+    the same comparisons: the oracle for n too large to list the levels."""
+    lo, hi = 0, n + 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if alpha < mid / (n + 1) else (mid + 1, hi)
+    return lo
+
+
+class TestCut:
+    """`_cut` counts the levels at or below alpha from the few next to
+    alpha*(n+1); every ranking-route region is cut by its count."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_counts_the_level_tuple(self, data):
+        n = data.draw(st.integers(1, 200))
+        alpha = _alpha_near(data.draw, n)
+        assert _cut(alpha, n) == bisect.bisect_right(levels(n), alpha)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_counts_huge_n_by_binary_search(self, data):
+        n = data.draw(st.sampled_from([10**6, 2**53 - 1]))
+        alpha = _alpha_near(data.draw, n)
+        assert _cut(alpha, n) == _levels_at_or_below(alpha, n)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_region_is_the_strict_cut_on_stored_doubles(self, data):
+        n = data.draw(st.integers(1, 200))
+        nums = data.draw(st.lists(st.integers(1, n + 1), min_size=1, max_size=12))
+        t = Transducer(universe=make_uniform_grid([(0, 1)], [len(nums)]), nums=np.array(nums), n=n)
+        alpha = _alpha_near(data.draw, n)
+        assert superlevel_region(t, alpha).bits == Region.from_mask(t.universe, t.values > alpha).bits
 
 
 class TestKappa:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcp import bayes, catlaws, cli, config, harness
+from gridcp import bayes, catlaws, cli, config, fullcp, harness
 from gridcp import scores as scores_module
 from gridcp.fullcp import TieLevelError, check_level, kappa, transducer
 from gridcp.grid import Region, Sample, make_uniform_grid
@@ -1046,6 +1046,24 @@ class TestIhdrOracleVerdicts:
         report = json.loads(out.read_text())
         assert report["pass"] is False
         assert [report[key] for key in _IHDR_COUNTS] == [5 - (k == count) for k in range(4)]
+
+
+class TestCutVerdicts:
+    """The ranking region's cut one level too high (`fullcp._cut` returning
+    q + 1) fails both route-equality reports: kappa's region then misses the
+    points at numerator q, which the contour route, cutting doubles, and
+    quant's order statistics keep."""
+
+    @pytest.mark.parametrize("experiment", ["diagram", "bayes_triangle"])
+    def test_cut_one_level_high_fails_the_run(self, monkeypatch, tmp_path, experiment):
+        real = fullcp._cut
+        monkeypatch.setattr(fullcp, "_cut", lambda alpha, n: real(alpha, n) + 1)
+        out = tmp_path / "r.json"
+        assert cli.main([experiment, "--trials", "20", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        for counts in report.get("families", [report]):
+            assert counts["equal"] < counts["trials"] == 20
 
 
 _JSON = st.recursive(

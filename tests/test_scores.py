@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridcp import scores as scores_module
-from gridcp.fullcp import transducer
+from gridcp.fullcp import numerators_at, transducer
 from gridcp.grid import Sample, make_uniform_grid
 from gridcp.scores import (
     EmbeddingNet,
@@ -98,6 +98,15 @@ class TestPrototype:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             score(PrototypeEmbedding(EmbeddingNet.identity(1)), [(0, 1)], (0, 1))
+
+    def test_net_of_another_width_is_refused(self):
+        psi = PrototypeEmbedding(EmbeddingNet.identity(2))
+        grid = make_uniform_grid([(-1, 1)], [5])
+        message = "net takes 2-D points; the sample is 1-D"
+        with pytest.raises(ValueError, match=message):
+            transducer(Sample.of([0.1, 0.2]), psi, grid)
+        with pytest.raises(ValueError, match=message):
+            numerators_at(grid.points[[[1, 3]]], [2], psi, grid)
 
     @given(st.lists(finite_floats, min_size=1, max_size=6), finite_floats)
     def test_identity_net_matches_neg_squared_mean_abs(self, values, y):
